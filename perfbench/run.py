@@ -10,9 +10,9 @@ Mittag-Leffler stratum, in a child process under a deadline and an
 address-space limit.  Passes over the workload's ops repeat until the
 measuring time is used up.
 
---trace 0 prints the end-to-end metrics; --trace 1 runs untraced passes,
-then traced passes (spans around fracstep's public functions) and one
-tracemalloc pass, and prints the per-layer metrics.  The last line of
+--trace 0 prints the end-to-end metrics; --trace 1 runs one tracemalloc
+pass, then untraced passes and traced passes (spans around fracstep's
+public functions), and prints the per-layer metrics.  The last line of
 standard output is one JSON object.
 """
 
@@ -40,7 +40,7 @@ from pathlib import Path
 
 ROOT = Path.cwd()
 SRC = ROOT / "src"
-SETUP_REPEATS = 5
+SETUP_REPEATS = 7
 MIN_PASSES = 2
 TAIL_LADDER = (99.9, 99.0, 95.0, 90.0, 75.0, 50.0)
 CHILD_CODE = (
@@ -82,20 +82,34 @@ def _environment() -> dict:
         "openblas": f"{blas.get('name', '?')} {blas.get('version', '?')}",
         "openblas_num_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "fracstep_threads": os.environ.get("FRACSTEP_THREADS"),
+        "host_probe_ms": _host_probe(),
     }
 
 
-def _measure_setup(args, work: Path) -> list:
-    """Wall times of fresh interpreters that import fracstep and build the inputs."""
+def _host_probe(repeats: int = 30) -> dict:
+    """Min and median time of a fixed pure-Python loop.
+
+    A shared host can run this process's code 2x slower or more for
+    minutes at a time; a median well above the min marks such a run.
+    """
     times = []
-    for i in range(SETUP_REPEATS):
-        cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", "0", "--trace", "0",
-               "--setup-only", str(work / f"setup{i}")]
+    for _ in range(repeats):
         start = time.perf_counter()
-        subprocess.run(cmd, check=True, cwd=ROOT)
-        times.append(time.perf_counter() - start)
-    return times
+        total = 0
+        for i in range(30_000):
+            total += i & 7
+        times.append((time.perf_counter() - start) * 1e3)
+    return {"min": round(min(times), 3), "median": round(statistics.median(times), 3)}
+
+
+def _setup_once(args, work: Path) -> float:
+    """Wall time of a fresh interpreter that imports fracstep and builds the inputs."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", "0", "--trace", "0",
+           "--setup-only", str(work / "setup")]
+    start = time.perf_counter()
+    subprocess.run(cmd, check=True, cwd=ROOT)
+    return time.perf_counter() - start
 
 
 def _run_child(op, deadline: float, memory_bytes: int):
@@ -116,12 +130,25 @@ def _run_child(op, deadline: float, memory_bytes: int):
         proc.communicate()
         return time.perf_counter() - start, Outcome(False, detail=f"overran {deadline} s", kind="overrun")
     elapsed = time.perf_counter() - start
-    if proc.returncode == 0:
-        return elapsed, op.check(out, op.out_dir)
     if proc.returncode == 1 and err.startswith("error: "):
         return elapsed, Outcome(True, detail=err.strip(), kind="rejected")
-    last = err.strip().splitlines()[-1:] or [""]
-    return elapsed, Outcome(False, detail=f"exit {proc.returncode}: {last[0]}", kind="killed")
+    last = (err.strip().splitlines() or [""])[-1]
+    if proc.returncode < 0 or last.split(":", 1)[0].endswith("MemoryError"):
+        # a signal (the deadline's kill is handled above) or the address-space cap
+        return elapsed, Outcome(False, detail=f"exit {proc.returncode}: {last}", kind="killed")
+    return elapsed, _judge(op, proc.returncode, out, last)
+
+
+def _judge(op, code: int, stdout: str, stderr: str):
+    """Outcome of a command that exited by itself with ``code``."""
+    from workloads import Outcome
+
+    if code != op.expect_exit:
+        return Outcome(False, detail=f"exit {code}, expected {op.expect_exit}: {stderr.strip()}")
+    try:
+        return op.check(stdout, op.out_dir)
+    except (OSError, ValueError, KeyError, IndexError) as exc:
+        return Outcome(False, detail=f"unreadable output: {exc!r}")
 
 
 def _run_op(op):
@@ -139,20 +166,15 @@ def _run_op(op):
     except Exception as exc:  # an op that raises is a failed op, not a crashed benchmark
         return time.perf_counter() - start, workloads.Outcome(False, detail=f"raised {exc!r}")
     elapsed = time.perf_counter() - start
-    if code != op.expect_exit:
-        detail = f"exit {code}, expected {op.expect_exit}: {err.getvalue().strip()}"
-        return elapsed, workloads.Outcome(False, detail=detail)
-    try:
-        return elapsed, op.check(out.getvalue(), op.out_dir)
-    except (OSError, ValueError, KeyError, IndexError) as exc:
-        return elapsed, workloads.Outcome(False, detail=f"unreadable output: {exc!r}")
+    return elapsed, _judge(op, code, out.getvalue(), err.getvalue())
 
 
-def _passes(ops, seconds: float, after_op=None) -> list:
+def _passes(ops, seconds: float, after_op=None, after_pass=None) -> list:
     """Repeat passes over ``ops`` while another pass fits in ``seconds``.
 
     Returns one list of (seconds, Outcome) per pass, at least MIN_PASSES.
-    Check time counts toward the budget but not toward the op's seconds.
+    Check time, and ``after_pass(seconds elapsed)``, count toward the
+    budget but not toward the op's seconds.
     """
     start = time.perf_counter()
     passes = []
@@ -164,6 +186,8 @@ def _passes(ops, seconds: float, after_op=None) -> list:
             if after_op is not None:
                 after_op(op)
         passes.append(records)
+        if after_pass is not None:
+            after_pass(time.perf_counter() - start)
         now = time.perf_counter()
         if len(passes) >= MIN_PASSES and (now - start) + (now - begin) > seconds:
             return passes
@@ -178,16 +202,15 @@ def _tail(samples: list) -> tuple:
     return max(samples), "max"
 
 
-def _best(passes: list) -> tuple:
-    """(fastest pass wall, each op's fastest time over the passes).
+def _best(passes: list) -> list:
+    """Each op's fastest time over the passes.
 
-    The host's speed swings by up to 2x in phases of several seconds (seen
-    on a shared 2-core VM), so the median of a few passes follows the
-    phases; the best of them follows the code.
+    The host's speed swings by 2x or more, in bursts and in phases of
+    minutes (seen on a shared 2-core VM, in process time as well as wall
+    time), so a whole pass rarely misses them all; the fastest run of
+    each op follows the code.
     """
-    walls = [sum(seconds for seconds, _ in p) for p in passes]
-    ops = [min(p[i][0] for p in passes) for i in range(len(passes[0]))]
-    return min(walls), ops
+    return [min(p[i][0] for p in passes) for i in range(len(passes[0]))]
 
 
 def _summarize(passes: list) -> tuple:
@@ -216,19 +239,27 @@ def _report(metrics: dict, env: dict, failed: list, correct: bool, attempted: in
 
 
 def _end_to_end(args, ops, work: Path, env: dict) -> None:
-    setup = _measure_setup(args, work)
-    passes = _passes(ops, args.seconds)
+    setup = []
+
+    def sample_setup(elapsed):
+        # spread over the run, so the samples meet the same host phases as the passes
+        while len(setup) < SETUP_REPEATS * min(1.0, elapsed / max(args.seconds, 1e-9)):
+            setup.append(_setup_once(args, work))
+
+    passes = _passes(ops, args.seconds, after_pass=sample_setup)
+    sample_setup(args.seconds)
     records, failed, correct = _summarize(passes)
-    wall, best = _best(passes)
+    best = _best(passes)
     op_ms = [seconds * 1e3 for seconds in best]
     tail, pct = _tail(op_ms)
     errors = [o.error for _, o in records if o.error is not None]
+    single = "; one op, so this is wall_s" if len(ops) == 1 else ""
     metrics = {
-        "wall_s": (wall, "s", f"fastest of {len(passes)} passes of {len(ops)} ops"),
+        "wall_s": (sum(best), "s", f"sum over {len(ops)} ops of each op's fastest of {len(passes)} passes"),
         "setup_s": (statistics.median(setup), "s", f"median of {len(setup)} fresh interpreters: import fracstep, build inputs"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB", "this process"),
-        "op_p50_ms": (statistics.median(op_ms), "ms", f"median over n={len(op_ms)} ops of each op's best pass"),
-        "op_tail_ms": (tail, "ms", f"{pct} over n={len(op_ms)} ops of each op's best pass"),
+        "op_p50_ms": (statistics.median(op_ms), "ms", f"median over n={len(op_ms)} ops of each op's best pass{single}"),
+        "op_tail_ms": (tail, "ms", f"{pct} over n={len(op_ms)} ops of each op's best pass{single}"),
         "max_abs_error": (max(errors, default=0.0), "abs", f"over {len(errors)} checked outputs"),
         "ok_ops_ratio": (1.0 - len(failed) / len(records), "ratio",
                          f"failed_ops_ratio={len(failed) / len(records):.6g} ({len(failed)} of {len(records)})"),
@@ -239,18 +270,7 @@ def _end_to_end(args, ops, work: Path, env: dict) -> None:
 def _per_layer(args, ops, work: Path, env: dict) -> None:
     import tracing
 
-    plain = _passes(ops, args.seconds / 2.0)
-    tracer = tracing.Tracer()
-    written = {}
-
-    def count_bytes(op):
-        written[op.out_dir] = sum(f.stat().st_size for f in op.out_dir.iterdir() if f.is_file())
-
-    tracer.install()
-    try:
-        traced = _passes(ops, args.seconds / 2.0, after_op=count_bytes)
-    finally:
-        tracer.uninstall()
+    start = time.perf_counter()
     allocations = tracing.RunAllocations()
     allocations.install()
     try:
@@ -259,11 +279,25 @@ def _per_layer(args, ops, work: Path, env: dict) -> None:
                 _run_op(op)
     finally:
         allocations.uninstall()
+    # the slow tracemalloc pass comes out of the measuring time
+    half = max(0.0, args.seconds - (time.perf_counter() - start)) / 2.0
+    plain = _passes(ops, half)
+    tracer = tracing.Tracer()
+    written = {}
+
+    def count_bytes(op):
+        written[op.out_dir] = sum(f.stat().st_size for f in op.out_dir.iterdir() if f.is_file())
+
+    tracer.install()
+    try:
+        traced = _passes(ops, half, after_op=count_bytes)
+    finally:
+        tracer.uninstall()
 
     out_dir = ROOT / ".perfbench_out"
     out_dir.mkdir(exist_ok=True)
     tracer.write(out_dir / f"spans-{args.workload}-seed{args.seed}.csv")
-    overhead = _best(traced)[0] - _best(plain)[0]
+    overhead = sum(_best(traced)) - sum(_best(plain))
     metrics = tracing.layer_metrics(
         tracer.spans, len(traced), float(sum(written.values())), allocations.peaks, overhead
     )

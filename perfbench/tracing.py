@@ -39,7 +39,7 @@ _INFO = {
     "coeffs.build_table": lambda args, kw: str(getattr(args[0], "value", args[0])),
 }
 
-STEP_BANDS = (("us_m1k", 0, 2_000), ("us_m10k", 2_000, 20_000))
+STEP_BANDS = (("us_m1k", 0, 1_000), ("us_m10k", 1_000, 10_000), ("us_m40k", 10_000, 40_000))
 ML_M_BANDS = (("m-le-40", float("-inf"), 40.0), ("m-40-300", 40.0, 300.0), ("m-gt-300", 300.0, float("inf")))
 
 
@@ -233,5 +233,5 @@ def layer_metrics(spans: list, passes: int, csv_bytes: float, run_peaks: list, o
     m["harness.csv_mb_per_s"] = (csv_bytes / 1e6 / harness_self if harness_self else 0.0, "MB/s", "computed: csv_bytes / harness.self_s")
     m["cli.main.calls"] = (calls("cli.main"), "count", "")
     m["cli.main.self_s"] = (self_time(["cli.main"]), "s", "argument parsing, dispatch and printing")
-    m["trace.overhead_s"] = (overhead_s, "s", "fastest traced pass minus fastest untraced pass")
+    m["trace.overhead_s"] = (overhead_s, "s", "sum of each op's fastest traced run minus the same untraced")
     return m
