@@ -26,7 +26,7 @@ from fracstep.coeffs import (
     newton_gregory_omegas,
 )
 from fracstep.exact_solution import SineSeriesIC, exact_eval, exact_profile, parabola_ic
-from fracstep.mittag_leffler import MLEvalConfig, ml_decay_profile, ml_eval
+from fracstep.mittag_leffler import MLEvalConfig, ml_decay_profile, ml_eval, ml_eval_neg
 from fracstep.solver import (
     OverflowDetected,
     ProblemSpec,
@@ -70,6 +70,7 @@ __all__ = [
     "mesh_ratio",
     "ml_decay_profile",
     "ml_eval",
+    "ml_eval_neg",
     "newton_gregory_omegas",
     "parabola_ic",
     "phase_diagram",

@@ -51,12 +51,21 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", required=True, type=float)
     p.add_argument("--count", required=True, type=int, help="number of weights to print")
 
-    p = sub.add_parser("ml", help="evaluate the Mittag-Leffler function E_gamma(z)")
+    p = sub.add_parser(
+        "ml",
+        help="evaluate the Mittag-Leffler function E_gamma(z), 0 < gamma <= 1, z <= 0",
+        description="E_gamma(z) by a fixed 17-node contour quadrature in double "
+        "precision (absolute error below 1e-12).  The legacy flags --series-cutoff, "
+        "--series-tol and --asymptotic-terms are validated but select nothing.",
+    )
     p.add_argument("--gamma", required=True, type=float)
     p.add_argument("--z", required=True, type=float)
-    p.add_argument("--series-cutoff", type=float, default=MLEvalConfig.series_cutoff)
-    p.add_argument("--series-tol", type=float, default=MLEvalConfig.series_tol)
-    p.add_argument("--asymptotic-terms", type=int, default=MLEvalConfig.asymptotic_terms)
+    legacy = "legacy, validated only"
+    p.add_argument("--series-cutoff", type=float, default=MLEvalConfig.series_cutoff, help=legacy)
+    p.add_argument("--series-tol", type=float, default=MLEvalConfig.series_tol, help=legacy)
+    p.add_argument(
+        "--asymptotic-terms", type=int, default=MLEvalConfig.asymptotic_terms, help=legacy
+    )
 
     p = sub.add_parser("exact", help="analytical benchmark profile as CSV")
     p.add_argument("--gamma", required=True, type=float)

@@ -271,4 +271,4 @@ def eval_generating_function(family: FormulaFamily, alpha: float, z: float) -> f
     if family is FormulaFamily.NG2:
         w0, w1 = newton_gregory_omegas(alpha, 2)
         value *= w0 + w1 * (1.0 - z)
-    return value
+    return float(value)

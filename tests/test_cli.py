@@ -1,10 +1,13 @@
 """End-to-end tests of the fracstep command line."""
 
 import math
+import time
 
 import pytest
 
 from fracstep.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
+
+from test_mittag_leffler import gll_reference
 
 STABLE_CONFIG = """
 [experiment]
@@ -64,6 +67,31 @@ class TestMl:
         code, _, err = run_cli(capsys, "ml", "--gamma", "1.5", "--z", "-1.0")
         assert code == EXIT_USAGE
         assert "gamma" in err
+
+    @pytest.mark.parametrize(
+        "gamma,z", [(0.1, -10.0), (0.25, -5.0), (0.2, -6.0), (0.05, -1e6), (0.9999, -1e6)]
+    )
+    def test_fast_and_accurate_far_from_origin(self, capsys, gamma, z):
+        # large |z|^(1/gamma): the cost must not grow with it
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            code, out, _ = run_cli(capsys, "ml", "--gamma", str(gamma), "--z", str(z))
+            best = min(best, time.perf_counter() - start)
+        assert code == EXIT_OK
+        assert abs(float(out) - gll_reference(gamma, -z)) <= 1e-12
+        assert best < 0.05
+
+    def test_legacy_flags_are_validated_only(self, capsys):
+        code, plain, _ = run_cli(capsys, "ml", "--gamma", "0.3", "--z", "-20")
+        code2, legacy, _ = run_cli(
+            capsys, "ml", "--gamma", "0.3", "--z", "-20",
+            "--series-cutoff", "1", "--series-tol", "0.1", "--asymptotic-terms", "1",
+        )
+        assert code == code2 == EXIT_OK and plain == legacy
+        for flag, bad in (("--series-cutoff", "0"), ("--series-tol", "-1"), ("--asymptotic-terms", "0")):
+            code, _, err = run_cli(capsys, "ml", "--gamma", "0.3", "--z", "-20", flag, bad)
+            assert code == EXIT_USAGE and flag.strip("-").replace("-", "_") in err
 
 
 class TestExact:
@@ -141,6 +169,17 @@ class TestStability:
             "--gamma", "0.5", "--lambda", "1.0", "--s", "0.37",
         )
         assert code == EXIT_UNSTABLE and "empirical_verdict=unstable" in out
+
+    @pytest.mark.parametrize("family", ["bdf1", "bdf2", "bdf3", "ng2"])
+    def test_printed_bounds_are_plain_floats(self, capsys, family):
+        common = ("--family", family, "--gamma", "0.5", "--lambda", "1.0")
+        _, bound, _ = run_cli(capsys, "stability", "bound", *common)
+        _, probe, _ = run_cli(capsys, "stability", "probe", *common, "--s", "0.1", "--steps", "50")
+        # numpy 2 scalars would print as np.float64(...), which float() rejects
+        for out, keys in ((bound, ("s_cross", "inv_s_cross")), (probe, ("s_cross",))):
+            values = dict(line.split("=", 1) for line in out.splitlines())
+            for key in keys:
+                assert float(values[key]) > 0.0
 
     def test_phase_sweep_csv(self, capsys, tmp_path):
         out_csv = tmp_path / "phase.csv"

@@ -1,10 +1,14 @@
 """Tests of the analytical sine-series benchmark solution."""
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fracstep import exact_solution
 from fracstep.exact_solution import SineSeriesIC, exact_eval, exact_profile, parabola_ic
 
 
@@ -95,6 +99,43 @@ class TestProfile:
         prof = exact_profile(ic, 1.0, k, xs, t)
         expected = np.sin(2 * math.pi * xs) * math.exp(-k * 4 * math.pi**2 * t)
         assert prof == pytest.approx(expected, abs=1e-12)
+
+
+    def test_threads_give_bit_identical_profiles(self):
+        # no shared mutable state: concurrent profiles equal serial ones bit for bit
+        ic, xs = parabola_ic(), np.linspace(0.0, 1.0, 101)
+        cases = [(gamma, t) for gamma in (0.2, 0.5, 0.75, 0.95, 1.0) for t in (1e-4, 0.05)]
+
+        def profile(case):
+            return exact_profile(ic, case[0], 1.0, xs, case[1]).tobytes()
+
+        serial = [profile(case) for case in cases]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                threaded = list(pool.map(profile, cases * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial * 3
+
+    def test_mode_blocks_change_nothing_but_rounding(self, monkeypatch):
+        xs = np.linspace(0.0, 1.0, 57)
+        whole = exact_profile(parabola_ic(), 0.6, 1.0, xs, 1e-3)
+        monkeypatch.setattr(exact_solution, "_MODE_BLOCK", 7)
+        blocked = exact_profile(parabola_ic(), 0.6, 1.0, xs, 1e-3)
+        assert np.max(np.abs(whole - blocked)) < 1e-15
+
+    def test_sine_table_is_never_modes_by_points(self):
+        # 2000 retained modes x 2001 points would be a 32 MB table
+        xs = np.linspace(0.0, 1.0, 2001)
+        tracemalloc.start()
+        try:
+            exact_profile(parabola_ic(), 0.5, 1.0, xs, 0.0, tol=1e-300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2000 * 2001 * 8 / 2
 
 
 class TestValidation:
