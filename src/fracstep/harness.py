@@ -11,8 +11,7 @@ stability verdict at its parameters.
 
 All file output is atomic (temp file + rename) and uses the shortest
 round-trip decimal representation, so identical specs produce
-byte-identical files.  The environment variable ``FRACSTEP_THREADS``
-caps the worker count used for independent runs inside one command.
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import configparser
 import io
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,24 +60,6 @@ __all__ = [
 
 EXACT_TOL = 1e-10
 OUTPUT_FLAGS = ("profile_csv", "history_csv", "error_vs_exact", "stability_report")
-THREADS_ENV_VAR = "FRACSTEP_THREADS"
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    items = list(items)
-    workers = min(_worker_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -402,7 +382,7 @@ def _max_error_at_end(spec: ExperimentSpec) -> float:
 
 
 def _require_stable(spec: ExperimentSpec, level: int) -> None:
-    s = spec.k_gamma * spec.dt**spec.gamma / spec.dx**2
+    s = mesh_ratio(spec.problem(), spec.scheme())
     s_cross = stability_bound(spec.family, spec.gamma, spec.lam)
     if s > s_cross:
         raise ValueError(
@@ -447,7 +427,7 @@ def convergence_study(
         elif mode == "refine_dx":
             spec = replace(spec, dx=spec.dx / 2.0)
         else:  # refine_both: keep S fixed
-            s = base.k_gamma * base.dt**base.gamma / base.dx**2
+            s = mesh_ratio(base.problem(), base.scheme())
             dx = spec.dx / 2.0
             dt = dt_for_mesh_ratio(s, dx, base.gamma, base.k_gamma)
             spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(t_end / dt)))
@@ -474,7 +454,7 @@ def startup_comparison(base: ExperimentSpec, startup_steps_grid) -> list[tuple[i
     """
     if base.lam != 0.5:
         raise ValueError("startup comparison requires lam = 1/2")
-    s = base.k_gamma * base.dt**base.gamma / base.dx**2
+    s = mesh_ratio(base.problem(), base.scheme())
     explicit_cross = stability_bound(base.family, base.gamma, 1.0)
     rows = []
     for count in startup_steps_grid:
@@ -618,7 +598,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             out_dir / "fig2_circles.csv",
             "empirical explicit-method thresholds: family=bdf1 lambda=1 (bisection probe)",
             ("gamma", "s_cross_empirical", "inv_s_cross_empirical"),
-            _pmap(estimate, circle_gammas),
+            [estimate(g) for g in circle_gammas],
         )
         markers = [
             ("square_fig3", 0.5, 0.33),
@@ -645,7 +625,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             )
             return history, exact, t_actual
 
-        results = _pmap(run_case, specs)
+        results = [run_case(spec) for spec in specs]
         rows = []
         for spec, (history, exact, t_actual) in zip(specs, results):
             label = spec.name.removeprefix("fig3_")

@@ -15,14 +15,20 @@ tridiagonal solve with diagonal 1 + 2(1-lam) S w_0 and off-diagonals
 -(1-lam) S w_0 -- strictly diagonally dominant, so elimination without
 pivoting is stable.
 
-Memory cost is O(M N): the fractional operator convolves over the entire
-past, so all levels are kept, and the second-difference row of each level
-is cached once so a step costs one dot product over the history.
+By linearity both sums are second differences of convolved values, so
+a step needs one past sum P(r) = sum_{j<r} w_{r-j} U^(j) per level: the
+implicit known part is D P(m+1) and the explicit part is
+D(w_0 U^(m) + P(m)), with P(m) kept from the previous step.  The sums
+are carried from step to step: levels in the current leaf of 64 are
+summed directly, and older levels arrive in blocks through FFT products
+(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  Over
+M levels of N nodes that costs O(N M log^2 M) time, and the rows plus one
+row of sums per level take O(M N) memory.  The tridiagonal factors are
+computed once per coupling constant.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,8 +142,9 @@ class SolutionHistory:
     """Full time history U_j^(m), levels 0..M by nodes 0..N.
 
     Row 0 is the sampled initial condition; every later row carries the
-    Dirichlet data at its endpoints.  Rows are append-only.  The second
-    difference of each appended row is cached for the memory convolution.
+    Dirichlet data at its endpoints.  Rows are append-only.  ``step``
+    keeps the running history sums of the memory convolution in a private
+    cache beside the rows.
     """
 
     def __init__(self, first_row: np.ndarray, dx: float, dt: float, capacity: int = 8):
@@ -151,7 +158,7 @@ class SolutionHistory:
         n_nodes = first_row.size
         cap = max(capacity, 1) + 1
         self._values = np.empty((cap, n_nodes))
-        self._d2 = np.empty((cap, n_nodes - 2))
+        self._memory: _HistorySums | None = None
         self._top = -1
         self._append(first_row)
 
@@ -182,24 +189,14 @@ class SolutionHistory:
         view.flags.writeable = False
         return view
 
-    def second_difference(self, m: int) -> np.ndarray:
-        if not (0 <= m <= self._top):
-            raise IndexError(f"level {m} not computed (top is {self._top})")
-        view = self._d2[m]
-        view.flags.writeable = False
-        return view
-
     def _append(self, row: np.ndarray) -> None:
         if self._top + 2 > self._values.shape[0]:
             grow = max(self._values.shape[0] * 2, self._top + 2)
             values = np.empty((grow, self.n_nodes))
-            d2 = np.empty((grow, self.n_nodes - 2))
             values[: self._top + 1] = self._values[: self._top + 1]
-            d2[: self._top + 1] = self._d2[: self._top + 1]
-            self._values, self._d2 = values, d2
+            self._values = values
         self._top += 1
         self._values[self._top] = row
-        self._d2[self._top] = row[:-2] - 2.0 * row[1:-1] + row[2:]
 
 
 def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: int) -> float:
@@ -207,7 +204,8 @@ def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: in
 
     Returns sum_{k=0..m} w_k [U_{j-1}^(m-k) - 2 U_j^(m-k) + U_{j+1}^(m-k)]
     for interior node j, without the 1/h^(1-gamma) prefactor (it is
-    absorbed into the mesh ratio S).
+    absorbed into the mesh ratio S).  By linearity this is the second
+    difference of the convolved values sum_k w_k U^(m-k).
     """
     if not (1 <= j <= history.n_nodes - 2):
         raise IndexError(f"node {j} is not interior")
@@ -218,35 +216,89 @@ def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: in
             f"coefficient table capacity {table.capacity} < level {m}; "
             "the stepper must pre-extend tables"
         )
-    w = table.array(m)
-    total = 0.0
-    for k in range(m + 1):
-        total += w[k] * history.second_difference(m - k)[j - 1]
-    return total
+    left, mid, right = table.array(m)[::-1] @ history.values[: m + 1, j - 1 : j + 2]
+    return float(left - 2.0 * mid + right)
 
 
-def _thomas_factor(c: float, n: int):
+# levels per leaf: history sums within a leaf are summed directly
+_LEAF = 64
+# column chunks keep each FFT buffer near this many doubles
+_FFT_DOUBLES = 1 << 14
+
+
+class _HistorySums:
+    """Past sums P(r) = sum_{j<r} w_{r-j} U^(j) of one history, for one table.
+
+    P(r) is the part of the level-r convolution sum_k w_k U^(r-k) that
+    does not involve U^(r).  Rows r run over 0..K for a table of capacity
+    K; ``sums[r]`` is final for r < ``done`` and a partial sum above.  The
+    levels in the leaf of level r-1 are summed directly.  Older levels
+    arrive in blocks through FFT products (Hairer, Lubich & Schlichte
+    1985): when the level count L is a multiple of the leaf size B, the
+    levels [L - b, L) are added to the rows [L + 1, L + b], with b = B 2^v
+    and 2^v the largest power of two dividing L/B.  That is
+    O(N M log^2 M) over M levels.  The cache also holds the tridiagonal
+    factors per coupling constant.
+    """
+
+    def __init__(self, table: CoefficientTable, n_nodes: int):
+        self.table = table
+        self.capacity = table.capacity
+        self.w = table.array(table.capacity)
+        # zero pages are mapped on first write, so rows never reached cost nothing
+        self.sums = np.zeros((table.capacity + 1, n_nodes))
+        self.done = 1  # P(0) = 0
+        self.factors: dict[float, tuple[list, list]] = {}
+        self._spectra: dict[int, np.ndarray] = {}
+
+    def advance(self, values: np.ndarray) -> None:
+        """Finish P(done) from the levels 0..done-1 of ``values``."""
+        r = self.done
+        leaf = (r - 1) - (r - 1) % _LEAF
+        if leaf == r - 1 and leaf > 0:
+            self._flush(values, leaf)
+        self.sums[r] += self.w[r - leaf : 0 : -1] @ values[leaf:r]
+        self.done = r + 1
+
+    def _flush(self, values: np.ndarray, end: int) -> None:
+        """Add the levels [end - b, end) to the rows [end + 1, end + b]."""
+        b = _LEAF
+        while (end // b) % 2 == 0:
+            b *= 2
+        n = 2 * b
+        rows = min(b, self.capacity - end)
+        spectrum = self._spectra.get(b)
+        if spectrum is None:
+            # w_1 .. w_2b, zero-padded past the table; circular outputs
+            # b .. 2b-1 do not wrap
+            spectrum = self._spectra[b] = np.fft.rfft(self.w[1 : n + 1], n)[:, None]
+        block = values[end - b : end]
+        cols = max(1, _FFT_DOUBLES // n)
+        for c in range(0, block.shape[1], cols):
+            product = np.fft.rfft(block[:, c : c + cols], n, axis=0)
+            product *= spectrum
+            out = np.fft.irfft(product, n, axis=0)
+            self.sums[end + 1 : end + 1 + rows, c : c + cols] += out[b : b + rows]
+
+
+def _thomas_factor(c: float, n: int) -> tuple[list, list]:
     """Factor the constant tridiagonal matrix diag(1+2c) off(-c), size n."""
-    d = np.empty(n)
-    cp = np.empty(n)
-    d[0] = 1.0 + 2.0 * c
-    cp[0] = -c / d[0]
-    for i in range(1, n):
-        d[i] = (1.0 + 2.0 * c) + c * cp[i - 1]
-        cp[i] = -c / d[i]
+    d = [1.0 + 2.0 * c]
+    cp = [-c / d[0]]
+    for _ in range(1, n):
+        d.append((1.0 + 2.0 * c) + c * cp[-1])
+        cp.append(-c / d[-1])
     return d, cp
 
 
-def _thomas_solve(d: np.ndarray, cp: np.ndarray, c: float, rhs: np.ndarray) -> np.ndarray:
-    n = rhs.size
-    g = np.empty(n)
-    g[0] = rhs[0] / d[0]
-    for i in range(1, n):
-        g[i] = (rhs[i] + c * g[i - 1]) / d[i]
-    u = np.empty(n)
-    u[-1] = g[-1]
-    for i in range(n - 2, -1, -1):
-        u[i] = g[i] - cp[i] * u[i + 1]
+def _thomas_solve(d: list, cp: list, c: float, rhs: np.ndarray) -> list:
+    # Python floats in lists: far cheaper to index one by one than numpy arrays
+    u = rhs.tolist()
+    g = u[0] = u[0] / d[0]
+    for i in range(1, len(u)):
+        g = u[i] = (u[i] + c * g) / d[i]
+    for i in range(len(u) - 2, -1, -1):
+        g = u[i] = u[i] - cp[i] * g
     return u
 
 
@@ -272,20 +324,28 @@ def step(
     if lam is None:
         lam = config.lam
     s = mesh_ratio(problem, config)
-    w = table.array(m + 1)
-    d2 = history._d2[: m + 1]
 
-    # known-level convolutions over the cached second differences:
-    # explicit part sum_{k=0..m} w_k D^(m-k) and implicit known part
-    # sum_{k=1..m+1} w_k D^(m+1-k) (the k=0 unknown term is the matrix);
-    # either drops out at the pure schemes
-    exp_conv = w[m::-1] @ d2 if lam != 0.0 else 0.0
-    imp_conv = w[m + 1 : 0 : -1] @ d2 if lam != 1.0 else 0.0
+    # the sums are rebuilt for another table, and caught up after levels
+    # appended without a step; both replay the same flushes
+    memory = history._memory
+    if memory is None or memory.table is not table or memory.capacity != table.capacity:
+        memory = history._memory = _HistorySums(table, history.n_nodes)
+    while memory.done <= m + 1:
+        memory.advance(history._values)
 
-    interior = history._values[m][1:-1]
-    rhs = interior + s * ((1.0 - lam) * imp_conv + lam * exp_conv)
+    # explicit part sum_{k=0..m} w_k D^(m-k) = D(w_0 U^(m) + P(m)); implicit
+    # known part sum_{k=1..m+1} w_k D^(m+1-k) = D P(m+1), its k = 0 unknown
+    # term is the matrix and drops out of the explicit scheme
+    w0 = memory.w[0]
+    u = history._values[m]
+    explicit = w0 * u + memory.sums[m]
+    if lam == 1.0:
+        v = explicit
+    else:
+        v = (1.0 - lam) * memory.sums[m + 1] + lam * explicit
+    rhs = u[1:-1] + np.correlate(v, (s, -2.0 * s, s))
 
-    c = (1.0 - lam) * s * w[0]
+    c = (1.0 - lam) * s * w0
     new_row = np.empty(history.n_nodes)
     new_row[0] = problem.left_value
     new_row[-1] = problem.right_value
@@ -294,10 +354,13 @@ def step(
     else:
         rhs[0] += c * problem.left_value
         rhs[-1] += c * problem.right_value
-        d, cp = _thomas_factor(c, rhs.size)
-        new_row[1:-1] = _thomas_solve(d, cp, c, rhs)
+        factors = memory.factors.get(c)
+        if factors is None:
+            factors = memory.factors[c] = _thomas_factor(c, rhs.size)
+        new_row[1:-1] = _thomas_solve(*factors, c, rhs)
 
-    if not np.all(np.isfinite(new_row)) or np.max(np.abs(new_row)) > OVERFLOW_LIMIT:
+    # a NaN fails the comparison too
+    if not np.abs(new_row).max() <= OVERFLOW_LIMIT:
         raise OverflowDetected(m + 1, history)
     history._append(new_row)
     return new_row
@@ -332,6 +395,8 @@ def run(
     When config.startup_explicit_steps = s > 0 the first s steps use
     lam = 1 (explicit) and the remainder use config.lam.  A table passed
     in must already hold weights up to steps + 1; it is shared read-only.
+    One with more weights gives the same levels to rounding: the blocked
+    FFT products take in the weights the table has.
     Raises :class:`OverflowDetected` (carrying the partial history) when
     the solution blows up.
     """

@@ -59,6 +59,7 @@ def test_criterion_1_stability_bound_closed_forms():
 def test_criterion_2_stable_figure_runs_match_exact():
     cases = [
         ("fig3 triangles (CI scale)", 0.5, 1.0, 0.33, 1 / 10, {"t_end": 0.05}),
+        ("fig3 triangles (paper scale)", 0.5, 1.0, 0.33, 1 / 10, {"t_end": 0.5}),
         ("fig3 squares", 0.75, 1.0, 0.4, 1 / 20, {"t_end": 0.5}),
         ("fig3 circles", 1.0, 1.0, 0.5, 1 / 50, {"t_end": 0.5}),
         ("fig5", 0.5, 0.8, 0.55, 1 / 20, {"steps": 500}),

@@ -337,14 +337,6 @@ class TestFigures:
             for p1, p2 in zip(r1.paths, r2.paths):
                 assert p1.read_bytes() == p2.read_bytes()
 
-    def test_thread_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial"
-        reproduce_figure("fig3", serial, t_end=0.005)
-        monkeypatch.setenv("FRACSTEP_THREADS", "3")
-        threaded = tmp_path / "threaded"
-        reproduce_figure("fig3", threaded, t_end=0.005)
-        assert (serial / "fig3.csv").read_bytes() == (threaded / "fig3.csv").read_bytes()
-
     def test_unknown_figure_id(self, tmp_path):
         with pytest.raises(ValueError):
             reproduce_figure("fig9", tmp_path)

@@ -1,0 +1,187 @@
+"""The carried history sums of the stepper against direct summation.
+
+``direct_levels`` is the stepper written the plain way: at every level
+it convolves the second differences of the whole history with the
+weights, twice when 0 < lam < 1, and solves the tridiagonal system
+densely.  ``fracstep.solver`` carries the sums from level to level with
+blocked FFT products instead; both must agree to rounding.  Runs of
+1,100 steps reach flushes of 64 up to 1,024 levels.
+"""
+
+import numpy as np
+import pytest
+
+from fracstep.coeffs import FormulaFamily, build_table
+from fracstep.solver import (
+    OVERFLOW_LIMIT,
+    OverflowDetected,
+    ProblemSpec,
+    SchemeConfig,
+    SolutionHistory,
+    dt_for_mesh_ratio,
+    mesh_ratio,
+    run,
+    step,
+)
+
+from test_solver import make_config
+
+REL_TOL = 1e-12
+LONG_STEPS = 1100
+
+
+def direct_levels(rows, weights, s, lam, steps, startup=0):
+    """Continue the levels ``rows`` by ``steps`` levels of the scheme.
+
+    Returns (levels, overflow level or None); the levels stop before the
+    first one that leaves the representable range.
+    """
+    rows = [np.asarray(r, dtype=float) for r in rows]
+    first = len(rows) - 1
+    total = first + steps + 1
+    values = np.empty((total, rows[0].size))
+    d2 = np.empty((total, rows[0].size - 2))
+    for m, row in enumerate(rows):
+        values[m] = row
+        d2[m] = row[:-2] - 2.0 * row[1:-1] + row[2:]
+    left, right = rows[-1][0], rows[-1][-1]
+    n = rows[0].size - 2
+    second_difference = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+    for m in range(first, first + steps):
+        lm = 1.0 if m - first < startup else lam
+        w = weights[: m + 2]
+        explicit = w[m::-1] @ d2[: m + 1]
+        implicit = w[m + 1 : 0 : -1] @ d2[: m + 1]
+        rhs = values[m, 1:-1] + s * ((1.0 - lm) * implicit + lm * explicit)
+        c = (1.0 - lm) * s * w[0]
+        rhs[0] += c * left
+        rhs[-1] += c * right
+        new = np.empty(n + 2)
+        new[0], new[-1] = left, right
+        new[1:-1] = np.linalg.solve(np.eye(n) - c * second_difference, rhs)
+        if not np.max(np.abs(new)) <= OVERFLOW_LIMIT:
+            return values[: m + 1], m + 1
+        values[m + 1] = new
+        d2[m + 1] = new[:-2] - 2.0 * new[1:-1] + new[2:]
+    return values, None
+
+
+def boundary_problem(gamma):
+    """Nonzero, unequal Dirichlet data and an asymmetric initial condition."""
+    return ProblemSpec(
+        gamma=gamma,
+        k_gamma=1.0,
+        initial_condition=lambda x: 0.25 - 0.75 * x + x * (1.0 - x),
+        left_value=0.25,
+        right_value=-0.5,
+    )
+
+
+def reference(problem, config, rows):
+    weights = build_table(config.family, 1.0 - problem.gamma, config.steps + 1).weights
+    return direct_levels(
+        rows, weights, mesh_ratio(problem, config), config.lam, config.steps,
+        config.startup_explicit_steps,
+    )
+
+
+def assert_close(values, expected):
+    assert values.shape == expected.shape
+    scale = float(np.max(np.abs(expected)))
+    assert float(np.max(np.abs(values - expected))) <= REL_TOL * scale
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_long_run_matches_direct_summation(family, lam):
+    problem = boundary_problem(0.5)
+    config = make_config(0.5, lam, 0.15, 0.1, LONG_STEPS, family)
+    history = run(problem, config)
+    expected, overflow = reference(problem, config, [history.level(0)])
+    assert overflow is None
+    assert_close(history.values, expected)
+
+
+def test_hybrid_startup_matches_direct_summation():
+    # the explicit startup outlasts the first 64-level flush
+    problem = boundary_problem(0.6)
+    config = make_config(0.6, 0.5, 0.2, 0.1, LONG_STEPS, FormulaFamily.BDF2, startup=70)
+    history = run(problem, config)
+    expected, _ = reference(problem, config, [history.level(0)])
+    assert_close(history.values, expected)
+
+
+@pytest.mark.parametrize(
+    "label, gamma, lam, s, dx, horizon",
+    [
+        ("fig3 triangles (CI scale)", 0.5, 1.0, 0.33, 1 / 10, 0.05),
+        ("fig3 squares", 0.75, 1.0, 0.4, 1 / 20, 0.5),
+        ("fig3 circles", 1.0, 1.0, 0.5, 1 / 50, 0.5),
+        ("fig5", 0.5, 0.8, 0.55, 1 / 20, None),
+    ],
+)
+def test_acceptance_cases_match_direct_summation(label, gamma, lam, s, dx, horizon):
+    problem = ProblemSpec(gamma=gamma, k_gamma=1.0, initial_condition=lambda x: x * (1.0 - x))
+    dt = dt_for_mesh_ratio(s, dx, gamma)
+    steps = 500 if horizon is None else round(horizon / dt)
+    config = SchemeConfig(lam=lam, dx=dx, dt=dt, steps=steps)
+    history = run(problem, config)
+    expected, _ = reference(problem, config, [history.level(0)])
+    assert_close(history.values, expected)
+
+
+def test_unstable_run_overflows_at_the_reference_level():
+    problem = ProblemSpec(gamma=0.5, k_gamma=1.0, initial_condition=lambda x: x * (1.0 - x))
+    config = make_config(0.5, 1.0, 5.0, 0.05, 4000)
+    with pytest.raises(OverflowDetected) as excinfo:
+        run(problem, config)
+    history = excinfo.value.history
+    expected, level = reference(problem, config, [history.level(0)])
+    assert level is not None
+    assert excinfo.value.level == level
+    # the levels grow to 1e148; each is compared at its own size
+    size = np.max(np.abs(expected), axis=1)
+    assert np.all(np.max(np.abs(history.values - expected), axis=1) <= REL_TOL * size)
+
+
+def test_level_by_level_stepping_equals_run_bit_for_bit():
+    problem = boundary_problem(0.5)
+    config = make_config(0.5, 0.5, 0.3, 0.1, LONG_STEPS, FormulaFamily.NG2, startup=5)
+    expected = run(problem, config)
+    table = build_table(config.family, 0.5, config.steps + 1)
+    # default capacity: the history grows many times on the way
+    history = SolutionHistory(expected.level(0), config.dx, config.dt)
+    for m in range(config.steps):
+        step(history, problem, config, table, lam=1.0 if m < 5 else None)
+    assert np.array_equal(history.values, expected.values)
+
+
+def test_switching_tables_mid_run_matches_direct_summation():
+    problem = boundary_problem(0.5)
+    config = make_config(0.5, 0.8, 0.2, 0.1, LONG_STEPS, FormulaFamily.BDF3)
+    first = build_table(config.family, 0.5, config.steps + 1)
+    second = build_table(config.family, 0.5, config.steps + 40)
+    row0 = [problem.initial_condition(x) for x in np.arange(11) * config.dx]
+    history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps + 1)
+    for m in range(config.steps):
+        step(history, problem, config, second if 300 <= m < 700 else first)
+    expected, _ = reference(problem, config, [history.level(0)])
+    assert_close(history.values, expected)
+
+
+def test_levels_appended_outside_step_are_caught_up():
+    problem = boundary_problem(0.5)
+    config = make_config(0.5, 0.5, 0.2, 0.1, 200)
+    table = build_table(config.family, 0.5, 300)
+    rng = np.random.default_rng(5)
+    history = SolutionHistory(np.linspace(0.25, -0.5, 11), config.dx, config.dt)
+    step(history, problem, config, table)
+    for _ in range(69):  # levels the cached sums have not seen
+        history._append(np.concatenate(([0.25], rng.uniform(-1.0, 1.0, 9), [-0.5])))
+    given = history.values.copy()
+    for _ in range(config.steps):
+        step(history, problem, config, table)
+    expected, _ = direct_levels(
+        given, table.weights, mesh_ratio(problem, config), 0.5, config.steps
+    )
+    assert_close(history.values, expected)
