@@ -37,7 +37,7 @@ from fracstep.solver import (
     run,
 )
 from fracstep.stability import (
-    find_empirical_threshold,
+    find_empirical_thresholds,
     inv_stability_bound,
     phase_diagram,
     probe_stability,
@@ -227,21 +227,17 @@ def format_experiment(spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = None) -> Path:
+    """Write rows of str, int and float cells, Python or numpy scalars.
+
+    ``str`` gives the shortest round-trip repr of either kind of float.
+    """
     path = Path(path)
     buf = io.StringIO()
     buf.write(f"# {header} | columns: {','.join(columns)}\n")
     buf.write(",".join(columns) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(map(str, row)) + "\n")
     if trailer:
         buf.write(f"# {trailer}\n")
     tmp = path.with_name(path.name + ".tmp")
@@ -304,14 +300,14 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
             exact = exact_profile(series, spec.gamma, spec.k_gamma, xs, t_level, tol=EXACT_TOL)
             err = np.abs(u - exact)
             columns = ("x", "u_numeric", "u_exact", "abs_error")
-            rows = list(zip(xs, u, exact, err))
+            rows = np.column_stack((xs, u, exact, err)).tolist()
             max_err = float(np.max(err))
             l2_err = float(math.sqrt(spec.dx * float(np.sum(err * err))))
             summaries.append((t_level, max_err, l2_err))
             trailer = f"summary t={t_level!r} max_error={max_err!r} l2_error={l2_err!r}"
         else:
             columns = ("x", "u_numeric")
-            rows = list(zip(xs, u))
+            rows = np.column_stack((xs, u)).tolist()
             trailer = f"summary t={t_level!r}"
         if status == "unstable":
             trailer += f" UNSTABLE at step {unstable_level}"
@@ -324,9 +320,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
 
     if "history_csv" in spec.outputs or dump_history:
         target = Path(dump_history) if dump_history else out_dir / f"{spec.name}_history.csv"
-        values = history.values
         columns = ("level",) + tuple(f"u{j}" for j in range(history.n_nodes))
-        rows = [(m, *values[m]) for m in range(history.top_level + 1)]
+        rows = [(m, *row) for m, row in enumerate(history.values.tolist())]
         paths.append(_write_csv(target, spec_desc + " full history", columns, rows))
 
     if "stability_report" in spec.outputs:
@@ -586,19 +581,16 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         )
 
         circle_gammas = [round(0.1 * k, 1) for k in range(1, 11)]
-
-        def estimate(g):
-            s_cross = stability_bound(FormulaFamily.BDF1, g, 1.0)
-            est = find_empirical_threshold(
-                FormulaFamily.BDF1, g, 1.0, (0.5 * s_cross, 1.5 * s_cross)
-            )
-            return (g, est, 1.0 / est)
-
+        bounds = [(g, stability_bound(FormulaFamily.BDF1, g, 1.0)) for g in circle_gammas]
+        # the ten bisections run in lockstep: one stacked probe run per round
+        thresholds = find_empirical_thresholds(
+            FormulaFamily.BDF1, [(g, 1.0, (0.5 * s, 1.5 * s)) for g, s in bounds]
+        )
         circles = _write_csv(
             out_dir / "fig2_circles.csv",
             "empirical explicit-method thresholds: family=bdf1 lambda=1 (bisection probe)",
             ("gamma", "s_cross_empirical", "inv_s_cross_empirical"),
-            [estimate(g) for g in circle_gammas],
+            [(g, est, 1.0 / est) for g, est in zip(circle_gammas, thresholds)],
         )
         markers = [
             ("square_fig3", 0.5, 0.33),
@@ -631,7 +623,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             label = spec.name.removeprefix("fig3_")
             s = mesh_ratio(spec.problem(), spec.scheme())
             u = history.level(history.top_level)
-            for x, un, ue in zip(history.x, u, exact):
+            for x, un, ue in zip(history.x.tolist(), u.tolist(), exact.tolist()):
                 rows.append((label, spec.gamma, s, spec.dx, t_actual, x, un, ue))
         path = _write_csv(
             out_dir / "fig3.csv",
@@ -671,7 +663,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         rows = []
         for level in (150, 200):
             u = history.level(min(level, history.top_level))
-            for x, val in zip(history.x, u):
+            for x, val in zip(history.x.tolist(), u.tolist()):
                 rows.append((level, x, val))
         paths.append(_write_csv(out_dir / "fig4.csv", desc, ("level", "x", "u_numeric"), rows))
     elif fig_id == "fig5":
@@ -680,12 +672,12 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             spec.sine_series(), spec.gamma, spec.k_gamma, history.x, t_actual, tol=EXACT_TOL
         )
         u = history.level(history.top_level)
-        rows = list(zip(history.x, u, exact))
+        rows = np.column_stack((history.x, u, exact)).tolist()
         paths.append(
             _write_csv(out_dir / "fig5.csv", desc, ("x", "u_numeric", "u_exact"), rows)
         )
     else:  # fig6 / fig7
         u = history.level(history.top_level)
-        rows = list(zip(history.x, u))
+        rows = np.column_stack((history.x, u)).tolist()
         paths.append(_write_csv(out_dir / f"{fig_id}.csv", desc, ("x", "u_numeric"), rows))
     return FigureResult(paths, status)

@@ -15,16 +15,17 @@ tridiagonal solve with diagonal 1 + 2(1-lam) S w_0 and off-diagonals
 -(1-lam) S w_0 -- strictly diagonally dominant, so elimination without
 pivoting is stable.
 
-By linearity both sums are second differences of convolved values, so
-a step needs one past sum P(r) = sum_{j<r} w_{r-j} U^(j) per level: the
-implicit known part is D P(m+1) and the explicit part is
-D(w_0 U^(m) + P(m)), with P(m) kept from the previous step.  The sums
-are carried from step to step: levels in the current leaf of 64 are
-summed directly, and older levels arrive in blocks through FFT products
-(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  Over
-M levels of N nodes that costs O(N M log^2 M) time, and the rows plus one
-row of sums per level take O(M N) memory.  The tridiagonal factors are
-computed once per coupling constant.
+By linearity both sums are second differences of convolved values: the
+explicit part is D Q(m), Q(m) = sum_{j<=m} w_{m-j} U^(j), and the implicit
+known part is D P(m+1), P(m+1) = sum_{j<=m} w_{m+1-j} U^(j).  Levels since
+the start of the leaf of 64 holding level m-1 are summed directly; older
+levels arrive in blocks through FFT products (Hairer, Lubich & Schlichte,
+SIAM J. Sci. Stat. Comput. 6 (1985)).  Over M levels of N nodes that costs
+O(N M log^2 M) time, and the rows plus one row of sums per level take
+O(M N) memory.  The tridiagonal factors are computed once per coupling
+constant.  One stepper advances a stack of B problems that share the node
+count, each with its own weights, S and lam: ``run`` and ``step`` are its
+B = 1 case, ``run_stacked`` runs a batch of stability probes in lockstep.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "memory_term",
     "step",
     "run",
+    "run_stacked",
 ]
 
 OVERFLOW_LIMIT = 1e150
@@ -157,14 +159,15 @@ class SolutionHistory:
         self.dt = float(dt)
         n_nodes = first_row.size
         cap = max(capacity, 1) + 1
-        self._values = np.empty((cap, n_nodes))
+        # one problem of a stack: levels x 1 x nodes
+        self._values = np.empty((cap, 1, n_nodes))
         self._memory: _HistorySums | None = None
         self._top = -1
         self._append(first_row)
 
     @property
     def n_nodes(self) -> int:
-        return self._values.shape[1]
+        return self._values.shape[2]
 
     @property
     def top_level(self) -> int:
@@ -174,7 +177,7 @@ class SolutionHistory:
     @property
     def values(self) -> np.ndarray:
         """Read-only (levels+1, nodes) view of the computed history."""
-        view = self._values[: self._top + 1]
+        view = self._values[: self._top + 1, 0]
         view.flags.writeable = False
         return view
 
@@ -185,16 +188,19 @@ class SolutionHistory:
     def level(self, m: int) -> np.ndarray:
         if not (0 <= m <= self._top):
             raise IndexError(f"level {m} not computed (top is {self._top})")
-        view = self._values[m]
+        view = self._values[m, 0]
         view.flags.writeable = False
         return view
 
-    def _append(self, row: np.ndarray) -> None:
+    def _reserve(self) -> None:
         if self._top + 2 > self._values.shape[0]:
             grow = max(self._values.shape[0] * 2, self._top + 2)
-            values = np.empty((grow, self.n_nodes))
+            values = np.empty((grow, 1, self.n_nodes))
             values[: self._top + 1] = self._values[: self._top + 1]
             self._values = values
+
+    def _append(self, row: np.ndarray) -> None:
+        self._reserve()
         self._top += 1
         self._values[self._top] = row
 
@@ -224,44 +230,36 @@ def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: in
 _LEAF = 64
 # column chunks keep each FFT buffer near this many doubles
 _FFT_DOUBLES = 1 << 14
+# the second-difference stencil
+_D2 = np.array([1.0, -2.0, 1.0])
 
 
 class _HistorySums:
-    """Past sums P(r) = sum_{j<r} w_{r-j} U^(j) of one history, for one table.
+    """The far parts of Q(r) and P(r) for B stacked problems, one table each.
 
-    P(r) is the part of the level-r convolution sum_k w_k U^(r-k) that
-    does not involve U^(r).  Rows r run over 0..K for a table of capacity
-    K; ``sums[r]`` is final for r < ``done`` and a partial sum above.  The
-    levels in the leaf of level r-1 are summed directly.  Older levels
-    arrive in blocks through FFT products (Hairer, Lubich & Schlichte
-    1985): when the level count L is a multiple of the leaf size B, the
-    levels [L - b, L) are added to the rows [L + 1, L + b], with b = B 2^v
-    and 2^v the largest power of two dividing L/B.  That is
-    O(N M log^2 M) over M levels.  The cache also holds the tridiagonal
-    factors per coupling constant.
+    All tables share the capacity K; ``far[r]`` is (B, N).  When the level
+    count L is a multiple of the leaf size 64, the levels [L - b, L) are
+    added to the rows [L + 1, L + b], with b = 64 2^v and 2^v the largest
+    power of two dividing L/64, so a row r in (L', L' + 64] holds every
+    level below L' once the flushes up to L' are done.  The cache also
+    holds the tridiagonal factors per coupling constant.
     """
 
-    def __init__(self, table: CoefficientTable, n_nodes: int):
-        self.table = table
-        self.capacity = table.capacity
-        self.w = table.array(table.capacity)
+    def __init__(self, tables, n_nodes: int):
+        self.tables = tables
+        self.capacity = tables[0].capacity
+        self.w = np.array([t.array(self.capacity) for t in tables])
+        # rows (w_{k+1}, w_k) weigh level m-k in P(m+1) and in Q(m), for k < K
+        self.pairs = np.stack((np.roll(self.w, -1, axis=1), self.w), axis=1)
         # zero pages are mapped on first write, so rows never reached cost nothing
-        self.sums = np.zeros((table.capacity + 1, n_nodes))
-        self.done = 1  # P(0) = 0
+        self.far = np.zeros((self.capacity + 1, len(tables), n_nodes))
+        self.flushed = 0  # the flushes at level counts up to this are done
         self.factors: dict[float, tuple[list, list]] = {}
         self._spectra: dict[int, np.ndarray] = {}
 
-    def advance(self, values: np.ndarray) -> None:
-        """Finish P(done) from the levels 0..done-1 of ``values``."""
-        r = self.done
-        leaf = (r - 1) - (r - 1) % _LEAF
-        if leaf == r - 1 and leaf > 0:
-            self._flush(values, leaf)
-        self.sums[r] += self.w[r - leaf : 0 : -1] @ values[leaf:r]
-        self.done = r + 1
-
-    def _flush(self, values: np.ndarray, end: int) -> None:
-        """Add the levels [end - b, end) to the rows [end + 1, end + b]."""
+    def flush(self, values: np.ndarray) -> None:
+        """Add the levels [L - b, L) to the rows [L + 1, L + b], L = flushed + 64."""
+        end = self.flushed = self.flushed + _LEAF
         b = _LEAF
         while (end // b) % 2 == 0:
             b *= 2
@@ -271,14 +269,18 @@ class _HistorySums:
         if spectrum is None:
             # w_1 .. w_2b, zero-padded past the table; circular outputs
             # b .. 2b-1 do not wrap
-            spectrum = self._spectra[b] = np.fft.rfft(self.w[1 : n + 1], n)[:, None]
+            spectrum = self._spectra[b] = np.fft.rfft(self.w[:, 1 : n + 1], n).T[:, :, None]
         block = values[end - b : end]
+        # chunks of whole problems, or of columns of one problem, near
+        # _FFT_DOUBLES doubles; the spectrum broadcasts over the columns
         cols = max(1, _FFT_DOUBLES // n)
-        for c in range(0, block.shape[1], cols):
-            product = np.fft.rfft(block[:, c : c + cols], n, axis=0)
-            product *= spectrum
-            out = np.fft.irfft(product, n, axis=0)
-            self.sums[end + 1 : end + 1 + rows, c : c + cols] += out[b : b + rows]
+        group = max(1, cols // block.shape[2])
+        for p in range(0, block.shape[1], group):
+            for c in range(0, block.shape[2], cols):
+                product = np.fft.rfft(block[:, p : p + group, c : c + cols], n, axis=0)
+                product *= spectrum[:, p : p + group]
+                out = np.fft.irfft(product, n, axis=0)
+                self.far[end + 1 : end + 1 + rows, p : p + group, c : c + cols] += out[b : b + rows]
 
 
 def _thomas_factor(c: float, n: int) -> tuple[list, list]:
@@ -302,6 +304,49 @@ def _thomas_solve(d: list, cp: list, c: float, rhs: np.ndarray) -> list:
     return u
 
 
+def _advance(values, m, memory, implicit, explicit, ends, couplings):
+    """Write level m + 1 of the problems stacked in ``values`` (levels, B, N).
+
+    ``implicit`` = (1 - lam) S, ``explicit`` = lam S and the Dirichlet data
+    ``ends`` are shared or per problem; ``couplings`` lists (1 - lam) S w_0
+    per problem, None when all lam = 1.  Returns None when every new row
+    is within the overflow limit, else the mask of the rows that are.
+    """
+    while memory.flushed + _LEAF <= m:
+        memory.flush(values)
+    # explicit part sum_{k=0..m} w_k D^(m-k) = D Q(m); implicit known part
+    # sum_{k=1..m+1} w_k D^(m+1-k) = D P(m+1), its k = 0 term is the matrix.
+    # Both near parts start at the leaf of level m-1 and come from one product.
+    u = values[m]
+    start = m - 1 - (m - 1) % _LEAF if m else 0
+    sums = memory.pairs[:, :, m - start :: -1] @ values[start : m + 1].transpose(1, 0, 2)
+    v = memory.far[m] + sums[:, 1]
+    if couplings is None:
+        v *= explicit
+    else:
+        # past the flush at a multiple of the leaf, P(m+1) has one near level
+        past = sums[:, 0] if m % _LEAF else memory.w[:, 1:2] * u
+        v = implicit * (memory.far[m + 1] + past) + explicit * v
+    # D of the flattened rows is right at every interior node; the end
+    # nodes take the Dirichlet data
+    rows = values[m + 1]
+    np.add(u.ravel()[1:-1], np.correlate(v.ravel(), _D2), out=rows.ravel()[1:-1])
+    rows[:, :: rows.shape[1] - 1] = ends
+    for i, c in enumerate(couplings or ()):
+        if c != 0.0:
+            rhs = rows[i, 1:-1]
+            rhs[0] += c * rows[i, 0]
+            rhs[-1] += c * rows[i, -1]
+            factors = memory.factors.get(c)
+            if factors is None:
+                factors = memory.factors[c] = _thomas_factor(c, rhs.size)
+            rhs[:] = _thomas_solve(*factors, c, rhs)
+    # a NaN fails the comparison too
+    if np.maximum.reduce(np.abs(rows), None) <= OVERFLOW_LIMIT:
+        return None
+    return np.abs(rows).max(axis=1) <= OVERFLOW_LIMIT
+
+
 def step(
     history: SolutionHistory,
     problem: ProblemSpec,
@@ -323,47 +368,23 @@ def step(
         )
     if lam is None:
         lam = config.lam
-    s = mesh_ratio(problem, config)
 
     # the sums are rebuilt for another table, and caught up after levels
     # appended without a step; both replay the same flushes
     memory = history._memory
-    if memory is None or memory.table is not table or memory.capacity != table.capacity:
-        memory = history._memory = _HistorySums(table, history.n_nodes)
-    while memory.done <= m + 1:
-        memory.advance(history._values)
-
-    # explicit part sum_{k=0..m} w_k D^(m-k) = D(w_0 U^(m) + P(m)); implicit
-    # known part sum_{k=1..m+1} w_k D^(m+1-k) = D P(m+1), its k = 0 unknown
-    # term is the matrix and drops out of the explicit scheme
-    w0 = memory.w[0]
-    u = history._values[m]
-    explicit = w0 * u + memory.sums[m]
-    if lam == 1.0:
-        v = explicit
-    else:
-        v = (1.0 - lam) * memory.sums[m + 1] + lam * explicit
-    rhs = u[1:-1] + np.correlate(v, (s, -2.0 * s, s))
-
-    c = (1.0 - lam) * s * w0
-    new_row = np.empty(history.n_nodes)
-    new_row[0] = problem.left_value
-    new_row[-1] = problem.right_value
-    if c == 0.0:
-        new_row[1:-1] = rhs
-    else:
-        rhs[0] += c * problem.left_value
-        rhs[-1] += c * problem.right_value
-        factors = memory.factors.get(c)
-        if factors is None:
-            factors = memory.factors[c] = _thomas_factor(c, rhs.size)
-        new_row[1:-1] = _thomas_solve(*factors, c, rhs)
-
-    # a NaN fails the comparison too
-    if not np.abs(new_row).max() <= OVERFLOW_LIMIT:
+    if memory is None or memory.tables[0] is not table or memory.capacity != table.capacity:
+        memory = history._memory = _HistorySums((table,), history.n_nodes)
+    history._reserve()
+    s = mesh_ratio(problem, config)
+    implicit = (1.0 - lam) * s
+    overflow = _advance(
+        history._values, m, memory, implicit, lam * s, (problem.left_value, problem.right_value),
+        None if lam == 1.0 else [implicit * memory.w[0, 0]],
+    )
+    if overflow is not None:
         raise OverflowDetected(m + 1, history)
-    history._append(new_row)
-    return new_row
+    history._top = m + 1
+    return history._values[m + 1, 0].copy()
 
 
 def _sample_ic(problem: ProblemSpec, config: SchemeConfig) -> np.ndarray:
@@ -417,3 +438,39 @@ def run(
         lam = 1.0 if m < config.startup_explicit_steps else config.lam
         step(history, problem, config, table, lam=lam)
     return history
+
+
+def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step B problems that share the node count in lockstep, as one stack.
+
+    Problem b starts from first_rows[b], whose ends are its Dirichlet
+    data, with its own table (all of one capacity >= steps), S = s[b] and
+    lam[b].  A problem that leaves the representable range is masked
+    instead of ending the run: from that level on its interior is zero.
+    Returns the (steps + 1, B, N) levels, cut after the last problem's
+    overflow, and each problem's overflow level (0 if none).
+    """
+    first_rows = np.asarray(first_rows, dtype=float)
+    if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
+        raise ValueError(f"tables need one capacity >= steps = {steps}")
+    values = np.empty((steps + 1,) + first_rows.shape)
+    values[0] = first_rows
+    memory = _HistorySums(tables, first_rows.shape[1])
+    s = np.reshape(s, (-1, 1))
+    lam = np.reshape(lam, (-1, 1))
+    implicit, explicit = (1.0 - lam) * s, lam * s
+    ends = first_rows[:, :: first_rows.shape[1] - 1]
+    couplings = np.ravel(implicit * memory.w[:, :1]).tolist() if implicit.any() else None
+    overflow = np.zeros(len(first_rows), dtype=int)
+    for m in range(steps):
+        ok = _advance(values, m, memory, implicit, explicit, ends, couplings)
+        if ok is not None:
+            overflow[~ok] = m + 1
+            # a masked problem keeps zero rows: it weighs both sums by 0
+            values[m + 1, ~ok, 1:-1] = 0.0
+            implicit[~ok] = explicit[~ok] = 0.0
+            if couplings is not None:
+                couplings = np.ravel(implicit * memory.w[:, :1]).tolist()
+            if overflow.all():
+                return values[: m + 2], overflow
+    return values, overflow

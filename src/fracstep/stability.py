@@ -11,7 +11,10 @@ right-hand side is non-positive for lam <= 1/2, so those schemes are
 stable for every S.  This module exposes the bound, an empirical probe
 that drives the worst-case checkerboard mode (q dx = pi) through the
 actual stepper, a bisection estimator of the empirical threshold, and
-grid sweeps for phase diagrams.
+grid sweeps for phase diagrams.  Probes sharing the family, node count
+and step count run as one stacked history (``probe_batch``); a single
+probe is the batch of one.  Bisections run in lockstep, one stacked run
+per round (``find_empirical_thresholds``).
 """
 
 from __future__ import annotations
@@ -21,14 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fracstep.coeffs import FormulaFamily, eval_generating_function
-from fracstep.solver import (
-    OverflowDetected,
-    ProblemSpec,
-    SchemeConfig,
-    dt_for_mesh_ratio,
-    run,
-)
+from fracstep.coeffs import FormulaFamily, build_table, eval_generating_function
+from fracstep.solver import run_stacked
 
 __all__ = [
     "StabilityReport",
@@ -36,7 +33,9 @@ __all__ = [
     "inv_stability_bound",
     "stability_bound",
     "probe_stability",
+    "probe_batch",
     "find_empirical_threshold",
+    "find_empirical_thresholds",
     "phase_diagram",
 ]
 
@@ -113,50 +112,49 @@ def probe_stability(
     with q dx = pi, which maximizes the second-difference amplification.
     The node count must be even so the mode is compatible with the
     boundaries.  Growth beyond ``INSTABILITY_THRESHOLD`` (or an overflow
-    signal) is classified unstable.
+    signal) is classified unstable.  This is :func:`probe_batch` of one.
     """
-    _check_params(gamma, lam)
+    return probe_batch(family, [(gamma, lam, s)], nodes=nodes, steps=steps)[0]
+
+
+def probe_batch(family: FormulaFamily, cases, nodes=32, steps=400) -> list[StabilityReport]:
+    """Run the probe of :func:`probe_stability` for (gamma, lam, S) cases in lockstep.
+
+    The probes share the family, node count and step count and run as one
+    stacked history (``solver.run_stacked``), each with its own weights, S
+    and lam; one that overflows is masked and leaves the others as they are.
+    """
     if nodes < 8 or nodes % 2 != 0:
         raise ValueError(f"nodes must be even and >= 8, got {nodes}")
     if steps < 50:
         raise ValueError(f"steps must be >= 50, got {steps}")
-    if not (s > 0.0):
-        raise ValueError(f"s must be > 0, got {s}")
+    for gamma, lam, s in cases:
+        _check_params(gamma, lam)
+        if not (0.0 < s < math.inf):
+            raise ValueError(f"s must be finite and > 0, got {s}")
 
     eps = PROBE_AMPLITUDE
-    dx = 1.0 / nodes
+    row = eps * (-1.0) ** np.arange(nodes + 1)
+    row[0] = row[-1] = 0.0
+    gammas, lams, ss = zip(*cases)
+    tables = [build_table(family, 1.0 - g, steps + 1) for g in gammas]
+    levels, overflow = run_stacked(np.tile(row, (len(cases), 1)), tables, ss, lams, steps)
+    growth = np.where(overflow > 0, math.inf, np.abs(levels[-1]).max(axis=1) / eps)
 
-    def checkerboard(x: float) -> float:
-        j = round(x / dx)
-        if j == 0 or j == nodes:
-            return 0.0
-        return eps if j % 2 == 0 else -eps
-
-    problem = ProblemSpec(gamma=gamma, k_gamma=1.0, initial_condition=checkerboard)
-    config = SchemeConfig(
-        lam=lam,
-        dx=dx,
-        dt=dt_for_mesh_ratio(s, dx, gamma),
-        family=family,
-        steps=steps,
-    )
-    try:
-        history = run(problem, config)
-        growth = float(np.max(np.abs(history.level(history.top_level)))) / eps
-        probe_steps = history.top_level
-    except OverflowDetected as overflow:
-        growth = math.inf
-        probe_steps = overflow.level
-
-    s_cross = stability_bound(family, gamma, lam)
-    return StabilityReport(
-        s_value=s,
-        s_cross=s_cross,
-        theoretical_verdict=_theoretical_verdict(s, lam, s_cross),
-        growth_factor=growth,
-        empirical_verdict="unstable" if growth > INSTABILITY_THRESHOLD else "stable",
-        probe_steps=probe_steps,
-    )
+    reports = []
+    for (gamma, lam, s), g, level in zip(cases, growth.tolist(), overflow.tolist()):
+        s_cross = stability_bound(family, gamma, lam)
+        reports.append(
+            StabilityReport(
+                s_value=s,
+                s_cross=s_cross,
+                theoretical_verdict=_theoretical_verdict(s, lam, s_cross),
+                growth_factor=g,
+                empirical_verdict="unstable" if g > INSTABILITY_THRESHOLD else "stable",
+                probe_steps=level or steps,
+            )
+        )
+    return reports
 
 
 def find_empirical_threshold(
@@ -171,30 +169,43 @@ def find_empirical_threshold(
 
     The bracket endpoints must produce different verdicts.  Bisection
     stops when the bracket is narrower than ``BISECTION_TOL``; the
-    midpoint is the empirical S_x.
+    midpoint is the empirical S_x.  :func:`find_empirical_thresholds` of one.
     """
-    s_lo, s_hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < s_lo < s_hi):
-        raise ValueError(f"bracket must satisfy 0 < s_lo < s_hi, got {bracket}")
+    return find_empirical_thresholds(family, [(gamma, lam, bracket)], nodes=nodes, steps=steps)[0]
 
-    def is_unstable(s: float) -> bool:
-        report = probe_stability(family, gamma, lam, s, nodes=nodes, steps=steps)
-        return report.empirical_verdict == "unstable"
 
-    lo_unstable = is_unstable(s_lo)
-    hi_unstable = is_unstable(s_hi)
-    if lo_unstable == hi_unstable:
-        raise ValueError(
-            f"bracket endpoints give the same verdict "
-            f"({'unstable' if lo_unstable else 'stable'} at both {s_lo} and {s_hi})"
-        )
-    while s_hi - s_lo > BISECTION_TOL:
-        mid = 0.5 * (s_lo + s_hi)
-        if is_unstable(mid) == hi_unstable:
-            s_hi = mid
-        else:
-            s_lo = mid
-    return 0.5 * (s_lo + s_hi)
+def find_empirical_thresholds(family: FormulaFamily, cases, nodes=32, steps=400) -> list[float]:
+    """Run :func:`find_empirical_threshold` for (gamma, lam, bracket) cases in lockstep.
+
+    Each round probes the midpoints of all open brackets in one
+    :func:`probe_batch`.  The midpoints and the stop rule are those of one
+    case at a time, and so are the thresholds.
+    """
+    brackets = [[float(lo), float(hi)] for _, _, (lo, hi) in cases]
+    for (_, _, bracket), (s_lo, s_hi) in zip(cases, brackets):
+        if not (0.0 < s_lo < s_hi < math.inf):
+            raise ValueError(f"bracket must satisfy 0 < s_lo < s_hi < inf, got {bracket}")
+
+    def unstable(picks, points):
+        batch = [(*cases[i][:2], s) for i, s in zip(picks, points)]
+        return [r.empirical_verdict == "unstable" for r in probe_batch(family, batch, nodes, steps)]
+
+    every = range(len(cases))
+    lo_unstable = unstable(every, [lo for lo, _ in brackets])
+    hi_unstable = unstable(every, [hi for _, hi in brackets])
+    for (s_lo, s_hi), lo, hi in zip(brackets, lo_unstable, hi_unstable):
+        if lo == hi:
+            raise ValueError(
+                f"bracket endpoints give the same verdict "
+                f"({'unstable' if lo else 'stable'} at both {s_lo} and {s_hi})"
+            )
+    picks = [i for i in every if brackets[i][1] - brackets[i][0] > BISECTION_TOL]
+    while picks:
+        mids = [0.5 * (brackets[i][0] + brackets[i][1]) for i in picks]
+        for i, mid, verdict in zip(picks, mids, unstable(picks, mids)):
+            brackets[i][1 if verdict == hi_unstable[i] else 0] = mid
+        picks = [i for i in picks if brackets[i][1] - brackets[i][0] > BISECTION_TOL]
+    return [0.5 * (s_lo + s_hi) for s_lo, s_hi in brackets]
 
 
 def phase_diagram(family: FormulaFamily, gamma_grid, lambda_grid) -> list[tuple[float, float, float]]:

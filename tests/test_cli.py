@@ -170,6 +170,17 @@ class TestStability:
         )
         assert code == EXIT_UNSTABLE and "empirical_verdict=unstable" in out
 
+    @pytest.mark.parametrize("s", ["inf", "nan"])
+    def test_probe_non_finite_s_is_usage_error(self, capsys, s):
+        start = time.perf_counter()
+        code, _, err = run_cli(
+            capsys,
+            "stability", "probe", "--family", "bdf1",
+            "--gamma", "0.5", "--lambda", "1.0", "--s", s,
+        )
+        assert code == EXIT_USAGE and f"got {s}" in err
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("family", ["bdf1", "bdf2", "bdf3", "ng2"])
     def test_printed_bounds_are_plain_floats(self, capsys, family):
         common = ("--family", family, "--gamma", "0.5", "--lambda", "1.0")

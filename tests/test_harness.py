@@ -8,6 +8,7 @@ import pytest
 from fracstep.coeffs import FormulaFamily
 from fracstep.harness import (
     ExperimentSpec,
+    _write_csv,
     convergence_study,
     figure_specs,
     format_experiment,
@@ -299,6 +300,41 @@ class TestStartupComparison:
         # as a general ordering)
         rows = startup_comparison(self._cn_spec(), [0, 10])
         assert rows[1][1] < rows[0][1]
+
+
+def per_cell_fmt(value) -> str:
+    """The CSV cell format of the per-cell formatter that whole-row formatting replaced."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+class TestCsvRows:
+    def test_whole_rows_match_the_per_cell_format(self, tmp_path):
+        rng = np.random.default_rng(7)
+        floats = rng.standard_normal(6) * 10.0 ** rng.integers(-30, 30, 6)
+        rows = [
+            ("label", 3, np.int64(-12), np.float64(0.1), -0.0, math.inf),
+            (-math.inf, math.nan, np.float64(math.nan), 5e-324, np.float64(-5e-324), 1e16),
+            (0, np.int64(2**62), 1e-4, np.float64(9.999999999999999e-05), "x", 1 / 3),
+            tuple(floats.tolist()),
+            tuple(floats),
+        ]
+        path = _write_csv(tmp_path / "mixed.csv", "mixed", ("a", "b", "c", "d", "e", "f"), rows, "end")
+        expected = ["# mixed | columns: a,b,c,d,e,f", "a,b,c,d,e,f"]
+        expected += [",".join(per_cell_fmt(v) for v in row) for row in rows]
+        assert path.read_text() == "\n".join(expected + ["# end"]) + "\n"
+
+    def test_history_csv_matches_the_per_cell_format(self, tmp_path):
+        spec = make_spec(lam=0.5, steps=70, outputs=("history_csv",))
+        result = run_experiment(spec, tmp_path)
+        values = result.history.values
+        lines = (tmp_path / "unit_history.csv").read_text().splitlines()[2:]
+        assert len(lines) == 71
+        for m, line in enumerate(lines):
+            assert line == ",".join(per_cell_fmt(v) for v in (m, *values[m]))
 
 
 class TestFigures:

@@ -1,0 +1,170 @@
+"""Stability probes run as one stacked history against one-by-one runs.
+
+``probe_batch`` steps B checkerboard probes in lockstep through
+``solver.run_stacked``; ``probe_stability`` is its batch of one.  Every
+problem of a batch must give the verdict, step count and growth of its
+own probe, and levels that match the direct-summation stepper of
+``test_history_sums``; a problem that overflows is masked without ending
+or changing the others.  Lockstep bisection must reproduce the one-case
+thresholds exactly.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from fracstep.coeffs import FormulaFamily, build_table
+from fracstep.harness import reproduce_figure
+from fracstep.solver import run_stacked
+from fracstep.stability import (
+    PROBE_AMPLITUDE,
+    find_empirical_threshold,
+    find_empirical_thresholds,
+    probe_batch,
+    probe_stability,
+    stability_bound,
+)
+
+from test_history_sums import assert_close, direct_levels
+
+NODES = 32
+STEPS = 400
+GROWTH_RTOL = 1e-12
+
+
+def mixed_cases(family):
+    """lam 0, 0.5, 0.8 and 1, S on both sides of the bound, one early overflow."""
+    cases = [(0.3, 0.0, 5.0), (0.6, 0.5, 2.0)]
+    for gamma, lam in ((0.5, 0.8), (0.7, 1.0), (0.4, 1.0)):
+        s_cross = stability_bound(family, gamma, lam)
+        cases += [(gamma, lam, 0.9 * s_cross), (gamma, lam, 1.3 * s_cross)]
+    cases.append((0.9, 1.0, 50.0 * stability_bound(family, 0.9, 1.0)))  # overflows early
+    return cases
+
+
+def checkerboard():
+    row = PROBE_AMPLITUDE * (-1.0) ** np.arange(NODES + 1)
+    row[0] = row[-1] = 0.0
+    return row
+
+
+def stacked_levels(family, cases):
+    tables = [build_table(family, 1.0 - gamma, STEPS + 1) for gamma, _, _ in cases]
+    rows = np.tile(checkerboard(), (len(cases), 1))
+    s = [c[2] for c in cases]
+    lam = [c[1] for c in cases]
+    return run_stacked(rows, tables, s, lam, STEPS), tables
+
+
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_batch_reports_equal_single_probes(family):
+    cases = mixed_cases(family)
+    reports = probe_batch(family, cases)
+    assert {r.empirical_verdict for r in reports} == {"stable", "unstable"}
+    assert reports[-1].probe_steps < 100 and reports[-1].growth_factor == math.inf
+    for case, report in zip(cases, reports):
+        single = probe_stability(family, *case)
+        assert report.empirical_verdict == single.empirical_verdict
+        assert report.theoretical_verdict == single.theoretical_verdict
+        assert report.probe_steps == single.probe_steps
+        assert report.s_value == single.s_value and report.s_cross == single.s_cross
+        if math.isinf(single.growth_factor):
+            assert report.growth_factor == single.growth_factor
+        else:
+            assert report.growth_factor == pytest.approx(single.growth_factor, rel=GROWTH_RTOL)
+
+
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_batch_levels_match_direct_summation(family):
+    cases = mixed_cases(family)
+    (levels, overflow), tables = stacked_levels(family, cases)
+    assert levels.shape == (STEPS + 1, len(cases), NODES + 1)
+    for b, ((_, lam, s), table) in enumerate(zip(cases, tables)):
+        expected, level = direct_levels([checkerboard()], table.weights, s, lam, STEPS)
+        assert overflow[b] == (level or 0)
+        if level is None:
+            assert_close(levels[:, b], expected)
+        else:
+            # levels up to the overflow are the reference's, each at its own size;
+            # from the overflow on only the Dirichlet data remain
+            size = np.max(np.abs(expected), axis=1)
+            assert np.all(np.max(np.abs(levels[:level, b] - expected), axis=1) <= GROWTH_RTOL * size)
+            assert not np.any(levels[level:, b])
+
+
+def test_overflow_neither_ends_nor_changes_the_others():
+    family = FormulaFamily.BDF2
+    cases = mixed_cases(family)
+    (levels, overflow), _ = stacked_levels(family, cases)
+    (alone, rest), _ = stacked_levels(family, cases[:-1])
+    assert overflow[-1] > 0 and not rest.any()
+    assert len(levels) == STEPS + 1
+    assert np.array_equal(levels[:, :-1], alone)
+
+
+def test_masked_problem_keeps_only_its_dirichlet_data():
+    # unequal Dirichlet data and lam < 1: the masked problem's tridiagonal
+    # solve must stop too
+    table = build_table(FormulaFamily.BDF1, 0.5, STEPS + 1)
+    row = np.linspace(0.25, -0.5, NODES + 1) + 0.1 * checkerboard() / PROBE_AMPLITUDE
+    s_cross = stability_bound(FormulaFamily.BDF1, 0.5, 0.8)
+    s, lam = [0.5 * s_cross, 50.0 * s_cross], [0.8, 0.8]
+    levels, overflow = run_stacked(np.tile(row, (2, 1)), [table, table], s, lam, STEPS)
+    expected, level = direct_levels([row], table.weights, s[1], lam[1], STEPS)
+    assert overflow.tolist() == [0, level]
+    assert_close(levels[:level, 1], expected)
+    assert not np.any(levels[level:, 1, 1:-1])
+    assert np.all(levels[level:, 1, [0, -1]] == [0.25, -0.5])
+    expected, _ = direct_levels([row], table.weights, s[0], lam[0], STEPS)
+    assert_close(levels[:, 0], expected)
+
+
+def test_all_overflowing_batch_stops_at_the_last_overflow():
+    cases = [(0.5, 1.0, 5.0), (0.7, 1.0, 3.0)]
+    (levels, overflow), _ = stacked_levels(FormulaFamily.BDF1, cases)
+    assert overflow.min() > 0
+    assert len(levels) == overflow.max() + 1
+
+
+def test_criterion_4_bisections_in_lockstep_equal_one_by_one():
+    cases = []
+    for gamma in (0.25, 0.5, 0.75):
+        for lam in (0.7, 0.85, 1.0):
+            s_cross = stability_bound(FormulaFamily.BDF1, gamma, lam)
+            cases.append((gamma, lam, (0.5 * s_cross, 1.5 * s_cross)))
+    lockstep = find_empirical_thresholds(FormulaFamily.BDF1, cases, nodes=32, steps=400)
+    one_by_one = [
+        find_empirical_threshold(FormulaFamily.BDF1, *case, nodes=32, steps=400) for case in cases
+    ]
+    assert lockstep == one_by_one
+
+
+def test_lockstep_bracket_error_names_the_case():
+    cases = [(0.5, 1.0, (0.2, 0.6)), (0.5, 1.0, (0.05, 0.1))]
+    with pytest.raises(ValueError, match="stable at both 0.05 and 0.1"):
+        find_empirical_thresholds(FormulaFamily.BDF1, cases)
+
+
+# fig2_circles.csv before the bisections ran in lockstep
+FIG2_THRESHOLDS = {
+    "0.1": "0.2702983366210915",
+    "0.2": "0.28969858415818783",
+    "0.3": "0.3104912546350827",
+    "0.4": "0.3321319960954234",
+    "0.5": "0.35597025947428246",
+    "0.6": "0.38151947755669446",
+    "0.7": "0.408902451485976",
+    "0.8": "0.4374006492342343",
+    "0.9": "0.4687944083453979",
+    "1.0": "0.50244140625",
+}
+
+
+def test_fig2_thresholds_are_pinned(tmp_path):
+    reproduce_figure("fig2", tmp_path)
+    lines = (tmp_path / "fig2_circles.csv").read_text().splitlines()[2:]
+    rows = [line.split(",") for line in lines]
+    assert {gamma: s for gamma, s, _ in rows} == FIG2_THRESHOLDS
+    for _, s, inv in rows:
+        assert inv == repr(1.0 / float(s))

@@ -1,6 +1,8 @@
 """Tests of the stability bound, probes, thresholds and phase sweeps."""
 
 import math
+import re
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +123,26 @@ class TestEmpiricalThreshold:
             find_empirical_threshold(FormulaFamily.BDF1, 0.5, 1.0, (0.05, 0.1))
         with pytest.raises(ValueError):
             find_empirical_threshold(FormulaFamily.BDF1, 0.5, 1.0, (0.5, 0.2))
+
+
+class TestNonFiniteInputs:
+    """Non-finite S and bracket ends fail fast with a ValueError that names them."""
+
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_probe_rejects_non_finite_s(self, s):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"got {s}"):
+            probe_stability(FormulaFamily.BDF1, 0.5, 1.0, s)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "bracket", [(0.1, math.inf), (math.nan, 0.5), (0.1, math.nan), (-math.inf, 0.5)]
+    )
+    def test_threshold_rejects_non_finite_bracket_ends(self, bracket):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(f"got {bracket}")):
+            find_empirical_threshold(FormulaFamily.BDF1, 0.5, 1.0, bracket)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestPhaseDiagram:
