@@ -7,6 +7,7 @@ Exit codes: 0 completed, 1 usage or config error, 2 instability detected
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -42,6 +43,7 @@ def _grid(text: str) -> np.ndarray:
         raise _UsageError(f"grid {text!r} must have the form start:stop:count")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fracstep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -8,11 +8,11 @@ w(z, alpha) = sum_k w_k z^k of its weights:
     BDF3:  (11/6 - 3z + 3z^2/2 - z^3/3)^alpha     order 3
     NG2:   (1 - z)^alpha [W_0 + W_1 (1 - z)]      order 2 (Newton-Gregory)
 
-BDF1 weights satisfy the two-term recurrence
-w_k = (1 - (alpha + 1)/k) w_{k-1} with w_0 = 1.  BDF2/BDF3 are the Taylor
-coefficients of a polynomial raised to a real power, generated with the
-J.C.P. Miller recurrence; NG2 composes the BDF1 stream with the linear
-Newton-Gregory correction W_0 + W_1 (1 - z).
+BDF1 weights follow w_k = (1 - (alpha + 1)/k) w_{k-1}, w_0 = 1, taken as
+one running product (the same multiplications in the same order).  BDF2/BDF3
+are the Taylor coefficients of a polynomial raised to a real power (J.C.P.
+Miller recurrence); NG2 composes the BDF1 stream with the linear
+Newton-Gregory correction W_0 + W_1 (1 - z) in one elementwise expression.
 
 Tables are append-only: extending the capacity never changes entries that
 have already been published, so a completed prefix can be shared
@@ -190,38 +190,31 @@ class CoefficientTable:
             self._buf = grown
         fam, a = self.family, self.alpha
         if fam is FormulaFamily.BDF1:
-            self._extend_bdf1(needed, a)
+            # a running product seeded with the last published weight, so
+            # extending leaves the published entries as they are
+            top = max(self._size, 1)
+            self._buf[0] = 1.0
+            self._buf[top - 1 : needed] = _bdf1_product(a, self._buf[top - 1], top, needed)
         elif fam is FormulaFamily.NG2:
-            self._extend_ng2(needed, a)
+            # Cauchy product of the BDF1 stream with W0 + W1 (1 - z)
+            #   = (W0 + W1) - W1 z, i.e. w_k = (W0 + W1) b_k - W1 b_{k-1}.
+            w0, w1 = self._ng
+            b = _bdf1_product(a, 1.0, 1, needed)
+            self._buf[0] = (w0 + w1) * b[0]
+            self._buf[1:needed] = (w0 + w1) * b[1:] - w1 * b[:-1]
         else:
             # Miller recurrence needs the full prefix anyway; regenerating it
             # reproduces the identical forward recursion, so published
             # entries are rewritten with bit-identical values.
             self._buf[:needed] = _series_pow(fam.base_poly, a, needed)
-            self._size = needed
-
-    def _extend_bdf1(self, needed: int, a: float) -> None:
-        buf = self._buf
-        if self._size == 0:
-            buf[0] = 1.0
-            self._size = 1
-        for k in range(self._size, needed):
-            buf[k] = (1.0 - (a + 1.0) / k) * buf[k - 1]
-        self._size = max(self._size, needed)
-
-    def _extend_ng2(self, needed: int, a: float) -> None:
-        # Cauchy product of the BDF1 stream with W0 + W1 (1 - z)
-        #   = (W0 + W1) - W1 z, i.e. w_k = (W0 + W1) b_k - W1 b_{k-1}.
-        w0, w1 = self._ng
-        buf = self._buf
-        b = np.empty(needed)
-        b[0] = 1.0
-        for k in range(1, needed):
-            b[k] = (1.0 - (a + 1.0) / k) * b[k - 1]
-        buf[0] = (w0 + w1) * b[0]
-        for k in range(1, needed):
-            buf[k] = (w0 + w1) * b[k] - w1 * b[k - 1]
         self._size = needed
+
+
+def _bdf1_product(a: float, seed: float, lo: int, hi: int) -> np.ndarray:
+    """seed, then seed times the running product of the BDF1 ratios
+    1 - (a + 1)/k for k = lo .. hi - 1: one multiplication per entry, in
+    the order of the recurrence w_k = (1 - (a + 1)/k) w_{k-1}."""
+    return np.cumprod(np.concatenate(([seed], 1.0 - (a + 1.0) / np.arange(lo, hi))))
 
 
 def build_table(family: FormulaFamily, alpha: float, capacity: int) -> CoefficientTable:

@@ -20,7 +20,7 @@ import configparser
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -325,38 +325,22 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
         paths.append(_write_csv(target, spec_desc + " full history", columns, rows))
 
     if "stability_report" in spec.outputs:
-        report = probe_stability(
-            spec.family,
-            spec.gamma,
-            spec.lam,
-            s,
-            nodes=_even_nodes(spec.dx),
-            steps=max(50, min(spec.steps, 400)),
-        )
+        report = _probe(spec, s)
         paths.append(
             _write_csv(
                 out_dir / f"{spec.name}_stability.csv",
                 spec_desc,
                 ("s", "s_cross", "theoretical_verdict", "growth_factor", "empirical_verdict"),
-                [
-                    (
-                        report.s_value,
-                        report.s_cross,
-                        report.theoretical_verdict,
-                        report.growth_factor,
-                        report.empirical_verdict,
-                    )
-                ],
+                [astuple(report)[:5]],
             )
         )
     return ExperimentResult(spec, paths, status, unstable_level, summaries, history)
 
 
-def _even_nodes(dx: float) -> int:
-    n = round(1.0 / dx)
-    if n % 2:
-        n += 1
-    return max(8, n)
+def _probe(spec: ExperimentSpec, s: float):
+    """The checkerboard probe at a spec's parameters, on an even node count near 1/dx."""
+    n, steps = round(1.0 / spec.dx), max(50, min(spec.steps, 400))
+    return probe_stability(spec.family, spec.gamma, spec.lam, s, max(8, n + n % 2), steps)
 
 
 @dataclass(frozen=True)
@@ -428,13 +412,11 @@ def convergence_study(
             spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(t_end / dt)))
 
     def fitted_order(index: int) -> float:
-        rates = []
-        for (p0, e0), (p1, e1) in zip(
-            [(lv[index], lv[2]) for lv in levels], [(lv[index], lv[2]) for lv in levels[1:]]
-        ):
-            if p0 == p1 or e1 == 0.0:
-                continue
-            rates.append(math.log(e0 / e1) / math.log(p0 / p1))
+        rates = [
+            math.log(a[2] / b[2]) / math.log(a[index] / b[index])
+            for a, b in zip(levels, levels[1:])
+            if a[index] != b[index] and b[2] != 0.0
+        ]
         return sum(rates) / len(rates) if rates else math.nan
 
     return ConvergenceReport(tuple(levels), fitted_order(0), fitted_order(1))
@@ -548,12 +530,11 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
 
     if fig_id == "fig1":
         lambdas = np.linspace(0.0, 1.0, 101)
-        rows = [(g, l, inv) for g, l, inv in phase_diagram(FormulaFamily.BDF1, [0.5], lambdas)]
         path = _write_csv(
             out_dir / "fig1.csv",
             "stability bound line: family=bdf1 gamma=0.5, inv_s_cross = 2(2*lambda-1)*w(-1,1-gamma)",
             ("gamma", "lambda", "inv_s_cross"),
-            rows,
+            phase_diagram(FormulaFamily.BDF1, [0.5], lambdas),
         )
         markers = [
             ("square_stable", 0.5, 0.8, 0.55, 1.0 / 0.55),
@@ -602,24 +583,18 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             out_dir / "fig2_markers.csv",
             "marked explicit cases on the fig2 diagram",
             ("label", "gamma", "s"),
-            [(lab, g, s) for lab, g, s in markers],
+            markers,
         )
         return FigureResult([bounds, circles, mpath], "completed")
 
     if fig_id == "fig3":
-        specs = figure_specs("fig3", t_end=t_end)
-
-        def run_case(spec):
+        rows = []
+        for spec in figure_specs("fig3", t_end=t_end):
             history = run(spec.problem(), spec.scheme())
             t_actual = spec.steps * spec.dt
             exact = exact_profile(
                 spec.sine_series(), spec.gamma, spec.k_gamma, history.x, t_actual, tol=EXACT_TOL
             )
-            return history, exact, t_actual
-
-        results = [run_case(spec) for spec in specs]
-        rows = []
-        for spec, (history, exact, t_actual) in zip(specs, results):
             label = spec.name.removeprefix("fig3_")
             s = mesh_ratio(spec.problem(), spec.scheme())
             u = history.level(history.top_level)
@@ -642,14 +617,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         history = overflow.history
         status = "unstable"
     s = mesh_ratio(spec.problem(), spec.scheme())
-    report = probe_stability(
-        spec.family,
-        spec.gamma,
-        spec.lam,
-        s,
-        nodes=_even_nodes(spec.dx),
-        steps=max(50, min(spec.steps, 400)),
-    )
+    report = _probe(spec, s)
     if report.empirical_verdict == "unstable":
         status = "unstable"
 

@@ -22,14 +22,20 @@ the start of the leaf of 64 holding level m-1 are summed directly; older
 levels arrive in blocks through FFT products (Hairer, Lubich & Schlichte,
 SIAM J. Sci. Stat. Comput. 6 (1985)).  Over M levels of N nodes that costs
 O(N M log^2 M) time, and the rows plus one row of sums per level take
-O(M N) memory.  The tridiagonal factors are computed once per coupling
-constant.  One stepper advances a stack of B problems that share the node
-count, each with its own weights, S and lam: ``run`` and ``step`` are its
-B = 1 case, ``run_stacked`` runs a batch of stability probes in lockstep.
+O(M N) memory.  One loop steps a stack of B problems that share the node
+count, each with its own weights, S and lam, over a range of levels; the
+Dirichlet ends, the tridiagonal factors and end terms and the weight rows
+are set up once per range.  ``run`` is a stack of one stepped in at most
+two ranges of one lam each (the explicit startup, then the rest), ``step``
+a range of one level, and ``run_stacked`` a batch of stability probes in
+lockstep.  Overflow is checked once per leaf and at the end of a range,
+before the levels enter the far sums, and finds the first offending level
+as a check after every level would.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -144,8 +150,8 @@ class SolutionHistory:
     """Full time history U_j^(m), levels 0..M by nodes 0..N.
 
     Row 0 is the sampled initial condition; every later row carries the
-    Dirichlet data at its endpoints.  Rows are append-only.  ``step``
-    keeps the running history sums of the memory convolution in a private
+    Dirichlet data at its endpoints.  Rows are append-only.  The stepper
+    keeps the far history sums of the memory convolution in a private
     cache beside the rows.
     """
 
@@ -155,12 +161,9 @@ class SolutionHistory:
             raise ValueError("a history row needs at least 3 nodes")
         if not np.all(np.isfinite(first_row)):
             raise ValueError("initial condition contains non-finite values")
-        self.dx = float(dx)
-        self.dt = float(dt)
-        n_nodes = first_row.size
-        cap = max(capacity, 1) + 1
+        self.dx, self.dt = float(dx), float(dt)
         # one problem of a stack: levels x 1 x nodes
-        self._values = np.empty((cap, 1, n_nodes))
+        self._values = np.empty((max(capacity, 1) + 1, 1, first_row.size))
         self._memory: _HistorySums | None = None
         self._top = -1
         self._append(first_row)
@@ -293,9 +296,12 @@ def _thomas_factor(c: float, n: int) -> tuple[list, list]:
     return d, cp
 
 
-def _thomas_solve(d: list, cp: list, c: float, rhs: np.ndarray) -> list:
+def _thomas_solve(d: list, cp: list, c: float, left: float, right: float, rhs: np.ndarray) -> list:
+    """Solve for the interior with c U_0 = ``left`` and c U_N = ``right`` added to the ends."""
     # Python floats in lists: far cheaper to index one by one than numpy arrays
     u = rhs.tolist()
+    u[0] += left
+    u[-1] += right
     g = u[0] = u[0] / d[0]
     for i in range(1, len(u)):
         g = u[i] = (u[i] + c * g) / d[i]
@@ -304,47 +310,76 @@ def _thomas_solve(d: list, cp: list, c: float, rhs: np.ndarray) -> list:
     return u
 
 
-def _advance(values, m, memory, implicit, explicit, ends, couplings):
-    """Write level m + 1 of the problems stacked in ``values`` (levels, B, N).
+def _advance(values, lo, hi, memory, implicit, explicit, ends):
+    """Write levels lo + 1 .. hi of the problems stacked in ``values`` (levels, B, N).
 
-    ``implicit`` = (1 - lam) S, ``explicit`` = lam S and the Dirichlet data
-    ``ends`` are shared or per problem; ``couplings`` lists (1 - lam) S w_0
-    per problem, None when all lam = 1.  Returns None when every new row
-    is within the overflow limit, else the mask of the rows that are.
+    ``implicit`` = (1 - lam) S (None when every lam = 1), ``explicit`` = lam S
+    and the Dirichlet data ``ends`` are shared or per problem.  Returns None
+    when every new level is within the overflow limit, else (the level
+    reached, each problem's first level past the limit or 0).
     """
-    while memory.flushed + _LEAF <= m:
-        memory.flush(values)
-    # explicit part sum_{k=0..m} w_k D^(m-k) = D Q(m); implicit known part
-    # sum_{k=1..m+1} w_k D^(m+1-k) = D P(m+1), its k = 0 term is the matrix.
-    # Both near parts start at the leaf of level m-1 and come from one product.
-    u = values[m]
-    start = m - 1 - (m - 1) % _LEAF if m else 0
-    sums = memory.pairs[:, :, m - start :: -1] @ values[start : m + 1].transpose(1, 0, 2)
-    v = memory.far[m] + sums[:, 1]
-    if couplings is None:
-        v *= explicit
-    else:
-        # past the flush at a multiple of the leaf, P(m+1) has one near level
-        past = sums[:, 0] if m % _LEAF else memory.w[:, 1:2] * u
-        v = implicit * (memory.far[m + 1] + past) + explicit * v
-    # D of the flattened rows is right at every interior node; the end
-    # nodes take the Dirichlet data
-    rows = values[m + 1]
-    np.add(u.ravel()[1:-1], np.correlate(v.ravel(), _D2), out=rows.ravel()[1:-1])
-    rows[:, :: rows.shape[1] - 1] = ends
-    for i, c in enumerate(couplings or ()):
-        if c != 0.0:
-            rhs = rows[i, 1:-1]
-            rhs[0] += c * rows[i, 0]
-            rhs[-1] += c * rows[i, -1]
-            factors = memory.factors.get(c)
-            if factors is None:
-                factors = memory.factors[c] = _thomas_factor(c, rhs.size)
-            rhs[:] = _thomas_solve(*factors, c, rhs)
-    # a NaN fails the comparison too
-    if np.maximum.reduce(np.abs(rows), None) <= OVERFLOW_LIMIT:
-        return None
-    return np.abs(rows).max(axis=1) <= OVERFLOW_LIMIT
+    pairs, far, w = memory.pairs, memory.far, memory.w
+    stack, flat = values.transpose(1, 0, 2), values.reshape(len(values), -1)[:, 1:-1]
+    n_problems, n = values.shape[1:]
+    values[lo + 1 : hi + 1, :, :: n - 1] = ends
+    solves = []
+    if implicit is not None:
+        coupling = implicit * w[:, :1]
+        for i, (c, left, right) in enumerate(np.hstack((coupling, coupling * ends)).tolist()):
+            if c != 0.0:
+                factors = memory.factors.get(c)
+                if factors is None:
+                    factors = memory.factors[c] = _thomas_factor(c, n - 2)
+                solves.append((i, *factors, c, left, right))
+    checked = lo
+    # levels past an overflow run on to the check, their inf and NaN are
+    # discarded; a range of one level computes none
+    with np.errstate(over="ignore", invalid="ignore") if hi > lo + 1 else nullcontext():
+        for m in range(lo, hi):
+            while memory.flushed + _LEAF <= m:
+                memory.flush(values)
+            # explicit part sum_{k=0..m} w_k D^(m-k) = D Q(m); implicit known part
+            # sum_{k=1..m+1} w_k D^(m+1-k) = D P(m+1), its k = 0 term is the matrix.
+            # Both near parts start at the leaf of level m-1 and come from one product.
+            u = values[m]
+            start = m - 1 - (m - 1) % _LEAF if m else 0
+            sums = pairs[:, :, m - start :: -1] @ stack[:, start : m + 1]
+            v = far[m] + sums[:, 1]
+            if implicit is None:
+                v *= explicit
+            else:
+                # past the flush at a multiple of the leaf, P(m+1) has one near level
+                past = sums[:, 0] if m % _LEAF else w[:, 1:2] * u
+                v = implicit * (far[m + 1] + past) + explicit * v
+            # D of the flattened rows is right at every interior node; between
+            # stacked rows it overwrites the ends, which are put back
+            np.add(flat[m], np.correlate(v.ravel(), _D2), out=flat[m + 1])
+            if n_problems > 1:
+                values[m + 1, :, :: n - 1] = ends
+            for i, d, cp, c, left, right in solves:
+                rhs = values[m + 1, i, 1:-1]
+                rhs[:] = _thomas_solve(d, cp, c, left, right, rhs)
+            # once per leaf and at hi, before a flush takes the levels into the far sums
+            if (m + 1) % _LEAF == 0 or m + 1 == hi:
+                block = np.abs(values[checked + 1 : m + 2])
+                # a NaN fails the comparison too
+                if not np.maximum.reduce(block, None) <= OVERFLOW_LIMIT:
+                    bad = ~(block.max(axis=2) <= OVERFLOW_LIMIT)
+                    return m + 1, np.where(bad.any(axis=0), bad.argmax(axis=0) + checked + 1, 0)
+                checked = m + 1
+    return None
+
+
+def _advance_history(history, problem, memory, hi, lam, s) -> None:
+    """Advance one problem's history to level hi with one lam; raise on overflow."""
+    found = _advance(
+        history._values, history._top, hi, memory, None if lam == 1.0 else (1.0 - lam) * s,
+        lam * s, (problem.left_value, problem.right_value),
+    )
+    if found is not None:
+        history._top = int(found[1][0]) - 1
+        raise OverflowDetected(history._top + 1, history)
+    history._top = hi
 
 
 def step(
@@ -366,24 +401,14 @@ def step(
             f"coefficient table capacity {table.capacity} < {m + 1}; "
             "the stepper must pre-extend tables"
         )
-    if lam is None:
-        lam = config.lam
-
     # the sums are rebuilt for another table, and caught up after levels
     # appended without a step; both replay the same flushes
     memory = history._memory
     if memory is None or memory.tables[0] is not table or memory.capacity != table.capacity:
         memory = history._memory = _HistorySums((table,), history.n_nodes)
     history._reserve()
-    s = mesh_ratio(problem, config)
-    implicit = (1.0 - lam) * s
-    overflow = _advance(
-        history._values, m, memory, implicit, lam * s, (problem.left_value, problem.right_value),
-        None if lam == 1.0 else [implicit * memory.w[0, 0]],
-    )
-    if overflow is not None:
-        raise OverflowDetected(m + 1, history)
-    history._top = m + 1
+    lam = config.lam if lam is None else lam
+    _advance_history(history, problem, memory, m + 1, lam, mesh_ratio(problem, config))
     return history._values[m + 1, 0].copy()
 
 
@@ -424,19 +449,20 @@ def run(
     alpha = 1.0 - problem.gamma
     if table is None:
         table = build_table(config.family, alpha, config.steps + 1)
-    else:
-        if table.family is not config.family or table.alpha != alpha:
-            raise ValueError("provided table does not match (family, 1 - gamma)")
-        if table.capacity < config.steps + 1:
-            raise ValueError(
-                f"provided table capacity {table.capacity} < steps + 1; "
-                "pre-extend it or pass table=None"
-            )
+    elif table.family is not config.family or table.alpha != alpha:
+        raise ValueError("provided table does not match (family, 1 - gamma)")
+    elif table.capacity < config.steps + 1:
+        raise ValueError(
+            f"provided table capacity {table.capacity} < steps + 1; "
+            "pre-extend it or pass table=None"
+        )
     row0 = _sample_ic(problem, config)
     history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps + 1)
-    for m in range(config.steps):
-        lam = 1.0 if m < config.startup_explicit_steps else config.lam
-        step(history, problem, config, table, lam=lam)
+    memory = history._memory = _HistorySums((table,), history.n_nodes)
+    s = mesh_ratio(problem, config)
+    startup = min(config.startup_explicit_steps, config.steps)
+    _advance_history(history, problem, memory, startup, 1.0, s)
+    _advance_history(history, problem, memory, config.steps, config.lam, s)
     return history
 
 
@@ -451,26 +477,41 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     overflow, and each problem's overflow level (0 if none).
     """
     first_rows = np.asarray(first_rows, dtype=float)
+    s, lam = (np.array(x, dtype=float).reshape(-1, 1) for x in (s, lam))
+    if first_rows.ndim != 2 or first_rows.shape[1] < 3:
+        raise ValueError(f"a history row needs at least 3 nodes, got shape {first_rows.shape}")
+    sizes = (len(first_rows), len(tables), len(s), len(lam))
+    if min(sizes) != max(sizes) or not sizes[0]:
+        raise ValueError(f"first_rows, tables, s and lam need one entry per problem, got {sizes}")
+    if not np.isfinite(first_rows).all():
+        raise ValueError("initial condition contains non-finite values")
+    bad_lam, bad_s = lam[~((0.0 <= lam) & (lam <= 1.0))], s[~((0.0 < s) & (s < np.inf))]
+    if bad_lam.size:
+        raise ValueError(f"lam must lie in [0, 1], got {bad_lam[0]}")
+    if bad_s.size:
+        raise ValueError(f"s must be finite and > 0, got {bad_s[0]}")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
         raise ValueError(f"tables need one capacity >= steps = {steps}")
     values = np.empty((steps + 1,) + first_rows.shape)
     values[0] = first_rows
     memory = _HistorySums(tables, first_rows.shape[1])
-    s = np.reshape(s, (-1, 1))
-    lam = np.reshape(lam, (-1, 1))
     implicit, explicit = (1.0 - lam) * s, lam * s
+    implicit = implicit if implicit.any() else None
     ends = first_rows[:, :: first_rows.shape[1] - 1]
-    couplings = np.ravel(implicit * memory.w[:, :1]).tolist() if implicit.any() else None
     overflow = np.zeros(len(first_rows), dtype=int)
-    for m in range(steps):
-        ok = _advance(values, m, memory, implicit, explicit, ends, couplings)
-        if ok is not None:
-            overflow[~ok] = m + 1
-            # a masked problem keeps zero rows: it weighs both sums by 0
-            values[m + 1, ~ok, 1:-1] = 0.0
-            implicit[~ok] = explicit[~ok] = 0.0
-            if couplings is not None:
-                couplings = np.ravel(implicit * memory.w[:, :1]).tolist()
-            if overflow.all():
-                return values[: m + 2], overflow
+    level = 0
+    while (found := _advance(values, level, steps, memory, implicit, explicit, ends)) is not None:
+        level, first = found
+        # a masked problem keeps zero rows: it weighs both sums by 0
+        for b in np.flatnonzero(first):
+            values[first[b] : level + 1, b, 1:-1] = 0.0
+        masked = first > 0
+        overflow[masked] = first[masked]
+        explicit[masked] = 0.0
+        if implicit is not None:
+            implicit[masked] = 0.0
+        if overflow.all():
+            return values[: overflow.max() + 1], overflow
     return values, overflow

@@ -218,8 +218,4 @@ def phase_diagram(family: FormulaFamily, gamma_grid, lambda_grid) -> list[tuple[
     lambda_grid = [float(l) for l in lambda_grid]
     if not gamma_grid or not lambda_grid:
         raise ValueError("grids must be non-empty")
-    rows = []
-    for g in gamma_grid:
-        for l in lambda_grid:
-            rows.append((g, l, inv_stability_bound(family, g, l)))
-    return rows
+    return [(g, l, inv_stability_bound(family, g, l)) for g in gamma_grid for l in lambda_grid]

@@ -1,10 +1,13 @@
 """End-to-end tests of the fracstep command line."""
 
 import math
+import sys
+import threading
 import time
 
 import pytest
 
+from fracstep import cli
 from fracstep.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
 
 from test_mittag_leffler import gll_reference
@@ -254,3 +257,84 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert run_cli(capsys, "frobnicate")[0] == EXIT_USAGE
+
+
+class _ThreadStreams:
+    """A stand-in for sys.stdout and sys.stderr that keeps each thread's text apart."""
+
+    def __init__(self):
+        self._local = threading.local()
+
+    def write(self, text):
+        if not hasattr(self._local, "parts"):
+            self._local.parts = []
+        self._local.parts.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+    def take(self):
+        text = "".join(getattr(self._local, "parts", []))
+        self._local.parts = []
+        return text
+
+
+# cheap commands, two of them usage errors
+PARSER_CALLS = [
+    ("coeffs", "--family", "bdf2", "--alpha", "0.3", "--count", "5"),
+    ("ml", "--gamma", "0.5", "--z", "-2.0"),
+    ("stability", "bound", "--family", "ng2", "--gamma", "0.4", "--lambda", "0.9"),
+    ("coeffs", "--family", "bdf7", "--alpha", "0.5", "--count", "2"),
+    ("ml", "--gamma", "0.5"),
+    ("exact", "--gamma", "0.5", "--kgamma", "1", "--t", "0.1", "--nx", "4"),
+]
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_usage_error_leaves_the_next_call_alone(self, capsys):
+        good = ("stability", "bound", "--family", "bdf1", "--gamma", "0.5", "--lambda", "1.0")
+        before = run_cli(capsys, *good)
+        bad = ("stability", "bound", "--family", "bdf1", "--gamma", "x")
+        assert run_cli(capsys, *bad)[0] == EXIT_USAGE
+        assert run_cli(capsys, "stability", "probe", "--family", "bdf1")[0] == EXIT_USAGE
+        assert run_cli(capsys, *good) == before
+
+    def test_threads_see_the_serial_results(self, monkeypatch):
+        out, err = _ThreadStreams(), _ThreadStreams()
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+
+        def calls(order):
+            results = []
+            for i in order:
+                code = main(list(PARSER_CALLS[i]))
+                results.append((i, code, out.take(), err.take()))
+            return results
+
+        expected = {i: rest for i, *rest in calls(range(len(PARSER_CALLS)))}
+        assert [code for code, _, _ in expected.values()] == [0, 0, 0, 1, 1, 0]
+        got = [None] * 4
+
+        def worker(k):
+            order = [(k + j) % len(PARSER_CALLS) for j in range(5 * len(PARSER_CALLS))]
+            got[k] = calls(order)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for results in got:
+            assert len(results) == 5 * len(PARSER_CALLS)
+            for i, *rest in results:
+                assert rest == expected[i]

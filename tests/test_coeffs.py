@@ -205,3 +205,34 @@ class TestTable:
             build_table(FormulaFamily.BDF1, 0.5, -1)
         with pytest.raises(ValueError):
             FormulaFamily.parse("bdf9")
+
+
+def scalar_bdf1(alpha: float, count: int) -> list[float]:
+    """The BDF1 recurrence w_k = (1 - (alpha + 1)/k) w_{k-1}, one Python float at a time."""
+    w = [1.0]
+    for k in range(1, count):
+        w.append((1.0 - (alpha + 1.0) / k) * w[-1])
+    return w
+
+
+class TestVectorisedRecurrences:
+    COUNT = 100_000
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.25, 0.5, 0.99])
+    def test_bdf1_and_ng2_equal_the_scalar_recurrence_bit_for_bit(self, alpha):
+        b = scalar_bdf1(alpha, self.COUNT)
+        assert build_table(FormulaFamily.BDF1, alpha, self.COUNT - 1).weights.tolist() == b
+        w0, w1 = newton_gregory_omegas(alpha, 2)
+        ng2 = [(w0 + w1) * b[0]] + [(w0 + w1) * b[k] - w1 * b[k - 1] for k in range(1, self.COUNT)]
+        assert build_table(FormulaFamily.NG2, alpha, self.COUNT - 1).weights.tolist() == ng2
+
+    @pytest.mark.parametrize("family", [FormulaFamily.BDF1, FormulaFamily.NG2])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.25, 0.5, 0.99])
+    def test_table_extended_in_two_steps_equals_one_build(self, family, alpha):
+        table = build_table(family, alpha, 37)
+        table.ensure_capacity(4_099)
+        table.ensure_capacity(self.COUNT - 1)
+        expected = build_table(family, alpha, self.COUNT - 1).weights
+        assert table.weights.tolist() == expected.tolist()
+        if family is FormulaFamily.BDF1:
+            assert table.weights.tolist() == scalar_bdf1(alpha, self.COUNT)
