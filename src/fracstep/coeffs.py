@@ -41,7 +41,8 @@ class FormulaFamily(str, enum.Enum):
 
     @property
     def order(self) -> int:
-        """Accuracy order p of the formula (in the operator step h)."""
+        """Order p in h of the discrete operator on smooth functions (tested on
+        t^3); not the scheme's order in dt, which the t^gamma start lowers."""
         return _ORDERS[self]
 
     @property

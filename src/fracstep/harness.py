@@ -111,6 +111,11 @@ class ExperimentSpec:
     def sine_series(self) -> SineSeriesIC:
         return _ic_sine_series(self.ic)
 
+    def exact_at_end(self, xs) -> np.ndarray:
+        """The analytical solution at the nodes ``xs`` at t_end."""
+        series, t = self.sine_series(), self.t_end
+        return exact_profile(series, self.gamma, self.k_gamma, xs, t, tol=EXACT_TOL)
+
 
 def _ic_callable(ic: str):
     if ic == "poly:x*(1-x)":
@@ -354,10 +359,7 @@ class ConvergenceReport:
 
 def _max_error_at_end(spec: ExperimentSpec) -> float:
     history = run(spec.problem(), spec.scheme())
-    series = spec.sine_series()
-    t_end = spec.steps * spec.dt
-    exact = exact_profile(series, spec.gamma, spec.k_gamma, history.x, t_end, tol=EXACT_TOL)
-    return float(np.max(np.abs(history.level(history.top_level) - exact)))
+    return float(np.max(np.abs(history.level(history.top_level) - spec.exact_at_end(history.x))))
 
 
 def _require_stable(spec: ExperimentSpec, level: int) -> None:
@@ -460,6 +462,21 @@ _FIG3_CASES = (
 )
 _FIG3_T_END = 0.5
 
+# the marked cases of the bound diagrams: header, columns, rows
+_FIG_MARKERS = {
+    "fig1": (
+        "marked implicit cases on the fig1 diagram",
+        ("label", "gamma", "lambda", "s", "inv_s"),
+        [("square_stable", 0.5, 0.8, 0.55, 1.0 / 0.55), ("star_unstable", 0.5, 0.8, 0.7, 1.0 / 0.7)],
+    ),
+    "fig2": (
+        "marked explicit cases on the fig2 diagram",
+        ("label", "gamma", "s"),
+        [("square_fig3", 0.5, 0.33), ("square_fig3", 0.75, 0.4), ("square_fig3", 1.0, 0.5),
+         ("star_fig4", 0.5, 0.37)],
+    ),
+}
+
 
 def _profile_spec(name, gamma, lam, s, dx, steps, outputs=("profile_csv",)) -> ExperimentSpec:
     dt = dt_for_mesh_ratio(s, dx, gamma)
@@ -529,72 +546,40 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if fig_id == "fig1":
-        lambdas = np.linspace(0.0, 1.0, 101)
-        path = _write_csv(
-            out_dir / "fig1.csv",
-            "stability bound line: family=bdf1 gamma=0.5, inv_s_cross = 2(2*lambda-1)*w(-1,1-gamma)",
-            ("gamma", "lambda", "inv_s_cross"),
-            phase_diagram(FormulaFamily.BDF1, [0.5], lambdas),
+        header = (
+            "stability bound line: family=bdf1 gamma=0.5, "
+            "inv_s_cross = 2(2*lambda-1)*w(-1,1-gamma)"
         )
-        markers = [
-            ("square_stable", 0.5, 0.8, 0.55, 1.0 / 0.55),
-            ("star_unstable", 0.5, 0.8, 0.7, 1.0 / 0.7),
-        ]
-        mpath = _write_csv(
-            out_dir / "fig1_markers.csv",
-            "marked implicit cases on the fig1 diagram",
-            ("label", "gamma", "lambda", "s", "inv_s"),
-            markers,
-        )
-        return FigureResult([path, mpath], "completed")
-
+        line = phase_diagram(FormulaFamily.BDF1, [0.5], np.linspace(0.0, 1.0, 101))
+        paths = [_write_csv(out_dir / "fig1.csv", header, ("gamma", "lambda", "inv_s_cross"), line)]
     if fig_id == "fig2":
-        gammas = np.linspace(0.05, 1.0, 39)
-        rows = []
-        for family in FormulaFamily:
-            for g in gammas:
-                rows.append((family.value, float(g), inv_stability_bound(family, g, 1.0)))
-        bounds = _write_csv(
-            out_dir / "fig2_bounds.csv",
-            "explicit-method stability bounds: inv_s_cross = 2*w(-1,1-gamma), lambda=1",
-            ("family", "gamma", "inv_s_cross"),
-            rows,
-        )
-
-        circle_gammas = [round(0.1 * k, 1) for k in range(1, 11)]
-        bounds = [(g, stability_bound(FormulaFamily.BDF1, g, 1.0)) for g in circle_gammas]
+        header = "explicit-method stability bounds: inv_s_cross = 2*w(-1,1-gamma), lambda=1"
+        rows = [
+            (family.value, float(g), inv_stability_bound(family, g, 1.0))
+            for family in FormulaFamily
+            for g in np.linspace(0.05, 1.0, 39)
+        ]
+        columns = ("family", "gamma", "inv_s_cross")
+        paths = [_write_csv(out_dir / "fig2_bounds.csv", header, columns, rows)]
+        gammas = [round(0.1 * k, 1) for k in range(1, 11)]
+        bounds = [stability_bound(FormulaFamily.BDF1, g, 1.0) for g in gammas]
         # the ten bisections run in lockstep: one stacked probe run per round
         thresholds = find_empirical_thresholds(
-            FormulaFamily.BDF1, [(g, 1.0, (0.5 * s, 1.5 * s)) for g, s in bounds]
+            FormulaFamily.BDF1, [(g, 1.0, (0.5 * s, 1.5 * s)) for g, s in zip(gammas, bounds)]
         )
-        circles = _write_csv(
-            out_dir / "fig2_circles.csv",
-            "empirical explicit-method thresholds: family=bdf1 lambda=1 (bisection probe)",
-            ("gamma", "s_cross_empirical", "inv_s_cross_empirical"),
-            [(g, est, 1.0 / est) for g, est in zip(circle_gammas, thresholds)],
-        )
-        markers = [
-            ("square_fig3", 0.5, 0.33),
-            ("square_fig3", 0.75, 0.4),
-            ("square_fig3", 1.0, 0.5),
-            ("star_fig4", 0.5, 0.37),
-        ]
-        mpath = _write_csv(
-            out_dir / "fig2_markers.csv",
-            "marked explicit cases on the fig2 diagram",
-            ("label", "gamma", "s"),
-            markers,
-        )
-        return FigureResult([bounds, circles, mpath], "completed")
+        header = "empirical explicit-method thresholds: family=bdf1 lambda=1 (bisection probe)"
+        columns = ("gamma", "s_cross_empirical", "inv_s_cross_empirical")
+        rows = [(g, est, 1.0 / est) for g, est in zip(gammas, thresholds)]
+        paths.append(_write_csv(out_dir / "fig2_circles.csv", header, columns, rows))
+    if fig_id in _FIG_MARKERS:
+        paths.append(_write_csv(out_dir / f"{fig_id}_markers.csv", *_FIG_MARKERS[fig_id]))
+        return FigureResult(paths, "completed")
 
     if fig_id == "fig3":
         rows = []
         for spec in figure_specs("fig3", t_end=t_end):
             history = run(spec.problem(), spec.scheme())
-            t_actual = spec.steps * spec.dt
-            exact = exact_profile(
-                spec.sine_series(), spec.gamma, spec.k_gamma, history.x, t_actual, tol=EXACT_TOL
-            )
+            t_actual, exact = spec.t_end, spec.exact_at_end(history.x)
             label = spec.name.removeprefix("fig3_")
             s = mesh_ratio(spec.problem(), spec.scheme())
             u = history.level(history.top_level)
@@ -620,32 +605,20 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     report = _probe(spec, s)
     if report.empirical_verdict == "unstable":
         status = "unstable"
-
     desc = (
         f"{fig_id}: gamma={spec.gamma!r} lambda={spec.lam!r} S={s!r} dx={spec.dx!r} "
         f"steps={spec.steps} probe_verdict={report.empirical_verdict} "
         f"probe_growth={report.growth_factor!r}"
     )
-    paths = []
+    x, u = history.x, history.level(history.top_level)
     if fig_id == "fig4":
-        rows = []
+        columns, rows = ("level", "x", "u_numeric"), []
         for level in (150, 200):
             u = history.level(min(level, history.top_level))
-            for x, val in zip(history.x.tolist(), u.tolist()):
-                rows.append((level, x, val))
-        paths.append(_write_csv(out_dir / "fig4.csv", desc, ("level", "x", "u_numeric"), rows))
+            rows += [(level, *xu) for xu in zip(x.tolist(), u.tolist())]
     elif fig_id == "fig5":
-        t_actual = spec.steps * spec.dt
-        exact = exact_profile(
-            spec.sine_series(), spec.gamma, spec.k_gamma, history.x, t_actual, tol=EXACT_TOL
-        )
-        u = history.level(history.top_level)
-        rows = np.column_stack((history.x, u, exact)).tolist()
-        paths.append(
-            _write_csv(out_dir / "fig5.csv", desc, ("x", "u_numeric", "u_exact"), rows)
-        )
+        columns = ("x", "u_numeric", "u_exact")
+        rows = np.column_stack((x, u, spec.exact_at_end(x))).tolist()
     else:  # fig6 / fig7
-        u = history.level(history.top_level)
-        rows = np.column_stack((history.x, u)).tolist()
-        paths.append(_write_csv(out_dir / f"{fig_id}.csv", desc, ("x", "u_numeric"), rows))
-    return FigureResult(paths, status)
+        columns, rows = ("x", "u_numeric"), np.column_stack((x, u)).tolist()
+    return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", desc, columns, rows)], status)

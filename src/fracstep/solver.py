@@ -6,31 +6,32 @@ The scheme advances U_j^(m) (node j, level m) by
               + (1 - lam) S sum_{k=0..m+1} w_k D_j^(m+1-k)
               + lam       S sum_{k=0..m}   w_k D_j^(m-k),
 
-where D_j^(n) = U_{j-1}^(n) - 2 U_j^(n) + U_{j+1}^(n) is the second
-difference, w_k are the fractional weights at exponent alpha = 1 - gamma,
-and S = k_gamma dt^gamma / dx^2 is the mesh ratio (the operator step h is
-identified with dt).  lam = 1 is the explicit method; lam < 1 couples the
-unknown level through the k = 0 term of the first sum and requires a
-tridiagonal solve with diagonal 1 + 2(1-lam) S w_0 and off-diagonals
--(1-lam) S w_0 -- strictly diagonally dominant, so elimination without
-pivoting is stable.
+where D is the second difference U_{j-1} - 2 U_j + U_{j+1}, w_k are the
+fractional weights at exponent alpha = 1 - gamma, and S = k_gamma
+dt^gamma / dx^2 is the mesh ratio (the operator step h is identified with
+dt).  lam = 1 is the explicit method; lam < 1 couples the unknown level
+through the k = 0 term of the first sum.
 
-By linearity both sums are second differences of convolved values: the
-explicit part is D Q(m), Q(m) = sum_{j<=m} w_{m-j} U^(j), and the implicit
-known part is D P(m+1), P(m+1) = sum_{j<=m} w_{m+1-j} U^(j).  Levels since
-the start of the leaf of 64 holding level m-1 are summed directly; older
-levels arrive in blocks through FFT products (Hairer, Lubich & Schlichte,
-SIAM J. Sci. Stat. Comput. 6 (1985)).  Over M levels of N nodes that costs
-O(N M log^2 M) time, and the rows plus one row of sums per level take
-O(M N) memory.  One loop steps a stack of B problems that share the node
-count, each with its own weights, S and lam, over a range of levels; the
-Dirichlet ends, the tridiagonal factors and end terms and the weight rows
-are set up once per range.  ``run`` is a stack of one stepped in at most
-two ranges of one lam each (the explicit startup, then the rest), ``step``
-a range of one level, and ``run_stacked`` a batch of stability probes in
-lockstep.  Overflow is checked once per leaf and at the end of a range,
-before the levels enter the far sums, and finds the first offending level
-as a check after every level would.
+The stepper works in the sine basis of the interior, where D is diagonal:
+the line l through the Dirichlet values has D l = 0, and the modes zeta =
+DST-I(U - l) (an rfft of the odd extension) evolve one by one.  With
+sigma_k = -4 sin^2(pi k / (2(N-1))) and g = sigma / (1 - (1-lam) S w_0 sigma),
+
+    zeta^(m+1) = zeta^(m) + g ((1 - lam) S R(m) + lam S Q(m)),
+
+Q(m) = sum_{j<=m} w_{m-j} zeta^(j), R(m) = w_0 zeta^(m) + P(m+1) and
+P(m+1) = sum_{j<=m} w_{m+1-j} zeta^(j): one elementwise update for every
+lam, and no tridiagonal solve.  Levels since the start of the leaf of 64
+holding level m-1 are summed directly; older levels arrive in blocks
+through FFT products (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
+Comput. 6 (1985)).  The nodes, the modes and the far sums are three arrays
+of one row per level.  Level 0 is transformed in long double, because an
+unstable run amplifies the rounding of its fastest-growing mode.  Once per
+leaf and at the end of a range, U^(r+1) = U^(r) + the inverse transform of
+the increment, level after level, and overflow is checked on these nodes
+before the levels enter the far sums.  ``run`` steps one problem in at
+most two ranges (the explicit startup, then the rest), ``step`` one level,
+and ``run_stacked`` a stack of stability probes in lockstep.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ __all__ = [
     "SchemeConfig",
     "SolutionHistory",
     "OverflowDetected",
+    "MAX_HISTORY_CELLS",
+    "check_history_size",
     "mesh_ratio",
     "dt_for_mesh_ratio",
     "memory_term",
@@ -58,6 +61,21 @@ __all__ = [
 
 OVERFLOW_LIMIT = 1e150
 _CONSISTENCY_TOL = 1e-12
+
+#: Largest history (levels x problems x nodes) that ``run``, ``run_stacked``
+#: and ``SolutionHistory`` accept: 128 MiB in each of the stepper's three
+#: arrays.  Paper-scale fig3 needs 45,915 x 11, a 1,500-step CN solve 1,501 x 101.
+MAX_HISTORY_CELLS = 1 << 24
+
+
+def check_history_size(levels: int, nodes: int, problems: int = 1) -> None:
+    """Raise ValueError when a history of this size passes ``MAX_HISTORY_CELLS``."""
+    cells = levels * problems * nodes
+    if cells > MAX_HISTORY_CELLS:
+        raise ValueError(
+            f"a history of {levels} levels x {problems} problems x {nodes} nodes = {cells} "
+            f"cells exceeds MAX_HISTORY_CELLS = {MAX_HISTORY_CELLS}"
+        )
 
 
 class OverflowDetected(Exception):
@@ -95,10 +113,10 @@ class ProblemSpec:
     def __post_init__(self):
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"gamma must lie in (0, 1], got {self.gamma}")
-        if not (self.k_gamma > 0.0):
-            raise ValueError(f"k_gamma must be > 0, got {self.k_gamma}")
-        if not (self.domain_length > 0.0):
-            raise ValueError(f"domain_length must be > 0, got {self.domain_length}")
+        if not (0.0 < self.k_gamma < np.inf):
+            raise ValueError(f"k_gamma must be finite and > 0, got {self.k_gamma}")
+        if not (0.0 < self.domain_length < np.inf):
+            raise ValueError(f"domain_length must be finite and > 0, got {self.domain_length}")
 
 
 @dataclass(frozen=True)
@@ -124,10 +142,10 @@ class SchemeConfig:
     def __post_init__(self):
         if not (0.0 <= self.lam <= 1.0):
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        if not (self.dx > 0.0):
-            raise ValueError(f"dx must be > 0, got {self.dx}")
-        if not (self.dt > 0.0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (0.0 < self.dx < np.inf):
+            raise ValueError(f"dx must be finite and > 0, got {self.dx}")
+        if not (0.0 < self.dt < np.inf):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.startup_explicit_steps < 0:
@@ -151,8 +169,8 @@ class SolutionHistory:
 
     Row 0 is the sampled initial condition; every later row carries the
     Dirichlet data at its endpoints.  Rows are append-only.  The stepper
-    keeps the far history sums of the memory convolution in a private
-    cache beside the rows.
+    keeps the sine modes of the levels and the far history sums of the
+    memory convolution in a private cache beside the rows.
     """
 
     def __init__(self, first_row: np.ndarray, dx: float, dt: float, capacity: int = 8):
@@ -161,6 +179,7 @@ class SolutionHistory:
             raise ValueError("a history row needs at least 3 nodes")
         if not np.all(np.isfinite(first_row)):
             raise ValueError("initial condition contains non-finite values")
+        check_history_size(max(capacity, 1) + 1, first_row.size)
         self.dx, self.dt = float(dx), float(dt)
         # one problem of a stack: levels x 1 x nodes
         self._values = np.empty((max(capacity, 1) + 1, 1, first_row.size))
@@ -233,34 +252,46 @@ def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: in
 _LEAF = 64
 # column chunks keep each FFT buffer near this many doubles
 _FFT_DOUBLES = 1 << 14
-# the second-difference stencil
-_D2 = np.array([1.0, -2.0, 1.0])
+
+
+def _modes(v: np.ndarray) -> np.ndarray:
+    """-2 DST-I(v) of rows v (..., n): the rfft of the odd extension (0, v, 0, -v reversed)."""
+    n = v.shape[-1]
+    odd = np.zeros(v.shape[:-1] + (2 * n + 2,), v.dtype)
+    odd[..., 1 : n + 1] = v
+    odd[..., : n + 1 : -1] = -v
+    return np.fft.rfft(odd)[..., 1 : n + 1].imag
 
 
 class _HistorySums:
-    """The far parts of Q(r) and P(r) for B stacked problems, one table each.
+    """The modes of B stacked problems and the far parts of their Q(r) and P(r).
 
-    All tables share the capacity K; ``far[r]`` is (B, N).  When the level
-    count L is a multiple of the leaf size 64, the levels [L - b, L) are
-    added to the rows [L + 1, L + b], with b = 64 2^v and 2^v the largest
-    power of two dividing L/64, so a row r in (L', L' + 64] holds every
-    level below L' once the flushes up to L' are done.  The cache also
-    holds the tridiagonal factors per coupling constant.
+    The far part of P(m+1) is that of R(m) = w_0 zeta(m) + P(m+1).  Each
+    problem has its own table; all share the capacity K.  ``modes[r]`` and
+    ``far[r]`` are (B, N - 2).  When the level count L is a multiple of
+    the leaf size 64, the levels [L - b, L) are added to the rows
+    [L + 1, L + b], with b = 64 2^v and 2^v the largest power of two
+    dividing L/64, so a row r in (L', L' + 64] holds every level below L'
+    once the flushes up to L' are done.
     """
 
     def __init__(self, tables, n_nodes: int):
         self.tables = tables
         self.capacity = tables[0].capacity
         self.w = np.array([t.array(self.capacity) for t in tables])
-        # rows (w_{k+1}, w_k) weigh level m-k in P(m+1) and in Q(m), for k < K
+        # rows (w_{k+1} + [k = 0] w_0, w_k) weigh level m-k in R(m) and in Q(m), for k < K
         self.pairs = np.stack((np.roll(self.w, -1, axis=1), self.w), axis=1)
+        self.pairs[:, 0, 0] += self.w[:, 0]
         # zero pages are mapped on first write, so rows never reached cost nothing
-        self.far = np.zeros((self.capacity + 1, len(tables), n_nodes))
+        self.modes = np.zeros((self.capacity + 1, len(tables), n_nodes - 2))
+        self.far = np.zeros(self.modes.shape)
+        # the eigenvalues of D on the interior modes
+        self.sigma = -4.0 * np.sin(np.arange(1, n_nodes - 1) * (0.5 * np.pi / (n_nodes - 1))) ** 2
+        self.known = 0  # the modes of the levels below this are held
         self.flushed = 0  # the flushes at level counts up to this are done
-        self.factors: dict[float, tuple[list, list]] = {}
         self._spectra: dict[int, np.ndarray] = {}
 
-    def flush(self, values: np.ndarray) -> None:
+    def flush(self) -> None:
         """Add the levels [L - b, L) to the rows [L + 1, L + b], L = flushed + 64."""
         end = self.flushed = self.flushed + _LEAF
         b = _LEAF
@@ -273,7 +304,7 @@ class _HistorySums:
             # w_1 .. w_2b, zero-padded past the table; circular outputs
             # b .. 2b-1 do not wrap
             spectrum = self._spectra[b] = np.fft.rfft(self.w[:, 1 : n + 1], n).T[:, :, None]
-        block = values[end - b : end]
+        block = self.modes[end - b : end]
         # chunks of whole problems, or of columns of one problem, near
         # _FFT_DOUBLES doubles; the spectrum broadcasts over the columns
         cols = max(1, _FFT_DOUBLES // n)
@@ -286,85 +317,66 @@ class _HistorySums:
                 self.far[end + 1 : end + 1 + rows, p : p + group, c : c + cols] += out[b : b + rows]
 
 
-def _thomas_factor(c: float, n: int) -> tuple[list, list]:
-    """Factor the constant tridiagonal matrix diag(1+2c) off(-c), size n."""
-    d = [1.0 + 2.0 * c]
-    cp = [-c / d[0]]
-    for _ in range(1, n):
-        d.append((1.0 + 2.0 * c) + c * cp[-1])
-        cp.append(-c / d[-1])
-    return d, cp
-
-
-def _thomas_solve(d: list, cp: list, c: float, left: float, right: float, rhs: np.ndarray) -> list:
-    """Solve for the interior with c U_0 = ``left`` and c U_N = ``right`` added to the ends."""
-    # Python floats in lists: far cheaper to index one by one than numpy arrays
-    u = rhs.tolist()
-    u[0] += left
-    u[-1] += right
-    g = u[0] = u[0] / d[0]
-    for i in range(1, len(u)):
-        g = u[i] = (u[i] + c * g) / d[i]
-    for i in range(len(u) - 2, -1, -1):
-        g = u[i] = u[i] - cp[i] * g
-    return u
-
-
 def _advance(values, lo, hi, memory, implicit, explicit, ends):
     """Write levels lo + 1 .. hi of the problems stacked in ``values`` (levels, B, N).
 
-    ``implicit`` = (1 - lam) S (None when every lam = 1), ``explicit`` = lam S
-    and the Dirichlet data ``ends`` are shared or per problem.  Returns None
-    when every new level is within the overflow limit, else (the level
-    reached, each problem's first level past the limit or 0).
+    ``implicit`` = (1 - lam) S (None when every lam = 1) and ``explicit`` =
+    lam S are shared or per problem (B, 1), and so are the Dirichlet data
+    ``ends``.  Returns None when every new level is within the overflow
+    limit, else (the level reached, each problem's first level past the
+    limit or 0).
     """
-    pairs, far, w = memory.pairs, memory.far, memory.w
-    stack, flat = values.transpose(1, 0, 2), values.reshape(len(values), -1)[:, 1:-1]
-    n_problems, n = values.shape[1:]
-    values[lo + 1 : hi + 1, :, :: n - 1] = ends
-    solves = []
-    if implicit is not None:
-        coupling = implicit * w[:, :1]
-        for i, (c, left, right) in enumerate(np.hstack((coupling, coupling * ends)).tolist()):
-            if c != 0.0:
-                factors = memory.factors.get(c)
-                if factors is None:
-                    factors = memory.factors[c] = _thomas_factor(c, n - 2)
-                solves.append((i, *factors, c, left, right))
+    modes, pairs, far, sigma = memory.modes, memory.pairs, memory.far, memory.sigma
+    stack = modes.transpose(1, 0, 2)
+    n = values.shape[2]
+    if memory.known <= lo:
+        # level 0, or levels appended outside the stepper: the modes of the
+        # nodes less the line through the Dirichlet data, in long double
+        line = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n)
+        rows = values[memory.known : lo + 1, :, 1:-1].astype(np.longdouble) - line[:, 1:-1]
+        modes[memory.known : lo + 1] = _modes(rows)
+    memory.known = hi + 1  # once this range is done; a caller cuts it at an overflow
+    if implicit is None:  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
+        g_explicit = sigma * explicit
+    else:
+        g = sigma / (1.0 - implicit * memory.w[:, :1] * sigma)
+        g_implicit, g_explicit = g * implicit, g * explicit
+    # the mode increments of the levels not yet taken to the nodes, and the
+    # spectrum i (0, increment, 0) whose irfft is the odd extension of theirs
+    deltas = np.empty((min(_LEAF, hi - lo),) + modes.shape[1:])
+    spectrum = np.zeros(deltas.shape[:2] + (n,), complex)
     checked = lo
     # levels past an overflow run on to the check, their inf and NaN are
     # discarded; a range of one level computes none
     with np.errstate(over="ignore", invalid="ignore") if hi > lo + 1 else nullcontext():
         for m in range(lo, hi):
             while memory.flushed + _LEAF <= m:
-                memory.flush(values)
-            # explicit part sum_{k=0..m} w_k D^(m-k) = D Q(m); implicit known part
-            # sum_{k=1..m+1} w_k D^(m+1-k) = D P(m+1), its k = 0 term is the matrix.
-            # Both near parts start at the leaf of level m-1 and come from one product.
-            u = values[m]
+                memory.flush()
+            # Q(m) and R(m): both near parts start at the leaf of level m-1
+            # and come from one product
+            z, delta = modes[m], deltas[m - checked]
             start = m - 1 - (m - 1) % _LEAF if m else 0
             sums = pairs[:, :, m - start :: -1] @ stack[:, start : m + 1]
-            v = far[m] + sums[:, 1]
-            if implicit is None:
-                v *= explicit
-            else:
-                # past the flush at a multiple of the leaf, P(m+1) has one near level
-                past = sums[:, 0] if m % _LEAF else w[:, 1:2] * u
-                v = implicit * (far[m + 1] + past) + explicit * v
-            # D of the flattened rows is right at every interior node; between
-            # stacked rows it overwrites the ends, which are put back
-            np.add(flat[m], np.correlate(v.ravel(), _D2), out=flat[m + 1])
-            if n_problems > 1:
-                values[m + 1, :, :: n - 1] = ends
-            for i, d, cp, c, left, right in solves:
-                rhs = values[m + 1, i, 1:-1]
-                rhs[:] = _thomas_solve(d, cp, c, left, right, rhs)
-            # once per leaf and at hi, before a flush takes the levels into the far sums
+            q = far[m] + sums[:, 1]
+            np.multiply(g_explicit, q, out=delta)
+            if implicit is not None:
+                # past the flush at a multiple of the leaf, R(m) has one near level
+                r = far[m + 1] + (sums[:, 0] if m % _LEAF else pairs[:, 0, :1] * z)
+                r *= g_implicit
+                delta += r
+            np.add(z, delta, out=modes[m + 1])
+            # once per leaf and at hi, before a flush takes the levels into the
+            # far sums: U(r+1) = U(r) + the nodes of the increment, one by one
             if (m + 1) % _LEAF == 0 or m + 1 == hi:
-                block = np.abs(values[checked + 1 : m + 2])
-                # a NaN fails the comparison too
-                if not np.maximum.reduce(block, None) <= OVERFLOW_LIMIT:
-                    bad = ~(block.max(axis=2) <= OVERFLOW_LIMIT)
+                rows = values[checked + 1 : m + 2]
+                spectrum.imag[: m + 1 - checked, :, 1:-1] = deltas[: m + 1 - checked]
+                steps = np.fft.irfft(spectrum[: m + 1 - checked], 2 * n - 2)[:, :, 1 : n - 1]
+                steps[0] += values[checked, :, 1:-1]
+                np.cumsum(steps, axis=0, out=rows[:, :, 1:-1])
+                rows[:, :, :: n - 1] = ends
+                # a NaN fails the comparisons too
+                if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
+                    bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
                     return m + 1, np.where(bad.any(axis=0), bad.argmax(axis=0) + checked + 1, 0)
                 checked = m + 1
     return None
@@ -372,13 +384,13 @@ def _advance(values, lo, hi, memory, implicit, explicit, ends):
 
 def _advance_history(history, problem, memory, hi, lam, s) -> None:
     """Advance one problem's history to level hi with one lam; raise on overflow."""
-    found = _advance(
-        history._values, history._top, hi, memory, None if lam == 1.0 else (1.0 - lam) * s,
-        lam * s, (problem.left_value, problem.right_value),
-    )
+    ends = np.array([[problem.left_value, problem.right_value]])
+    implicit = None if lam == 1.0 else (1.0 - lam) * s
+    found = _advance(history._values, history._top, hi, memory, implicit, lam * s, ends)
     if found is not None:
-        history._top = int(found[1][0]) - 1
-        raise OverflowDetected(history._top + 1, history)
+        memory.known = int(found[1][0])
+        history._top = memory.known - 1
+        raise OverflowDetected(memory.known, history)
     history._top = hi
 
 
@@ -401,29 +413,33 @@ def step(
             f"coefficient table capacity {table.capacity} < {m + 1}; "
             "the stepper must pre-extend tables"
         )
-    # the sums are rebuilt for another table, and caught up after levels
-    # appended without a step; both replay the same flushes
+    lam = config.lam if lam is None else lam
+    if not (0.0 <= lam <= 1.0):  # else the update's 1 - (1 - lam) S w_0 sigma can be 0
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
+    # the modes and sums are rebuilt for another table, and caught up after
+    # levels appended without a step; both replay the same flushes
     memory = history._memory
     if memory is None or memory.tables[0] is not table or memory.capacity != table.capacity:
         memory = history._memory = _HistorySums((table,), history.n_nodes)
     history._reserve()
-    lam = config.lam if lam is None else lam
     _advance_history(history, problem, memory, m + 1, lam, mesh_ratio(problem, config))
     return history._values[m + 1, 0].copy()
 
 
-def _sample_ic(problem: ProblemSpec, config: SchemeConfig) -> np.ndarray:
+def _node_count(problem: ProblemSpec, config: SchemeConfig) -> int:
     n_intervals = problem.domain_length / config.dx
     n = round(n_intervals)
     if n < 2 or abs(n_intervals - n) > 1e-9 * max(1.0, n):
         raise ValueError(
             f"dx={config.dx} does not evenly divide domain_length={problem.domain_length}"
         )
-    xs = np.arange(n + 1) * config.dx
+    return n + 1
+
+
+def _sample_ic(problem: ProblemSpec, config: SchemeConfig, nodes: int) -> np.ndarray:
+    xs = np.arange(nodes) * config.dx
     row = np.array([float(problem.initial_condition(x)) for x in xs])
-    if abs(row[0] - problem.left_value) > _CONSISTENCY_TOL or abs(
-        row[-1] - problem.right_value
-    ) > _CONSISTENCY_TOL:
+    if np.abs(row[[0, -1]] - [problem.left_value, problem.right_value]).max() > _CONSISTENCY_TOL:
         raise ValueError(
             "initial condition endpoints do not match the Dirichlet data "
             f"(got {row[0]}, {row[-1]}; expected {problem.left_value}, {problem.right_value})"
@@ -442,10 +458,13 @@ def run(
     lam = 1 (explicit) and the remainder use config.lam.  A table passed
     in must already hold weights up to steps + 1; it is shared read-only.
     One with more weights gives the same levels to rounding: the blocked
-    FFT products take in the weights the table has.
+    FFT products take in the weights the table has.  A history of more
+    than ``MAX_HISTORY_CELLS`` cells is refused before anything is built.
     Raises :class:`OverflowDetected` (carrying the partial history) when
     the solution blows up.
     """
+    nodes = _node_count(problem, config)
+    check_history_size(config.steps + 1, nodes)
     alpha = 1.0 - problem.gamma
     if table is None:
         table = build_table(config.family, alpha, config.steps + 1)
@@ -456,9 +475,10 @@ def run(
             f"provided table capacity {table.capacity} < steps + 1; "
             "pre-extend it or pass table=None"
         )
-    row0 = _sample_ic(problem, config)
-    history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps + 1)
-    memory = history._memory = _HistorySums((table,), history.n_nodes)
+    row0 = _sample_ic(problem, config, nodes)
+    history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps)
+    # not kept on the history: a finished run holds only its nodes
+    memory = _HistorySums((table,), nodes)
     s = mesh_ratio(problem, config)
     startup = min(config.startup_explicit_steps, config.steps)
     _advance_history(history, problem, memory, startup, 1.0, s)
@@ -474,7 +494,8 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     lam[b].  A problem that leaves the representable range is masked
     instead of ending the run: from that level on its interior is zero.
     Returns the (steps + 1, B, N) levels, cut after the last problem's
-    overflow, and each problem's overflow level (0 if none).
+    overflow, and each problem's overflow level (0 if none).  A stack of
+    more than ``MAX_HISTORY_CELLS`` cells is refused before it is built.
     """
     first_rows = np.asarray(first_rows, dtype=float)
     s, lam = (np.array(x, dtype=float).reshape(-1, 1) for x in (s, lam))
@@ -492,21 +513,24 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
         raise ValueError(f"s must be finite and > 0, got {bad_s[0]}")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    n_problems, n = first_rows.shape
+    check_history_size(steps + 1, n, n_problems)
     if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
         raise ValueError(f"tables need one capacity >= steps = {steps}")
-    values = np.empty((steps + 1,) + first_rows.shape)
+    values = np.empty((steps + 1, n_problems, n))
     values[0] = first_rows
-    memory = _HistorySums(tables, first_rows.shape[1])
+    memory = _HistorySums(tables, n)
+    ends = first_rows[:, :: n - 1]
     implicit, explicit = (1.0 - lam) * s, lam * s
     implicit = implicit if implicit.any() else None
-    ends = first_rows[:, :: first_rows.shape[1] - 1]
-    overflow = np.zeros(len(first_rows), dtype=int)
+    overflow = np.zeros(n_problems, dtype=int)
     level = 0
     while (found := _advance(values, level, steps, memory, implicit, explicit, ends)) is not None:
         level, first = found
-        # a masked problem keeps zero rows: it weighs both sums by 0
+        # a masked problem keeps zero modes and interior: it weighs both sums by 0
         for b in np.flatnonzero(first):
             values[first[b] : level + 1, b, 1:-1] = 0.0
+            memory.modes[first[b] : level + 1, b] = 0.0
         masked = first > 0
         overflow[masked] = first[masked]
         explicit[masked] = 0.0

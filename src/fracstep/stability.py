@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracstep.coeffs import FormulaFamily, build_table, eval_generating_function
-from fracstep.solver import run_stacked
+from fracstep.solver import check_history_size, run_stacked
 
 __all__ = [
     "StabilityReport",
@@ -132,6 +132,7 @@ def probe_batch(family: FormulaFamily, cases, nodes=32, steps=400) -> list[Stabi
         _check_params(gamma, lam)
         if not (0.0 < s < math.inf):
             raise ValueError(f"s must be finite and > 0, got {s}")
+    check_history_size(steps + 1, nodes + 1, len(cases))
 
     eps = PROBE_AMPLITUDE
     row = eps * (-1.0) ** np.arange(nodes + 1)

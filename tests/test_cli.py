@@ -1,12 +1,17 @@
 """End-to-end tests of the fracstep command line."""
 
 import math
+import os
+import resource
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import fracstep
 from fracstep import cli
 from fracstep.cli import EXIT_OK, EXIT_UNSTABLE, EXIT_USAGE, main
 
@@ -249,6 +254,50 @@ class TestFigure:
     def test_unknown_id_is_usage_error(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "figure", "--id", "fig9", "--out-dir", str(tmp_path))
         assert code == EXIT_USAGE
+
+
+class TestOversizedRuns:
+    """Runs past MAX_HISTORY_CELLS fail fast, in a child process under an address-space cap.
+
+    The child times only the command, so interpreter start-up does not count.
+    """
+
+    CAP = 1536 << 20
+    CHILD = (
+        "import sys, time; sys.path.insert(0, sys.argv[1]); from fracstep.cli import main; "
+        "start = time.perf_counter(); code = main(sys.argv[2:]); "
+        "print(time.perf_counter() - start); sys.exit(code)"
+    )
+
+    def run_capped(self, *argv):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        src = str(Path(fracstep.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        return subprocess.run(
+            [sys.executable, "-c", self.CHILD, src, *argv],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap, env=env,
+        )
+
+    def check(self, child):
+        assert child.returncode == EXIT_USAGE, child.stderr
+        assert "exceeds MAX_HISTORY_CELLS" in child.stderr
+        assert "Traceback" not in child.stderr
+        assert float(child.stdout) < 1.0
+
+    def test_solve(self, tmp_path):
+        config = tmp_path / "exp.cfg"
+        config.write_text(STABLE_CONFIG.replace("t_end = 0.005", "steps = 200000000"))
+        self.check(self.run_capped("solve", "--config", str(config), "--out-dir", str(tmp_path)))
+
+    def test_stability_probe(self):
+        self.check(
+            self.run_capped(
+                "stability", "probe", "--family", "bdf1", "--gamma", "0.5", "--lambda", "1",
+                "--s", "0.3", "--nodes", "8", "--steps", "3000000",
+            )
+        )
 
 
 class TestUsage:

