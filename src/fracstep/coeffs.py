@@ -8,6 +8,9 @@ w(z, alpha) = sum_k w_k z^k of its weights:
     BDF3:  (11/6 - 3z + 3z^2/2 - z^3/3)^alpha     order 3
     NG2:   (1 - z)^alpha [W_0 + W_1 (1 - z)]      order 2 (Newton-Gregory)
 
+These are orders in h on smooth functions; the solver's order in dt is gamma
+for all four, as u - u_0 ~ t^gamma from a parabola start (tests/test_convergence.py).
+
 BDF1 weights follow w_k = (1 - (alpha + 1)/k) w_{k-1}, w_0 = 1, taken as
 one running product (the same multiplications in the same order).  BDF2/BDF3
 are the Taylor coefficients of a polynomial raised to a real power (J.C.P.

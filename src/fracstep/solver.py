@@ -12,6 +12,9 @@ dt^gamma / dx^2 is the mesh ratio (the operator step h is identified with
 dt).  lam = 1 is the explicit method; lam < 1 couples the unknown level
 through the k = 0 term of the first sum.
 
+The weights approximate the operator to their family's order (see
+``coeffs``); the scheme's observed order in dt is gamma for all of them.
+
 The stepper works in the sine basis of the interior, where D is diagonal:
 the line l through the Dirichlet values has D l = 0, and the modes zeta =
 DST-I(U - l) (an rfft of the odd extension) evolve one by one.  With
@@ -20,23 +23,28 @@ sigma_k = -4 sin^2(pi k / (2(N-1))) and g = sigma / (1 - (1-lam) S w_0 sigma),
     zeta^(m+1) = zeta^(m) + g ((1 - lam) S R(m) + lam S Q(m)),
 
 Q(m) = sum_{j<=m} w_{m-j} zeta^(j), R(m) = w_0 zeta^(m) + P(m+1) and
-P(m+1) = sum_{j<=m} w_{m+1-j} zeta^(j): one elementwise update for every
-lam, and no tridiagonal solve.  Levels since the start of the leaf of 64
-holding level m-1 are summed directly; older levels arrive in blocks
-through FFT products (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat.
-Comput. 6 (1985)).  The nodes, the modes and the far sums are three arrays
-of one row per level.  Level 0 is transformed in long double, because an
-unstable run amplifies the rounding of its fastest-growing mode.  Once per
-leaf and at the end of a range, U^(r+1) = U^(r) + the inverse transform of
-the increment, level after level, and overflow is checked on these nodes
-before the levels enter the far sums.  ``run`` steps one problem in at
-most two ranges (the explicit startup, then the rest), ``step`` one level,
-and ``run_stacked`` a stack of stability probes in lockstep.
+P(m+1) = sum_{j<=m} w_{m+1-j} zeta^(j): zeta(m+1) = zeta(m) + sum_{j<=m}
+K_{m-j} zeta(j) with scalar K_i per mode.  Given the levels up to m0, the
+16 levels of a block form a unit lower-triangular Toeplitz system whose
+inverse H has the first column h_0 = 1, h_n = sum_{i<n} d_i h_{n-1-i}
+(d_0 = 1 + K_0, d_i = K_i), set once per range.  H is applied directly:
+h grows like an unstable mode, so an FFT product would put eps max|h| on
+every row.  Blocks start at a range start or a multiple of 16; levels
+since the start of the leaf of 64 holding m0 are summed directly, and
+older ones arrive in blocks through FFT products (Hairer, Lubich &
+Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  The nodes, the modes
+and the far sums are three arrays of one row per level.  Level 0 is
+transformed in long double, because an unstable run amplifies the
+rounding of its fastest-growing mode.  After each block, U^(r) = U^(m0) +
+the inverse transform of zeta^(r) - zeta^(m0), and overflow is checked
+on these nodes before the levels enter the far sums.  ``run`` steps one
+problem in at most two ranges (the explicit startup, then the rest),
+``step`` one level of a cached block, and ``run_stacked`` a stack of
+stability probes in lockstep.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -216,7 +224,8 @@ class SolutionHistory:
 
     def _reserve(self) -> None:
         if self._top + 2 > self._values.shape[0]:
-            grow = max(self._values.shape[0] * 2, self._top + 2)
+            check_history_size(self._top + 2, self.n_nodes)
+            grow = min(self._values.shape[0] * 2, MAX_HISTORY_CELLS // self.n_nodes)
             values = np.empty((grow, 1, self.n_nodes))
             values[: self._top + 1] = self._values[: self._top + 1]
             self._values = values
@@ -250,6 +259,8 @@ def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: in
 
 # levels per leaf: history sums within a leaf are summed directly
 _LEAF = 64
+# levels per block solve; divides _LEAF, so no block crosses a flush
+_BLOCK = 16
 # column chunks keep each FFT buffer near this many doubles
 _FFT_DOUBLES = 1 << 14
 
@@ -278,18 +289,45 @@ class _HistorySums:
     def __init__(self, tables, n_nodes: int):
         self.tables = tables
         self.capacity = tables[0].capacity
-        self.w = np.array([t.array(self.capacity) for t in tables])
-        # rows (w_{k+1} + [k = 0] w_0, w_k) weigh level m-k in R(m) and in Q(m), for k < K
-        self.pairs = np.stack((np.roll(self.w, -1, axis=1), self.w), axis=1)
-        self.pairs[:, 0, 0] += self.w[:, 0]
+        # w_0 .. w_K of each problem, zero past the table
+        self.w = np.zeros((len(tables), max(self.capacity + 1, _LEAF + _BLOCK + 1)))
+        self.w[:, : self.capacity + 1] = [t.array(self.capacity) for t in tables]
+        # near[b, i, t] = w_{i+t}, a view: level m0 - t in Q(m0 + i) and R(m0 + i - 1)
+        shape = (len(tables), _BLOCK + 1, self.w.shape[1] - _BLOCK)
+        self.near = np.ndarray(shape, buffer=self.w, strides=self.w.strides + (8,))
         # zero pages are mapped on first write, so rows never reached cost nothing
         self.modes = np.zeros((self.capacity + 1, len(tables), n_nodes - 2))
-        self.far = np.zeros(self.modes.shape)
+        self.far = np.zeros((self.capacity + 1 + _BLOCK,) + self.modes.shape[1:])
         # the eigenvalues of D on the interior modes
         self.sigma = -4.0 * np.sin(np.arange(1, n_nodes - 1) * (0.5 * np.pi / (n_nodes - 1))) ** 2
         self.known = 0  # the modes of the levels below this are held
         self.flushed = 0  # the flushes at level counts up to this are done
+        self.key = None
         self._spectra: dict[int, np.ndarray] = {}
+
+    def begin(self, origin: int, key, implicit, explicit) -> None:
+        """Start a range at ``origin``: g and the block inverse's first column h (B, N - 2, i)."""
+        self.origin, self.key, self.solved = origin, key, (-1, None)  # solved: m0, its increments
+        if implicit is None:  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
+            self.g = self.sigma * explicit, None
+        else:
+            g = self.sigma / (1.0 - implicit * self.w[:, :1] * self.sigma)
+            self.g = g * explicit, g * implicit
+        # K_i = a w_i + c p_i with p_0 = w_0 + w_1, p_i = w_{i+1}
+        w = self.w[:, None, : _BLOCK + 1]
+        k = self.g[0][..., None] * w[..., :-1]
+        if implicit is not None:
+            k += self.g[1][..., None] * w[..., 1:]
+            k[..., 0] += self.g[1] * self.w[:, :1]
+        # sum_{l<i} K_l: zeta(m0) in row i once the unknowns are zeta(m0 + 1 + i) - zeta(m0)
+        self.drift = np.moveaxis(np.cumsum(k, axis=-1) - k, -1, 0)
+        padded = np.zeros(k.shape[:2] + (2 * _BLOCK - 1,))  # _BLOCK - 1 zeros, then h
+        h = padded[..., _BLOCK - 1 :]
+        h[..., 0] = 1.0
+        for n in range(1, _BLOCK):
+            h[..., n] = h[..., n - 1] + (k[..., :n] * h[..., n - 1 :: -1]).sum(axis=-1)
+        shape = padded.shape[:2] + (_BLOCK, _BLOCK)  # H[b, k, i, l] = h_{i-l}, a view
+        self.inverse = np.ndarray(shape, buffer=padded, strides=padded.strides + (8,))[..., ::-1]
 
     def flush(self) -> None:
         """Add the levels [L - b, L) to the rows [L + 1, L + b], L = flushed + 64."""
@@ -317,18 +355,37 @@ class _HistorySums:
                 self.far[end + 1 : end + 1 + rows, p : p + group, c : c + cols] += out[b : b + rows]
 
 
-def _advance(values, lo, hi, memory, implicit, explicit, ends):
+def _solve_block(memory, m0):
+    """zeta(m0 + 1 + i) - zeta(m0) for i < _BLOCK, (_BLOCK, B, N - 2), in the range begun."""
+    modes, far, explicit, implicit = memory.modes, memory.far, *memory.g
+    # b of rows m0 .. m0 + _BLOCK - 1 from the levels up to m0, every row formed
+    start = m0 - m0 % _LEAF
+    levels = modes[start : m0 + 1][::-1].transpose(1, 0, 2)
+    near = (memory.near[:, :, : m0 + 1 - start] @ levels).transpose(1, 0, 2)
+    b = far[m0 : m0 + _BLOCK] + near[:-1]
+    if m0 == start and m0:
+        # Q(m0) also takes the levels of the previous leaf
+        b[0] += (memory.w[:, None, _LEAF:0:-1] @ modes[m0 - _LEAF : m0].transpose(1, 0, 2))[:, 0]
+    b *= explicit
+    if implicit is not None:
+        r = far[m0 + 1 : m0 + 1 + _BLOCK] + near[1:]
+        r[0] += memory.w[:, :1] * modes[m0]
+        r *= implicit
+        b += r
+    b += memory.drift * modes[m0]
+    return (memory.inverse @ b.transpose(1, 2, 0)[..., None])[..., 0].transpose(2, 0, 1)
+
+
+def _advance(values, lo, hi, memory, ends):
     """Write levels lo + 1 .. hi of the problems stacked in ``values`` (levels, B, N).
 
-    ``implicit`` = (1 - lam) S (None when every lam = 1) and ``explicit`` =
-    lam S are shared or per problem (B, 1), and so are the Dirichlet data
-    ``ends``.  Returns None when every new level is within the overflow
-    limit, else (the level reached, each problem's first level past the
-    limit or 0).
+    Blocks start at the range's origin and at multiples of _BLOCK; one that
+    starts before lo keeps only its rows past lo.  The Dirichlet data
+    ``ends`` are shared or per problem (B, 2).  Returns None when every new
+    level is within the overflow limit, else (the level reached, each
+    problem's first level past the limit or 0).
     """
-    modes, pairs, far, sigma = memory.modes, memory.pairs, memory.far, memory.sigma
-    stack = modes.transpose(1, 0, 2)
-    n = values.shape[2]
+    modes, n = memory.modes, values.shape[2]
     if memory.known <= lo:
         # level 0, or levels appended outside the stepper: the modes of the
         # nodes less the line through the Dirichlet data, in long double
@@ -336,57 +393,43 @@ def _advance(values, lo, hi, memory, implicit, explicit, ends):
         rows = values[memory.known : lo + 1, :, 1:-1].astype(np.longdouble) - line[:, 1:-1]
         modes[memory.known : lo + 1] = _modes(rows)
     memory.known = hi + 1  # once this range is done; a caller cuts it at an overflow
-    if implicit is None:  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
-        g_explicit = sigma * explicit
-    else:
-        g = sigma / (1.0 - implicit * memory.w[:, :1] * sigma)
-        g_implicit, g_explicit = g * implicit, g * explicit
-    # the mode increments of the levels not yet taken to the nodes, and the
-    # spectrum i (0, increment, 0) whose irfft is the odd extension of theirs
-    deltas = np.empty((min(_LEAF, hi - lo),) + modes.shape[1:])
-    spectrum = np.zeros(deltas.shape[:2] + (n,), complex)
-    checked = lo
-    # levels past an overflow run on to the check, their inf and NaN are
-    # discarded; a range of one level computes none
-    with np.errstate(over="ignore", invalid="ignore") if hi > lo + 1 else nullcontext():
-        for m in range(lo, hi):
-            while memory.flushed + _LEAF <= m:
+    # the spectrum i (0, increment, 0) whose irfft is the odd extension of the increments
+    spectrum = np.zeros((min(_BLOCK, hi - lo), modes.shape[1], n), complex)
+    m0 = max(memory.origin, lo - lo % _BLOCK)
+    # levels past an overflow run on to the check, their inf and NaN are discarded
+    with np.errstate(over="ignore", invalid="ignore"):
+        while m0 < hi:
+            while memory.flushed + _LEAF <= m0:
                 memory.flush()
-            # Q(m) and R(m): both near parts start at the leaf of level m-1
-            # and come from one product
-            z, delta = modes[m], deltas[m - checked]
-            start = m - 1 - (m - 1) % _LEAF if m else 0
-            sums = pairs[:, :, m - start :: -1] @ stack[:, start : m + 1]
-            q = far[m] + sums[:, 1]
-            np.multiply(g_explicit, q, out=delta)
-            if implicit is not None:
-                # past the flush at a multiple of the leaf, R(m) has one near level
-                r = far[m + 1] + (sums[:, 0] if m % _LEAF else pairs[:, 0, :1] * z)
-                r *= g_implicit
-                delta += r
-            np.add(z, delta, out=modes[m + 1])
-            # once per leaf and at hi, before a flush takes the levels into the
-            # far sums: U(r+1) = U(r) + the nodes of the increment, one by one
-            if (m + 1) % _LEAF == 0 or m + 1 == hi:
-                rows = values[checked + 1 : m + 2]
-                spectrum.imag[: m + 1 - checked, :, 1:-1] = deltas[: m + 1 - checked]
-                steps = np.fft.irfft(spectrum[: m + 1 - checked], 2 * n - 2)[:, :, 1 : n - 1]
-                steps[0] += values[checked, :, 1:-1]
-                np.cumsum(steps, axis=0, out=rows[:, :, 1:-1])
-                rows[:, :, :: n - 1] = ends
-                # a NaN fails the comparisons too
-                if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
-                    bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
-                    return m + 1, np.where(bad.any(axis=0), bad.argmax(axis=0) + checked + 1, 0)
-                checked = m + 1
+            if memory.solved[0] != m0:
+                memory.solved = m0, _solve_block(memory, m0)
+            y = memory.solved[1]
+            first, end = max(lo, m0), min(m0 + _BLOCK - m0 % _BLOCK, hi)
+            modes[first + 1 : end + 1] = y[first - m0 : end - m0] + modes[m0]
+            # before a flush takes the levels in: U(r) = U(m0) + the nodes of zeta(r) - zeta(m0)
+            spectrum.imag[: end - first, :, 1:-1] = y[first - m0 : end - m0]
+            rows = values[first + 1 : end + 1]
+            rows[:, :, 1:-1] = np.fft.irfft(spectrum[: end - first], 2 * n - 2)[:, :, 1 : n - 1]
+            rows[:, :, 1:-1] += values[m0, :, 1:-1]
+            rows[:, :, :: n - 1] = ends
+            # a NaN fails the comparisons too
+            if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
+                bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
+                return end, np.where(bad.any(axis=0), bad.argmax(axis=0) + first + 1, 0)
+            m0 = end
     return None
 
 
 def _advance_history(history, problem, memory, hi, lam, s) -> None:
-    """Advance one problem's history to level hi with one lam; raise on overflow."""
+    """Advance one problem's history to level hi with one lam; raise on overflow.
+
+    The range goes on, with its block origin, while lam, S and the ends hold.
+    """
+    key = (lam, s, problem.left_value, problem.right_value)
+    if memory.key != key or memory.known != history._top + 1:
+        memory.begin(history._top, key, None if lam == 1.0 else (1.0 - lam) * s, lam * s)
     ends = np.array([[problem.left_value, problem.right_value]])
-    implicit = None if lam == 1.0 else (1.0 - lam) * s
-    found = _advance(history._values, history._top, hi, memory, implicit, lam * s, ends)
+    found = _advance(history._values, history._top, hi, memory, ends)
     if found is not None:
         memory.known = int(found[1][0])
         history._top = memory.known - 1
@@ -404,8 +447,9 @@ def step(
     """Advance the history by one level and return the new row.
 
     ``lam`` overrides config.lam for this step (used by the hybrid
-    startup).  Raises :class:`OverflowDetected` when the new row leaves
-    the representable range.
+    startup).  The level is ``run``'s bit for bit, from the same block.  A
+    table whose levels pass ``MAX_HISTORY_CELLS`` cells is refused.  Raises
+    :class:`OverflowDetected` when the new row leaves the representable range.
     """
     m = history.top_level
     if table.capacity < m + 1:
@@ -420,6 +464,7 @@ def step(
     # levels appended without a step; both replay the same flushes
     memory = history._memory
     if memory is None or memory.tables[0] is not table or memory.capacity != table.capacity:
+        check_history_size(table.capacity + 1, history.n_nodes)
         memory = history._memory = _HistorySums((table,), history.n_nodes)
     history._reserve()
     _advance_history(history, problem, memory, m + 1, lam, mesh_ratio(problem, config))
@@ -525,7 +570,8 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     implicit = implicit if implicit.any() else None
     overflow = np.zeros(n_problems, dtype=int)
     level = 0
-    while (found := _advance(values, level, steps, memory, implicit, explicit, ends)) is not None:
+    memory.begin(0, None, implicit, explicit)
+    while (found := _advance(values, level, steps, memory, ends)) is not None:
         level, first = found
         # a masked problem keeps zero modes and interior: it weighs both sums by 0
         for b in np.flatnonzero(first):
@@ -538,4 +584,5 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
             implicit[masked] = 0.0
         if overflow.all():
             return values[: overflow.max() + 1], overflow
+        memory.begin(level, None, implicit, explicit)
     return values, overflow
