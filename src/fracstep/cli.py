@@ -15,9 +15,9 @@ import numpy as np
 
 from fracstep import harness
 from fracstep.coeffs import FormulaFamily, build_table
-from fracstep.exact_solution import exact_profile, parabola_ic
+from fracstep.exact_solution import check_profile_size, exact_profile, parabola_ic
 from fracstep.mittag_leffler import MLEvalConfig, ml_eval
-from fracstep.stability import phase_diagram, probe_stability, stability_bound
+from fracstep.stability import MAX_PHASE_POINTS, phase_diagram, probe_stability, stability_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,9 +38,14 @@ class _Parser(argparse.ArgumentParser):
 def _grid(text: str) -> np.ndarray:
     try:
         a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
+        if n < 0:
+            raise ValueError
     except ValueError:
         raise _UsageError(f"grid {text!r} must have the form start:stop:count")
+    if n > MAX_PHASE_POINTS:
+        raise _UsageError(f"grid {text!r} of {n} points exceeds MAX_PHASE_POINTS = {MAX_PHASE_POINTS}")
+    return np.linspace(a, b, n)
 
 
 @functools.cache
@@ -145,6 +150,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "exact":
+        check_profile_size(args.nx + 1)
         xs = np.arange(args.nx + 1) / args.nx
         profile = exact_profile(parabola_ic(), args.gamma, args.kgamma, xs, args.t, tol=args.tol)
         print("x,u_exact")

@@ -33,6 +33,10 @@ import numpy as np
 _ALPHA_MIN = 0.0  # alpha = 0 is the classical limit (identity weights)
 _ALPHA_MAX = 2.0
 
+#: Most weights a table holds: 128 MiB.  ``run`` needs steps + 1, which
+#: ``MAX_HISTORY_CELLS`` keeps below a third of this.
+MAX_WEIGHTS = 1 << 24
+
 
 class FormulaFamily(str, enum.Enum):
     """Supported discretization formula families."""
@@ -143,7 +147,7 @@ class CoefficientTable:
         self.alpha = _check_alpha(alpha)
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self._buf = np.empty(max(16, capacity + 1))
+        self._buf = np.empty(16)  # grown to the capacity, within MAX_WEIGHTS
         self._size = 0  # number of published weights
         if self.family is FormulaFamily.NG2:
             w0, w1 = newton_gregory_omegas(self.alpha, 2)
@@ -188,8 +192,10 @@ class CoefficientTable:
 
     def _extend_to(self, k: int) -> None:
         needed = k + 1
+        if needed > MAX_WEIGHTS:
+            raise ValueError(f"a table of {needed} weights exceeds MAX_WEIGHTS = {MAX_WEIGHTS}")
         if needed > len(self._buf):
-            grown = np.empty(max(needed, 2 * len(self._buf)))
+            grown = np.empty(min(max(needed, 2 * len(self._buf)), MAX_WEIGHTS))
             grown[: self._size] = self._buf[: self._size]
             self._buf = grown
         fam, a = self.family, self.alpha

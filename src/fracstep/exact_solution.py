@@ -16,6 +16,7 @@ on this domain the bound is valid for every t, including t = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -23,15 +24,38 @@ import numpy as np
 
 from fracstep.mittag_leffler import ml_eval_neg
 
-__all__ = ["SineSeriesIC", "parabola_ic", "exact_eval", "exact_profile"]
+__all__ = [
+    "SineSeriesIC",
+    "MAX_PROFILE_POINTS",
+    "check_profile_size",
+    "parabola_ic",
+    "exact_eval",
+    "exact_profile",
+]
 
 DEFAULT_TOL = 1e-10
 _MODE_BLOCK = 256  # modes per block of the sine table in exact_profile
 
+#: Most grid points ``exact_profile`` takes: its sine table of _MODE_BLOCK
+#: rows then stays within 128 MiB.
+MAX_PROFILE_POINTS = 1 << 16
+
+
+def check_profile_size(points: int) -> None:
+    """Raise ValueError when a grid of this many points passes ``MAX_PROFILE_POINTS``."""
+    if points > MAX_PROFILE_POINTS:
+        raise ValueError(
+            f"a profile of {points} points exceeds MAX_PROFILE_POINTS = {MAX_PROFILE_POINTS}"
+        )
+
 
 @dataclass(frozen=True)
 class SineSeriesIC:
-    """Initial condition as a finite list of sine modes (n, b_n), n ascending."""
+    """Initial condition as a finite list of sine modes (n, b_n), n ascending.
+
+    The mode numbers, amplitudes and tail bounds are also kept as read-only
+    arrays, built once.
+    """
 
     coefficients: tuple[tuple[int, float], ...]
     description: str = ""
@@ -44,15 +68,21 @@ class SineSeriesIC:
             if not math.isfinite(b):
                 raise ValueError(f"amplitude for mode {n} is not finite")
             prev = n
+        modes = np.array([n for n, _ in self.coefficients], dtype=float)
+        amps = np.array([b for _, b in self.coefficients], dtype=float)
+        tails = np.cumsum(np.abs(amps)[::-1])[::-1]
+        for name, array in (("_modes", modes), ("_amps", amps), ("_tails", tails)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def tail_bounds(self) -> np.ndarray:
         """tail_bounds[i] = sum of |b_n| from mode index i (inclusive) on."""
-        mags = np.array([abs(b) for _, b in self.coefficients])
-        return np.cumsum(mags[::-1])[::-1]
+        return self._tails
 
 
+@functools.cache
 def parabola_ic(n_modes: int = 2000) -> SineSeriesIC:
-    """Sine series of x(1-x): b_n = 8/(pi^3 n^3) for odd n."""
+    """Sine series of x(1-x): b_n = 8/(pi^3 n^3) for odd n.  Built once per n_modes."""
     coeffs = tuple((n, 8.0 / (math.pi**3 * n**3)) for n in range(1, 2 * n_modes, 2))
     return SineSeriesIC(coeffs, description="x*(1-x)")
 
@@ -71,9 +101,8 @@ def _validate(gamma: float, k_gamma: float, t: float, tol: float) -> None:
 def _mode_factors(ic: SineSeriesIC, gamma, k_gamma, t, tol):
     """Retained mode numbers n and amplitudes b_n E_gamma(-k n^2 pi^2 t^gamma)."""
     kept = int(np.count_nonzero(ic.tail_bounds() >= tol))
-    modes = np.array([n for n, _ in ic.coefficients[:kept]], dtype=float)
-    amps = np.array([b for _, b in ic.coefficients[:kept]], dtype=float)
-    return modes, amps * ml_eval_neg(gamma, k_gamma * (modes * math.pi) ** 2 * t**gamma)
+    modes = ic._modes[:kept]
+    return modes, ic._amps[:kept] * ml_eval_neg(gamma, k_gamma * (modes * math.pi) ** 2 * t**gamma)
 
 
 def exact_eval(
@@ -102,11 +131,13 @@ def exact_profile(
     """:func:`exact_eval` over the grid ``xs``.
 
     The modes are summed in blocks of ``_MODE_BLOCK``, so the sine table
-    takes O(_MODE_BLOCK * len(xs)) memory whatever the mode count.  The
-    absorbing boundaries x = 0 and x = 1 are exact zeros.
+    takes O(_MODE_BLOCK * len(xs)) memory whatever the mode count.  A grid
+    of more than ``MAX_PROFILE_POINTS`` points is refused.  The absorbing
+    boundaries x = 0 and x = 1 are exact zeros.
     """
     _validate(gamma, k_gamma, t, tol)
     xs = np.asarray(xs, dtype=float)
+    check_profile_size(xs.size)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("grid points must lie in [0, 1]")
     out = np.zeros_like(xs)

@@ -32,6 +32,7 @@ from fracstep.solver import (
     ProblemSpec,
     SchemeConfig,
     SolutionHistory,
+    check_history_size,
     dt_for_mesh_ratio,
     mesh_ratio,
     run,
@@ -390,9 +391,24 @@ def convergence_study(
         raise ValueError("need at least one refinement")
 
     t_end = base.steps * base.dt
+    s = mesh_ratio(base.problem(), base.scheme())
+    specs = [base]
+    for _ in range(refinements):
+        spec = specs[-1]
+        if mode == "refine_dt":
+            spec = replace(spec, dt=spec.dt / 2.0, steps=spec.steps * 2)
+        elif mode == "refine_dx":
+            spec = replace(spec, dx=spec.dx / 2.0)
+        else:  # refine_both: keep S fixed
+            dx = spec.dx / 2.0
+            dt = dt_for_mesh_ratio(s, dx, base.gamma, base.k_gamma)
+            spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(t_end / dt)))
+        # every level's size is checked before the first one runs; the grid is the unit interval
+        check_history_size(spec.steps + 1, round(1.0 / spec.dx) + 1)
+        specs.append(spec)
+
     levels = []
-    spec = base
-    for i in range(refinements + 1):
+    for i, spec in enumerate(specs):
         _require_stable(spec, i)
         try:
             err = _max_error_at_end(spec)
@@ -401,17 +417,6 @@ def convergence_study(
                 f"refinement level {i} went unstable at step {overflow.level}"
             ) from overflow
         levels.append((spec.dt, spec.dx, err))
-        if i == refinements:
-            break
-        if mode == "refine_dt":
-            spec = replace(spec, dt=spec.dt / 2.0, steps=spec.steps * 2)
-        elif mode == "refine_dx":
-            spec = replace(spec, dx=spec.dx / 2.0)
-        else:  # refine_both: keep S fixed
-            s = mesh_ratio(base.problem(), base.scheme())
-            dx = spec.dx / 2.0
-            dt = dt_for_mesh_ratio(s, dx, base.gamma, base.k_gamma)
-            spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(t_end / dt)))
 
     def fitted_order(index: int) -> float:
         rates = [

@@ -31,16 +31,24 @@ inverse H has the first column h_0 = 1, h_n = sum_{i<n} d_i h_{n-1-i}
 h grows like an unstable mode, so an FFT product would put eps max|h| on
 every row.  Blocks start at a range start or a multiple of 16; levels
 since the start of the leaf of 64 holding m0 are summed directly, and
-older ones arrive in blocks through FFT products (Hairer, Lubich &
-Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  The nodes, the modes
-and the far sums are three arrays of one row per level.  Level 0 is
-transformed in long double, because an unstable run amplifies the
-rounding of its fastest-growing mode.  After each block, U^(r) = U^(m0) +
-the inverse transform of zeta^(r) - zeta^(m0), and overflow is checked
-on these nodes before the levels enter the far sums.  ``run`` steps one
-problem in at most two ranges (the explicit startup, then the rest),
-``step`` one level of a cached block, and ``run_stacked`` a stack of
-stability probes in lockstep.
+older ones arrive in blocks of b levels (Hairer, Lubich & Schlichte, SIAM
+J. Sci. Stat. Comput. 6 (1985)): for b <= 128 as direct products with a
+strided Toeplitz view of w, for longer blocks as FFT products.  The
+nodes, the modes and the far sums are three arrays of one row per level.
+Level 0 is transformed in long double, because an unstable run amplifies
+the rounding of its fastest-growing mode.
+
+Overflow is checked once per block, before its levels enter the far
+sums, and first in mode space: by the inverse DST-I, max|U(r)| <=
+max|ends| + max_k |zeta_k(r)|.  Only a block whose bound reaches the
+limit (less a margin for rounding; capped, so that inf modes fail it)
+takes its nodes and checks them.  Otherwise a block's increments
+zeta^(r) - zeta^(m0) wait in the interiors of its node rows, and nodes
+are taken in chunks of levels, at the end of a range and before any
+return: U^(r) = U^(m0) + the inverse transform of the increment, row by
+row.  ``run`` steps one problem in at most two ranges (the explicit
+startup, then the rest), ``step`` one level of a cached block, and
+``run_stacked`` a stack of stability probes in lockstep.
 """
 
 from __future__ import annotations
@@ -263,6 +271,19 @@ _LEAF = 64
 _BLOCK = 16
 # column chunks keep each FFT buffer near this many doubles
 _FFT_DOUBLES = 1 << 14
+# flushes of up to this many levels are direct Toeplitz products, longer ones FFT products
+_DIRECT_FLUSH = 128
+# and each direct product has about this many outputs: numpy hands large products of
+# strided views to BLAS, whose packing buffers then raise a process's peak memory
+_DIRECT_VALUES = 1 << 12
+# nodes are taken in chunks of about this many values, so that the chunk's
+# transform buffers do not raise a run's peak memory
+_NODE_VALUES = 1 << 12
+# the mode bound passes below this share of the limit: the nodes' rounding drift from
+# their modes stays far below 1e-6 of the largest node within the history budget
+_BOUND_SHARE = 1.0 - 1e-6
+# and below this cap, so that inf modes and any whose transform could overflow fail it
+_BOUND_CAP = 1e200
 
 
 def _modes(v: np.ndarray) -> np.ndarray:
@@ -335,24 +356,36 @@ class _HistorySums:
         b = _LEAF
         while (end // b) % 2 == 0:
             b *= 2
-        n = 2 * b
         rows = min(b, self.capacity - end)
-        spectrum = self._spectra.get(b)
-        if spectrum is None:
-            # w_1 .. w_2b, zero-padded past the table; circular outputs
-            # b .. 2b-1 do not wrap
-            spectrum = self._spectra[b] = np.fft.rfft(self.w[:, 1 : n + 1], n).T[:, :, None]
         block = self.modes[end - b : end]
-        # chunks of whole problems, or of columns of one problem, near
-        # _FFT_DOUBLES doubles; the spectrum broadcasts over the columns
-        cols = max(1, _FFT_DOUBLES // n)
+        direct = b <= _DIRECT_FLUSH
+        if direct:
+            # far[end + 1 + i] += sum_t w_{2 + i + t} zeta(end - 1 - t): a strided view of
+            # w_2 .. w_{rows + b}, within the table, against the levels newest first
+            shape = (len(self.tables), rows, b)
+            toeplitz = np.ndarray(shape, buffer=self.w, offset=16, strides=self.w.strides + (8,))
+            levels = block[::-1].transpose(1, 0, 2)
+        else:
+            spectrum = self._spectra.get(b)
+            if spectrum is None:
+                # w_1 .. w_2b, zero-padded past the table; circular outputs
+                # b .. 2b-1 do not wrap
+                spectrum = np.fft.rfft(self.w[:, 1 : 2 * b + 1], 2 * b).T[:, :, None]
+                self._spectra[b] = spectrum
+        # chunks of whole problems, or of columns of one problem; the spectrum
+        # broadcasts over the columns
+        cols = max(1, _DIRECT_VALUES // rows if direct else _FFT_DOUBLES // (2 * b))
         group = max(1, cols // block.shape[2])
         for p in range(0, block.shape[1], group):
             for c in range(0, block.shape[2], cols):
-                product = np.fft.rfft(block[:, p : p + group, c : c + cols], n, axis=0)
-                product *= spectrum[:, p : p + group]
-                out = np.fft.irfft(product, n, axis=0)
-                self.far[end + 1 : end + 1 + rows, p : p + group, c : c + cols] += out[b : b + rows]
+                if direct:
+                    product = toeplitz[p : p + group] @ levels[p : p + group, :, c : c + cols]
+                    product = product.transpose(1, 0, 2)
+                else:
+                    product = np.fft.rfft(block[:, p : p + group, c : c + cols], 2 * b, axis=0)
+                    product *= spectrum[:, p : p + group]
+                    product = np.fft.irfft(product, 2 * b, axis=0)[b : b + rows]
+                self.far[end + 1 : end + 1 + rows, p : p + group, c : c + cols] += product
 
 
 def _solve_block(memory, m0):
@@ -376,6 +409,29 @@ def _solve_block(memory, m0):
     return (memory.inverse @ b.transpose(1, 2, 0)[..., None])[..., 0].transpose(2, 0, 1)
 
 
+def _take_nodes(values, a, b, origin, ends) -> None:
+    """Turn the increments staged in the interiors of levels a + 1 .. b into nodes.
+
+    U(r) = U(m0) + the inverse transform of zeta(r) - zeta(m0), m0 the start
+    of r's block.  The starts past a are levels of the chunk itself; their
+    nodes are taken in order, by one running sum of the block ends.
+    """
+    if b <= a:
+        return
+    n = values.shape[2]
+    rows = values[a + 1 : b + 1]
+    # the spectrum i (0, increment, 0) whose irfft is the odd extension of the increments
+    spectrum = np.zeros(rows.shape, complex)
+    spectrum.imag[..., 1:-1] = rows[..., 1:-1]
+    steps = np.fft.irfft(spectrum, 2 * n - 2)[..., 1 : n - 1]
+    start = a - a % _BLOCK
+    later = np.arange(start + _BLOCK, b, _BLOCK)  # block starts in a + 1 .. b - 1
+    base = np.concatenate((values[None, max(origin, start), :, 1:-1], steps[later - a - 1]))
+    np.cumsum(base, axis=0, out=base)
+    np.add(steps, base[np.arange(a, b) // _BLOCK - a // _BLOCK], out=rows[..., 1:-1])
+    rows[..., :: n - 1] = ends
+
+
 def _advance(values, lo, hi, memory, ends):
     """Write levels lo + 1 .. hi of the problems stacked in ``values`` (levels, B, N).
 
@@ -393,8 +449,10 @@ def _advance(values, lo, hi, memory, ends):
         rows = values[memory.known : lo + 1, :, 1:-1].astype(np.longdouble) - line[:, 1:-1]
         modes[memory.known : lo + 1] = _modes(rows)
     memory.known = hi + 1  # once this range is done; a caller cuts it at an overflow
-    # the spectrum i (0, increment, 0) whose irfft is the odd extension of the increments
-    spectrum = np.zeros((min(_BLOCK, hi - lo), modes.shape[1], n), complex)
+    # max|U(r)| <= max|ends| + max_k |zeta_k(r)|, as |sin| <= 1 in the inverse DST-I
+    bound = min(OVERFLOW_LIMIT, _BOUND_CAP) * _BOUND_SHARE - np.abs(ends).max()
+    chunk = max(_BLOCK, _NODE_VALUES // values[0].size)  # levels per node chunk
+    taken = lo  # the nodes are held up to this level
     m0 = max(memory.origin, lo - lo % _BLOCK)
     # levels past an overflow run on to the check, their inf and NaN are discarded
     with np.errstate(over="ignore", invalid="ignore"):
@@ -403,20 +461,23 @@ def _advance(values, lo, hi, memory, ends):
                 memory.flush()
             if memory.solved[0] != m0:
                 memory.solved = m0, _solve_block(memory, m0)
-            y = memory.solved[1]
             first, end = max(lo, m0), min(m0 + _BLOCK - m0 % _BLOCK, hi)
-            modes[first + 1 : end + 1] = y[first - m0 : end - m0] + modes[m0]
-            # before a flush takes the levels in: U(r) = U(m0) + the nodes of zeta(r) - zeta(m0)
-            spectrum.imag[: end - first, :, 1:-1] = y[first - m0 : end - m0]
-            rows = values[first + 1 : end + 1]
-            rows[:, :, 1:-1] = np.fft.irfft(spectrum[: end - first], 2 * n - 2)[:, :, 1 : n - 1]
-            rows[:, :, 1:-1] += values[m0, :, 1:-1]
-            rows[:, :, :: n - 1] = ends
+            y = memory.solved[1][first - m0 : end - m0]
+            block = modes[first + 1 : end + 1]
+            np.add(y, modes[m0], out=block)
+            values[first + 1 : end + 1, :, 1:-1] = y  # staged until the nodes are taken
             # a NaN fails the comparisons too
-            if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
+            check = not (block.max() <= bound and block.min() >= -bound)
+            if check or end - taken >= chunk:
+                _take_nodes(values, taken, end, memory.origin, ends)
+                taken = end
+            rows = values[first + 1 : end + 1]
+            # the exact check, on the nodes, before a flush takes the levels in
+            if check and not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
                 bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
                 return end, np.where(bad.any(axis=0), bad.argmax(axis=0) + first + 1, 0)
             m0 = end
+        _take_nodes(values, taken, hi, memory.origin, ends)
     return None
 
 

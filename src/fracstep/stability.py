@@ -37,6 +37,7 @@ __all__ = [
     "find_empirical_threshold",
     "find_empirical_thresholds",
     "phase_diagram",
+    "MAX_PHASE_POINTS",
 ]
 
 #: Marker returned by :func:`stability_bound` when lam <= 1/2.
@@ -45,6 +46,10 @@ UNCONDITIONAL = math.inf
 INSTABILITY_THRESHOLD = 10.0
 PROBE_AMPLITUDE = 1e-6
 BISECTION_TOL = 1e-3
+
+#: Most (gamma, lam) points a phase sweep takes: a 1024 x 1024 grid, about
+#: 4 s of bound evaluations.
+MAX_PHASE_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -213,10 +218,17 @@ def phase_diagram(family: FormulaFamily, gamma_grid, lambda_grid) -> list[tuple[
     """Tabulate (gamma, lam, 1/S_x) over the grid.
 
     1/S_x is the raw bound value, so it crosses zero at lam = 1/2 and is
-    negative in the unconditionally stable region.
+    negative in the unconditionally stable region.  A grid of more than
+    ``MAX_PHASE_POINTS`` points is refused.
     """
     gamma_grid = [float(g) for g in gamma_grid]
     lambda_grid = [float(l) for l in lambda_grid]
     if not gamma_grid or not lambda_grid:
         raise ValueError("grids must be non-empty")
+    points = len(gamma_grid) * len(lambda_grid)
+    if points > MAX_PHASE_POINTS:
+        raise ValueError(
+            f"a phase grid of {len(gamma_grid)} x {len(lambda_grid)} = {points} points "
+            f"exceeds MAX_PHASE_POINTS = {MAX_PHASE_POINTS}"
+        )
     return [(g, l, inv_stability_bound(family, g, l)) for g in gamma_grid for l in lambda_grid]

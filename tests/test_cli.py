@@ -280,9 +280,9 @@ class TestOversizedRuns:
             capture_output=True, text=True, timeout=60, preexec_fn=cap, env=env,
         )
 
-    def check(self, child):
+    def check(self, child, limit="MAX_HISTORY_CELLS"):
         assert child.returncode == EXIT_USAGE, child.stderr
-        assert "exceeds MAX_HISTORY_CELLS" in child.stderr
+        assert f"exceeds {limit}" in child.stderr
         assert "Traceback" not in child.stderr
         assert float(child.stdout) < 1.0
 
@@ -298,6 +298,35 @@ class TestOversizedRuns:
                 "--s", "0.3", "--nodes", "8", "--steps", "3000000",
             )
         )
+
+
+    def test_coeffs(self):
+        child = self.run_capped("coeffs", "--family", "bdf3", "--alpha", "0.5", "--count", "300000000")
+        self.check(child, "MAX_WEIGHTS")
+
+    def test_exact(self):
+        child = self.run_capped(
+            "exact", "--gamma", "0.5", "--kgamma", "1", "--t", "0.1", "--nx", "300000000"
+        )
+        self.check(child, "MAX_PROFILE_POINTS")
+
+    def test_stability_phase(self, tmp_path):
+        out = tmp_path / "phase.csv"
+        child = self.run_capped(
+            "stability", "phase", "--family", "bdf1", "--gamma-grid", "0.1:1:30000",
+            "--lambda-grid", "0:1:30000", "--out", str(out),
+        )
+        self.check(child, "MAX_PHASE_POINTS")
+        assert not out.exists()
+
+    def test_converge_checks_its_last_level_first(self, tmp_path):
+        # level 0 is 26 steps; level 16 doubles them past the budget at 11 nodes
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            "[experiment]\nname=c\ngamma=1.0\nlambda=0.5\nfamily=bdf1\n"
+            "dx=0.1\ns=0.4\nsteps=25\n"
+        )
+        self.check(self.run_capped("converge", "--config", str(config), "--levels", "16"))
 
 
 class TestUsage:

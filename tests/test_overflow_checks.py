@@ -1,7 +1,8 @@
-"""Overflow checked once per leaf of 64 levels against a check after every level.
+"""Overflow checked once per block of 16 levels against a check after every level.
 
-The stepping loop checks the new levels once per leaf and at the end of a
-range, before they enter the far sums.  Each test lowers the overflow
+The stepping loop checks the new levels once per block of 16, before
+they enter the far sums: first by a bound on their sine modes, then, for
+a block that fails the bound, on its nodes.  Each test lowers the overflow
 limit so that a chosen level of an unstable run is the first one past it,
 at levels 0, 1 and 63 (mod 64) and at a run's last level.  The level
 reported must be the one a check after every level finds, the levels
