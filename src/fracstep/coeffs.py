@@ -96,22 +96,21 @@ def _series_pow(f: Sequence[float], alpha: float, count: int) -> np.ndarray:
         g_0 = f_0^alpha,
         g_k = (1 / (k f_0)) * sum_{j=1..k} (j alpha - (k - j)) f_j g_{k-j}.
 
-    Exact to rounding; O(count * deg f) for a polynomial f.
+    Exact to rounding; O(count * deg f) for a polynomial f, on Python floats.
     """
     if count <= 0:
         return np.empty(0)
     f0 = f[0]
     if f0 <= 0.0:
         raise ValueError("series power requires a positive constant term")
-    g = np.empty(count)
-    g[0] = f0**alpha
+    g = [f0**alpha]
+    terms = [(j, j * alpha, f[j]) for j in range(1, len(f))]
     for k in range(1, count):
-        jmax = min(k, len(f) - 1)
         acc = 0.0
-        for j in range(1, jmax + 1):
-            acc += (j * alpha - (k - j)) * f[j] * g[k - j]
-        g[k] = acc / (k * f0)
-    return g
+        for j, j_alpha, f_j in terms[:k]:
+            acc += (j_alpha - (k - j)) * f_j * g[-j]  # g[-j] is g_{k-j}
+        g.append(acc / (k * f0))
+    return np.array(g)
 
 
 def newton_gregory_omegas(alpha: float, count: int) -> np.ndarray:

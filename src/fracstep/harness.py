@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from fracstep.coeffs import FormulaFamily
-from fracstep.exact_solution import SineSeriesIC, exact_profile, parabola_ic
+from fracstep.exact_solution import SineSeriesIC, check_profile_size, exact_profile, parabola_ic
 from fracstep.solver import (
     OverflowDetected,
     ProblemSpec,
@@ -278,6 +278,9 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
     <m>`` in the summary of whatever levels were reached; the result
     status distinguishes it from successful completion.
     """
+    want_error = "error_vs_exact" in spec.outputs
+    if want_error:  # the exact profile's grid, checked before the run; it is the unit interval
+        check_profile_size(round(1.0 / spec.dx) + 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     status, unstable_level = "completed", None
@@ -293,7 +296,6 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
         f"lambda={spec.lam!r} family={spec.family.value} dx={spec.dx!r} dt={spec.dt!r} "
         f"S={s!r} steps={spec.steps} startup={spec.startup_explicit_steps} ic={spec.ic}"
     )
-    want_error = "error_vs_exact" in spec.outputs
     series = spec.sine_series() if want_error else None
     xs = history.x
 
@@ -405,6 +407,7 @@ def convergence_study(
             spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(t_end / dt)))
         # every level's size is checked before the first one runs; the grid is the unit interval
         check_history_size(spec.steps + 1, round(1.0 / spec.dx) + 1)
+        check_profile_size(round(1.0 / spec.dx) + 1)
         specs.append(spec)
 
     levels = []

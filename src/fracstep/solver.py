@@ -27,14 +27,15 @@ P(m+1) = sum_{j<=m} w_{m+1-j} zeta^(j): zeta(m+1) = zeta(m) + sum_{j<=m}
 K_{m-j} zeta(j) with scalar K_i per mode.  Given the levels up to m0, the
 16 levels of a block form a unit lower-triangular Toeplitz system whose
 inverse H has the first column h_0 = 1, h_n = sum_{i<n} d_i h_{n-1-i}
-(d_0 = 1 + K_0, d_i = K_i), set once per range.  H is applied directly:
-h grows like an unstable mode, so an FFT product would put eps max|h| on
+(d_0 = 1 + K_0, d_i = K_i), set once per range as a contiguous (B, N - 2,
+16, 16) array, which matmul hands to BLAS.  H is applied directly: h
+grows like an unstable mode, so an FFT product would put eps max|h| on
 every row.  Blocks start at a range start or a multiple of 16; levels
 since the start of the leaf of 64 holding m0 are summed directly, and
 older ones arrive in blocks of b levels (Hairer, Lubich & Schlichte, SIAM
 J. Sci. Stat. Comput. 6 (1985)): for b <= 128 as direct products with a
 strided Toeplitz view of w, for longer blocks as FFT products.  The
-nodes, the modes and the far sums are three arrays of one row per level.
+modes, the far sums and ``run``'s nodes are arrays of one row per level.
 Level 0 is transformed in long double, because an unstable run amplifies
 the rounding of its fastest-growing mode.
 
@@ -42,13 +43,14 @@ Overflow is checked once per block, before its levels enter the far
 sums, and first in mode space: by the inverse DST-I, max|U(r)| <=
 max|ends| + max_k |zeta_k(r)|.  Only a block whose bound reaches the
 limit (less a margin for rounding; capped, so that inf modes fail it)
-takes its nodes and checks them.  Otherwise a block's increments
-zeta^(r) - zeta^(m0) wait in the interiors of its node rows, and nodes
-are taken in chunks of levels, at the end of a range and before any
-return: U^(r) = U^(m0) + the inverse transform of the increment, row by
-row.  ``run`` steps one problem in at most two ranges (the explicit
-startup, then the rest), ``step`` one level of a cached block, and
-``run_stacked`` a stack of stability probes in lockstep.
+takes its nodes and checks them.  ``run`` steps one problem in at most
+two ranges (the explicit startup, then the rest) and ``step`` one level
+of a cached block: their increments zeta^(r) - zeta^(m0) wait in the
+node rows and become nodes U^(m0) + the inverse transform of the
+increment in chunks of levels, at the end of a range and before any
+return.  ``run_stacked`` steps stability probes in lockstep and keeps
+no nodes: it forms l + the inverse transform of zeta^(r) for a block
+that fails the bound and for the last level, which it returns.
 """
 
 from __future__ import annotations
@@ -295,6 +297,14 @@ def _modes(v: np.ndarray) -> np.ndarray:
     return np.fft.rfft(odd)[..., 1 : n + 1].imag
 
 
+def _unmodes(zeta: np.ndarray) -> np.ndarray:
+    """The rows v (..., n) whose ``_modes`` are zeta: the irfft of i (0, zeta, 0)."""
+    n = zeta.shape[-1]
+    spectrum = np.zeros(zeta.shape[:-1] + (n + 2,), complex)
+    spectrum.imag[..., 1:-1] = zeta
+    return np.fft.irfft(spectrum, 2 * n + 2)[..., 1 : n + 1]
+
+
 class _HistorySums:
     """The modes of B stacked problems and the far parts of their Q(r) and P(r).
 
@@ -327,7 +337,7 @@ class _HistorySums:
         self._spectra: dict[int, np.ndarray] = {}
 
     def begin(self, origin: int, key, implicit, explicit) -> None:
-        """Start a range at ``origin``: g and the block inverse's first column h (B, N - 2, i)."""
+        """Start a range at ``origin``: g and the block inverse H (B, N - 2, 16, 16)."""
         self.origin, self.key, self.solved = origin, key, (-1, None)  # solved: m0, its increments
         if implicit is None:  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
             self.g = self.sigma * explicit, None
@@ -347,8 +357,8 @@ class _HistorySums:
         h[..., 0] = 1.0
         for n in range(1, _BLOCK):
             h[..., n] = h[..., n - 1] + (k[..., :n] * h[..., n - 1 :: -1]).sum(axis=-1)
-        shape = padded.shape[:2] + (_BLOCK, _BLOCK)  # H[b, k, i, l] = h_{i-l}, a view
-        self.inverse = np.ndarray(shape, buffer=padded, strides=padded.strides + (8,))[..., ::-1]
+        shape = padded.shape[:2] + (_BLOCK, _BLOCK)  # H[b, k, i, l] = h_{i-l}, contiguous for BLAS
+        self.inverse = np.ndarray(shape, buffer=padded, strides=padded.strides + (8,))[..., ::-1].copy()
 
     def flush(self) -> None:
         """Add the levels [L - b, L) to the rows [L + 1, L + b], L = flushed + 64."""
@@ -409,6 +419,16 @@ def _solve_block(memory, m0):
     return (memory.inverse @ b.transpose(1, 2, 0)[..., None])[..., 0].transpose(2, 0, 1)
 
 
+def _nodes(zeta: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The nodes (..., B, N) of levels from their modes: the line through the ends + v."""
+    n = zeta.shape[-1] + 2
+    line = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n)
+    rows = np.empty(zeta.shape[:-1] + (n,))
+    rows[..., 1:-1] = line[:, 1:-1] + _unmodes(zeta)
+    rows[..., :: n - 1] = ends
+    return rows
+
+
 def _take_nodes(values, a, b, origin, ends) -> None:
     """Turn the increments staged in the interiors of levels a + 1 .. b into nodes.
 
@@ -418,18 +438,14 @@ def _take_nodes(values, a, b, origin, ends) -> None:
     """
     if b <= a:
         return
-    n = values.shape[2]
     rows = values[a + 1 : b + 1]
-    # the spectrum i (0, increment, 0) whose irfft is the odd extension of the increments
-    spectrum = np.zeros(rows.shape, complex)
-    spectrum.imag[..., 1:-1] = rows[..., 1:-1]
-    steps = np.fft.irfft(spectrum, 2 * n - 2)[..., 1 : n - 1]
+    steps = _unmodes(rows[..., 1:-1])
     start = a - a % _BLOCK
     later = np.arange(start + _BLOCK, b, _BLOCK)  # block starts in a + 1 .. b - 1
     base = np.concatenate((values[None, max(origin, start), :, 1:-1], steps[later - a - 1]))
     np.cumsum(base, axis=0, out=base)
     np.add(steps, base[np.arange(a, b) // _BLOCK - a // _BLOCK], out=rows[..., 1:-1])
-    rows[..., :: n - 1] = ends
+    rows[..., [0, -1]] = ends
 
 
 def _advance(values, lo, hi, memory, ends):
@@ -437,11 +453,12 @@ def _advance(values, lo, hi, memory, ends):
 
     Blocks start at the range's origin and at multiples of _BLOCK; one that
     starts before lo keeps only its rows past lo.  The Dirichlet data
-    ``ends`` are shared or per problem (B, 2).  Returns None when every new
-    level is within the overflow limit, else (the level reached, each
-    problem's first level past the limit or 0).
+    ``ends`` are shared or per problem (B, 2).  With ``values`` None only
+    modes are kept.  Returns None when every new level is within the
+    overflow limit, else (the level reached, each problem's first level
+    past the limit or 0).
     """
-    modes, n = memory.modes, values.shape[2]
+    modes, n = memory.modes, memory.modes.shape[2] + 2
     if memory.known <= lo:
         # level 0, or levels appended outside the stepper: the modes of the
         # nodes less the line through the Dirichlet data, in long double
@@ -451,7 +468,7 @@ def _advance(values, lo, hi, memory, ends):
     memory.known = hi + 1  # once this range is done; a caller cuts it at an overflow
     # max|U(r)| <= max|ends| + max_k |zeta_k(r)|, as |sin| <= 1 in the inverse DST-I
     bound = min(OVERFLOW_LIMIT, _BOUND_CAP) * _BOUND_SHARE - np.abs(ends).max()
-    chunk = max(_BLOCK, _NODE_VALUES // values[0].size)  # levels per node chunk
+    chunk = max(_BLOCK, _NODE_VALUES // (len(ends) * n))  # levels per node chunk
     taken = lo  # the nodes are held up to this level
     m0 = max(memory.origin, lo - lo % _BLOCK)
     # levels past an overflow run on to the check, their inf and NaN are discarded
@@ -465,19 +482,20 @@ def _advance(values, lo, hi, memory, ends):
             y = memory.solved[1][first - m0 : end - m0]
             block = modes[first + 1 : end + 1]
             np.add(y, modes[m0], out=block)
-            values[first + 1 : end + 1, :, 1:-1] = y  # staged until the nodes are taken
             # a NaN fails the comparisons too
             check = not (block.max() <= bound and block.min() >= -bound)
-            if check or end - taken >= chunk:
-                _take_nodes(values, taken, end, memory.origin, ends)
-                taken = end
-            rows = values[first + 1 : end + 1]
+            if values is not None:
+                values[first + 1 : end + 1, :, 1:-1] = y  # staged until the nodes are taken
+                if check or end - taken >= chunk or end == hi:
+                    _take_nodes(values, taken, end, memory.origin, ends)
+                    taken = end
             # the exact check, on the nodes, before a flush takes the levels in
-            if check and not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
-                bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
-                return end, np.where(bad.any(axis=0), bad.argmax(axis=0) + first + 1, 0)
+            if check:
+                rows = _nodes(block, ends) if values is None else values[first + 1 : end + 1]
+                if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
+                    bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
+                    return end, np.where(bad.any(axis=0), bad.argmax(axis=0) + first + 1, 0)
             m0 = end
-        _take_nodes(values, taken, hi, memory.origin, ends)
     return None
 
 
@@ -598,10 +616,11 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     Problem b starts from first_rows[b], whose ends are its Dirichlet
     data, with its own table (all of one capacity >= steps), S = s[b] and
     lam[b].  A problem that leaves the representable range is masked
-    instead of ending the run: from that level on its interior is zero.
-    Returns the (steps + 1, B, N) levels, cut after the last problem's
-    overflow, and each problem's overflow level (0 if none).  A stack of
-    more than ``MAX_HISTORY_CELLS`` cells is refused before it is built.
+    instead of ending the run: from that level on its modes are zero, and
+    once all are masked the run stops.  Nodes are formed only for a block
+    that fails the mode bound and for the last level, which is returned
+    (B, N, masked interiors zero) with each problem's overflow level (0 if
+    none).  A stack of more than ``MAX_HISTORY_CELLS`` cells is refused.
     """
     first_rows = np.asarray(first_rows, dtype=float)
     s, lam = (np.array(x, dtype=float).reshape(-1, 1) for x in (s, lam))
@@ -623,20 +642,17 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     check_history_size(steps + 1, n, n_problems)
     if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
         raise ValueError(f"tables need one capacity >= steps = {steps}")
-    values = np.empty((steps + 1, n_problems, n))
-    values[0] = first_rows
     memory = _HistorySums(tables, n)
     ends = first_rows[:, :: n - 1]
     implicit, explicit = (1.0 - lam) * s, lam * s
     implicit = implicit if implicit.any() else None
-    overflow = np.zeros(n_problems, dtype=int)
-    level = 0
+    overflow, level = np.zeros(n_problems, dtype=int), 0
     memory.begin(0, None, implicit, explicit)
-    while (found := _advance(values, level, steps, memory, ends)) is not None:
+    _advance(first_rows[None], 0, 0, memory, ends)  # a range of no levels: level 0's modes
+    while (found := _advance(None, level, steps, memory, ends)) is not None:
         level, first = found
-        # a masked problem keeps zero modes and interior: it weighs both sums by 0
+        # a masked problem keeps zero modes: it weighs both sums by 0
         for b in np.flatnonzero(first):
-            values[first[b] : level + 1, b, 1:-1] = 0.0
             memory.modes[first[b] : level + 1, b] = 0.0
         masked = first > 0
         overflow[masked] = first[masked]
@@ -644,6 +660,8 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
         if implicit is not None:
             implicit[masked] = 0.0
         if overflow.all():
-            return values[: overflow.max() + 1], overflow
+            break
         memory.begin(level, None, implicit, explicit)
-    return values, overflow
+    last = _nodes(memory.modes[level if overflow.all() else steps], ends)
+    last[overflow > 0, 1:-1] = 0.0
+    return last, overflow

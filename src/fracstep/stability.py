@@ -12,9 +12,9 @@ stable for every S.  This module exposes the bound, an empirical probe
 that drives the worst-case checkerboard mode (q dx = pi) through the
 actual stepper, a bisection estimator of the empirical threshold, and
 grid sweeps for phase diagrams.  Probes sharing the family, node count
-and step count run as one stacked history (``probe_batch``); a single
-probe is the batch of one.  Bisections run in lockstep, one stacked run
-per round (``find_empirical_thresholds``).
+and step count run as one stack that keeps only their sine modes and
+last level (``probe_batch``); a single probe is the batch of one.
+Bisections run in lockstep, one stack per round (``find_empirical_thresholds``).
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def probe_batch(family: FormulaFamily, cases, nodes=32, steps=400) -> list[Stabi
     """Run the probe of :func:`probe_stability` for (gamma, lam, S) cases in lockstep.
 
     The probes share the family, node count and step count and run as one
-    stacked history (``solver.run_stacked``), each with its own weights, S
-    and lam; one that overflows is masked and leaves the others as they are.
+    stack (``solver.run_stacked``), each with its own weights, S and lam;
+    one that overflows is masked and leaves the others as they are.
     """
     if nodes < 8 or nodes % 2 != 0:
         raise ValueError(f"nodes must be even and >= 8, got {nodes}")
@@ -144,8 +144,8 @@ def probe_batch(family: FormulaFamily, cases, nodes=32, steps=400) -> list[Stabi
     row[0] = row[-1] = 0.0
     gammas, lams, ss = zip(*cases)
     tables = [build_table(family, 1.0 - g, steps + 1) for g in gammas]
-    levels, overflow = run_stacked(np.tile(row, (len(cases), 1)), tables, ss, lams, steps)
-    growth = np.where(overflow > 0, math.inf, np.abs(levels[-1]).max(axis=1) / eps)
+    last, overflow = run_stacked(np.tile(row, (len(cases), 1)), tables, ss, lams, steps)
+    growth = np.where(overflow > 0, math.inf, np.abs(last).max(axis=1) / eps)
 
     reports = []
     for (gamma, lam, s), g, level in zip(cases, growth.tolist(), overflow.tolist()):

@@ -46,17 +46,30 @@ def test_run_ending_at_any_level_matches_direct_summation(steps, lam):
 
 @pytest.mark.parametrize("level", [15, 16, 17])
 def test_run_stacked_reports_the_first_level_past_the_limit_at_a_block_edge(monkeypatch, level):
-    reference_levels, _ = stacked_run(STEPS)
-    norms = np.abs(reference_levels).max(axis=2)
+    reference = stacked_run(STEPS)
+    norms = np.abs(reference.levels).max(axis=2)
     limit = limit_first_passed_at(norms[:, 1], level)
     expected = [first_past(norms[:, b], limit) for b in range(norms.shape[1])]
     assert expected[1] == level
     monkeypatch.setattr(solver, "OVERFLOW_LIMIT", limit)
-    levels, overflow = stacked_run(STEPS)
-    assert overflow.tolist() == expected
+    stack = stacked_run(STEPS)
+    assert stack.overflow.tolist() == expected
     for b, first in enumerate(expected):
-        kept = first if first else len(levels)
-        assert np.array_equal(levels[:kept, b], reference_levels[:kept, b])
+        kept = first if first else STEPS + 1
+        assert np.array_equal(stack.modes[:kept, b], reference.modes[:kept, b])
+
+
+def test_block_inverse_is_a_contiguous_lower_triangular_toeplitz_array():
+    # matmul hands only a contiguous inverse to BLAS, and runs about twice as fast
+    tables = [build_table(FormulaFamily.BDF2, 0.5, 100), build_table(FormulaFamily.NG2, 0.3, 100)]
+    memory = solver._HistorySums(tables, 12)
+    memory.begin(0, None, np.array([[0.1], [0.2]]), np.array([[0.3], [0.25]]))
+    inverse = memory.inverse
+    assert inverse.shape == (2, 10, 16, 16) and inverse.flags.c_contiguous
+    i, l = np.indices((16, 16))
+    assert np.all(inverse[..., i < l] == 0.0)
+    assert np.array_equal(inverse[..., i >= l], inverse[..., (i - l)[i >= l], 0])
+    assert np.all(inverse[..., 0, 0] == 1.0)
 
 
 def test_step_refuses_a_table_past_the_budget(monkeypatch):

@@ -3,9 +3,10 @@
 Each block is first checked by the bound max|ends| + max_k |zeta_k(r)| >=
 max|U(r)|; only a block that fails it takes its nodes for the exact
 check, so a limit between max|U| and the bound must leave a run as the
-unlimited one, bit for bit.  Nodes are otherwise taken in chunks, and
-the chunk size must not change a bit either, nor must flushing a stack
-in more or fewer groups of problems.  Flushes of up to
+unlimited one, bit for bit.  ``run`` otherwise takes nodes in chunks,
+and the chunk size must not change a bit either, nor must flushing a
+stack in more or fewer groups of problems.  A stack keeps no nodes; its
+levels are read from the modes its stepper holds.  Flushes of up to
 ``_DIRECT_FLUSH`` levels are direct Toeplitz products; they must agree
 with the FFT products they replace.
 """
@@ -15,9 +16,9 @@ import pytest
 
 from fracstep import solver
 from fracstep.coeffs import FormulaFamily, build_table
-from fracstep.solver import _HistorySums, _modes, run, run_stacked
+from fracstep.solver import _HistorySums, _modes, run
 
-from test_overflow_checks import stacked_run, unstable_case
+from test_overflow_checks import held_run_stacked, stacked_run, unstable_case
 from test_solver import make_config
 
 
@@ -42,14 +43,15 @@ def test_a_block_failing_only_the_bound_runs_on_bit_for_bit(monkeypatch, lam):
 
 
 def test_a_stack_failing_only_the_bound_runs_on_bit_for_bit(monkeypatch):
-    reference, none = stacked_run(260)
-    assert not none.any()
-    limit = 1.01 * np.abs(reference).max()
-    assert mode_bound(reference[:, 1])[-1] > 2.0 * limit
+    reference = stacked_run(260)
+    assert not reference.overflow.any()
+    limit = 1.01 * np.abs(reference.levels).max()
+    assert mode_bound(reference.levels[:, 1])[-1] > 2.0 * limit
     monkeypatch.setattr(solver, "OVERFLOW_LIMIT", limit)
-    levels, overflow = stacked_run(260)
-    assert not overflow.any()
-    assert np.array_equal(levels, reference)
+    stack = stacked_run(260)
+    assert not stack.overflow.any()
+    assert np.array_equal(stack.modes, reference.modes)
+    assert np.array_equal(stack.last, reference.last)
 
 
 @pytest.mark.parametrize("values", [1, 200, 1 << 40])
@@ -65,13 +67,15 @@ def test_node_chunks_do_not_change_a_bit(monkeypatch, values, startup):
 
 
 def test_chunks_in_a_stack_do_not_change_a_bit(monkeypatch):
-    # nodes one block at a time, and direct flushes of the whole stack at once
-    expected, _ = stacked_run(260)
+    # node chunks of one block, which a stack does not take, and direct
+    # flushes of the whole stack at once
+    expected = stacked_run(260)
     monkeypatch.setattr(solver, "_NODE_VALUES", 1)
     monkeypatch.setattr(solver, "_DIRECT_VALUES", 1 << 20)
-    levels, overflow = stacked_run(260)
-    assert not overflow.any()
-    assert np.array_equal(levels, expected)
+    stack = stacked_run(260)
+    assert not stack.overflow.any()
+    assert np.array_equal(stack.modes, expected.modes)
+    assert np.array_equal(stack.last, expected.last)
 
 
 def flushed(monkeypatch, tables, nodes, end, direct):
@@ -136,9 +140,9 @@ def test_stacked_run_with_direct_flushes_matches_single_runs():
     row = 1e-6 * (-1.0) ** np.arange(17)
     row[0] = row[-1] = 0.0
     tables = [build_table(FormulaFamily.BDF1, 1.0 - g, 400) for g in (0.4, 0.7)]
-    levels, overflow = run_stacked(np.tile(row, (2, 1)), tables, [0.2, 0.3], [0.5, 1.0], 400)
-    assert not overflow.any()
-    alone = [run_stacked(row[None], [t], [s], [lam], 400)[0][:, 0]
-             for t, s, lam in zip(tables, (0.2, 0.3), (0.5, 1.0))]
-    for b in range(2):
-        assert np.array_equal(levels[:, b], alone[b])
+    stack = held_run_stacked(np.tile(row, (2, 1)), tables, [0.2, 0.3], [0.5, 1.0], 400)
+    assert not stack.overflow.any()
+    for b, (t, s, lam) in enumerate(zip(tables, (0.2, 0.3), (0.5, 1.0))):
+        alone = held_run_stacked(row[None], [t], [s], [lam], 400)
+        assert np.array_equal(stack.modes[:, b], alone.modes[:, 0])
+        assert np.array_equal(stack.last[b], alone.last[0])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstep import harness
 from fracstep.coeffs import FormulaFamily
 from fracstep.harness import (
     ExperimentSpec,
@@ -241,6 +242,28 @@ class TestConvergence:
             convergence_study(make_spec(), refinements=1, mode="refine_everything")
         with pytest.raises(ValueError):
             convergence_study(make_spec(), refinements=0)
+
+
+class TestOversizedExactGrids:
+    """A grid the exact oracle refuses is refused before the scheme runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scheme ran before the grid was checked")
+
+        monkeypatch.setattr(harness, "run", refuse)
+
+    def test_run_experiment_with_the_error_output(self, tmp_path):
+        spec = make_spec(dx=1.0 / 70000, dt=1e-12, steps=1, output_times=())
+        with pytest.raises(ValueError, match="70001 points exceeds MAX_PROFILE_POINTS"):
+            run_experiment(spec, tmp_path)
+
+    def test_convergence_study_before_its_first_level(self):
+        # the base grid passes, the refined one (80,001 nodes, 2 levels) does not
+        spec = make_spec(dx=1.0 / 40000, dt=1e-12, steps=1, output_times=())
+        with pytest.raises(ValueError, match="80001 points exceeds MAX_PROFILE_POINTS"):
+            convergence_study(spec, refinements=1, mode="refine_dx")
 
 
 class TestStartupComparison:

@@ -7,9 +7,12 @@ limit so that a chosen level of an unstable run is the first one past it,
 at levels 0, 1 and 63 (mod 64) and at a run's last level.  The level
 reported must be the one a check after every level finds, the levels
 before it must be the unlimited run's bit for bit, and in a stack the
-other problems must not change at all.  ``run_stacked`` also validates
-its inputs up front.
+other problems must not change at all.  A stack keeps no nodes, so its
+levels are read from the modes its stepper holds.  ``run_stacked`` also
+validates its inputs up front.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -123,6 +126,60 @@ def test_nan_is_found_where_a_check_after_every_level_finds_it(monkeypatch):
     assert np.array_equal(whole.value.history.values, stepped.value.history.values)
 
 
+class Stack(NamedTuple):
+    """A ``run_stacked`` call with every level of its stack.
+
+    last, overflow: what ``run_stacked`` returned.
+    modes: the sine modes (steps + 1, B, N - 2) that its stepper held.
+    levels: the nodes (steps + 1, B, N) formed from them.
+    memory: the stepper's ``_HistorySums``.
+    """
+
+    last: np.ndarray
+    overflow: np.ndarray
+    modes: np.ndarray
+    levels: np.ndarray
+    memory: object
+
+
+def nodes_from_modes(modes, ends):
+    """The nodes of levels (..., B, N - 2) of sine modes: the line through the
+    Dirichlet data ``ends`` (B, 2) plus the inverse DST-I of the modes, an
+    irfft of the odd extension's spectrum i (0, modes, 0)."""
+    n = modes.shape[-1]
+    spectrum = np.zeros(modes.shape[:-1] + (n + 2,), complex)
+    spectrum.imag[..., 1:-1] = modes
+    interior = np.fft.irfft(spectrum, 2 * n + 2)[..., 1 : n + 1]
+    line = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n + 2)
+    levels = np.empty(modes.shape[:-1] + (n + 2,))
+    levels[..., 1:-1] = line[:, 1:-1] + interior
+    levels[..., :: n + 1] = ends
+    return levels
+
+
+def held_run_stacked(first_rows, tables, s, lam, steps):
+    """``run_stacked``, with its levels read from the modes its stepper holds.
+
+    A masked problem's modes are zero from its overflow on; rows past the
+    level where the stack stopped were never written and are zero too.
+    """
+    held = []
+
+    class Held(solver._HistorySums):
+        def __init__(self, *args):
+            super().__init__(*args)
+            held.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "_HistorySums", Held)
+        last, overflow = run_stacked(first_rows, tables, s, lam, steps)
+    (memory,) = held
+    modes = memory.modes[: steps + 1]
+    first_rows = np.asarray(first_rows, dtype=float)
+    levels = nodes_from_modes(modes, first_rows[:, :: first_rows.shape[1] - 1])
+    return Stack(last, overflow, modes, levels, memory)
+
+
 # checkerboard probes: stable and unstable, explicit and lam = 0.8
 STACK = [(0.5, 1.0, 0.5), (0.5, 1.0, 1.3), (0.7, 0.8, 0.5), (0.5, 0.8, 1.3)]
 NODES = 32
@@ -134,28 +191,30 @@ def stacked_run(steps):
     tables = [build_table(FormulaFamily.BDF1, 1.0 - g, STEPS + 1) for g, _, _ in STACK]
     s = [f * stability_bound(FormulaFamily.BDF1, g, lam) for g, lam, f in STACK]
     lam = [lam for _, lam, _ in STACK]
-    return run_stacked(np.tile(row, (len(STACK), 1)), tables, s, lam, steps)
+    return held_run_stacked(np.tile(row, (len(STACK), 1)), tables, s, lam, steps)
 
 
 @pytest.mark.parametrize("level", LEVELS + [LAST])
 def test_run_stacked_masks_at_the_first_level_past_the_limit(monkeypatch, level):
-    reference, none = stacked_run(STEPS)
-    assert not none.any()
-    norms = np.abs(reference).max(axis=2)
+    reference = stacked_run(STEPS)
+    assert not reference.overflow.any()
+    norms = np.abs(reference.levels).max(axis=2)
     limit = limit_first_passed_at(norms[:, 1], level)
     steps = LAST if level == LAST else STEPS
     expected = [first_past(norms[: steps + 1, b], limit) for b in range(len(STACK))]
     assert expected[0] == expected[2] == 0 and expected[1] == level
     monkeypatch.setattr(solver, "OVERFLOW_LIMIT", limit)
-    levels, overflow = stacked_run(steps)
-    assert overflow.tolist() == expected
+    stack = stacked_run(steps)
+    assert stack.overflow.tolist() == expected
     for b, first in enumerate(expected):
         if first == 0:
-            assert np.array_equal(levels[:, b], reference[: len(levels), b])
+            assert np.array_equal(stack.modes[:, b], reference.modes[: steps + 1, b])
+            assert np.array_equal(stack.last[b], reference.levels[steps, b])
         else:
-            assert np.array_equal(levels[:first, b], reference[:first, b])
-            assert not np.any(levels[first:, b, 1:-1])
-            assert np.all(levels[first:, b, [0, -1]] == [0.25, -0.5])
+            assert np.array_equal(stack.modes[:first, b], reference.modes[:first, b])
+            assert not np.any(stack.modes[first:, b])
+            assert not np.any(stack.last[b, 1:-1])
+            assert np.all(stack.last[b, [0, -1]] == [0.25, -0.5])
 
 
 class TestRunStackedValidation:
@@ -171,8 +230,8 @@ class TestRunStackedValidation:
         return args
 
     def test_valid_inputs_run(self):
-        levels, overflow = run_stacked(**self.inputs())
-        assert levels.shape == (11, 2, 9) and not overflow.any()
+        last, overflow = run_stacked(**self.inputs())
+        assert last.shape == (2, 9) and not overflow.any()
 
     def test_lam_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\], got 1.5"):

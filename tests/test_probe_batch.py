@@ -5,18 +5,20 @@
 problem of a batch must give the verdict, step count and growth of its
 own probe, and levels that match the direct-summation stepper of
 ``test_history_sums``; a problem that overflows is masked without ending
-or changing the others.  Lockstep bisection must reproduce the one-case
-thresholds exactly.
+or changing the others.  A stack keeps no nodes: its levels are read from
+the modes its stepper holds.  Lockstep bisection must reproduce the
+one-case thresholds exactly.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.harness import reproduce_figure
-from fracstep.solver import run_stacked
+from fracstep.solver import mesh_ratio, run, run_stacked
 from fracstep.stability import (
     PROBE_AMPLITUDE,
     find_empirical_threshold,
@@ -26,7 +28,9 @@ from fracstep.stability import (
     stability_bound,
 )
 
-from test_history_sums import assert_close, direct_levels
+from test_history_sums import assert_close, boundary_problem, direct_levels
+from test_overflow_checks import held_run_stacked
+from test_solver import make_config
 
 NODES = 32
 STEPS = 400
@@ -54,7 +58,7 @@ def stacked_levels(family, cases):
     rows = np.tile(checkerboard(), (len(cases), 1))
     s = [c[2] for c in cases]
     lam = [c[1] for c in cases]
-    return run_stacked(rows, tables, s, lam, STEPS), tables
+    return held_run_stacked(rows, tables, s, lam, STEPS), tables
 
 
 @pytest.mark.parametrize("family", list(FormulaFamily))
@@ -78,29 +82,32 @@ def test_batch_reports_equal_single_probes(family):
 @pytest.mark.parametrize("family", list(FormulaFamily))
 def test_batch_levels_match_direct_summation(family):
     cases = mixed_cases(family)
-    (levels, overflow), tables = stacked_levels(family, cases)
+    stack, tables = stacked_levels(family, cases)
+    levels = stack.levels
     assert levels.shape == (STEPS + 1, len(cases), NODES + 1)
     for b, ((_, lam, s), table) in enumerate(zip(cases, tables)):
         expected, level = direct_levels([checkerboard()], table.weights, s, lam, STEPS)
-        assert overflow[b] == (level or 0)
+        assert stack.overflow[b] == (level or 0)
         if level is None:
             assert_close(levels[:, b], expected)
+            assert_close(stack.last[b], expected[-1])
         else:
             # levels up to the overflow are the reference's, each at its own size;
             # from the overflow on only the Dirichlet data remain
             size = np.max(np.abs(expected), axis=1)
             assert np.all(np.max(np.abs(levels[:level, b] - expected), axis=1) <= GROWTH_RTOL * size)
-            assert not np.any(levels[level:, b])
+            assert not np.any(stack.modes[level:, b]) and not np.any(stack.last[b])
 
 
 def test_overflow_neither_ends_nor_changes_the_others():
     family = FormulaFamily.BDF2
     cases = mixed_cases(family)
-    (levels, overflow), _ = stacked_levels(family, cases)
-    (alone, rest), _ = stacked_levels(family, cases[:-1])
-    assert overflow[-1] > 0 and not rest.any()
-    assert len(levels) == STEPS + 1
-    assert np.array_equal(levels[:, :-1], alone)
+    stack, _ = stacked_levels(family, cases)
+    alone, _ = stacked_levels(family, cases[:-1])
+    assert stack.overflow[-1] > 0 and not alone.overflow.any()
+    # the others run on to the last level, as they do alone
+    assert np.array_equal(stack.modes[:, :-1], alone.modes)
+    assert np.array_equal(stack.last[:-1], alone.last)
 
 
 def test_masked_problem_keeps_only_its_dirichlet_data():
@@ -110,21 +117,62 @@ def test_masked_problem_keeps_only_its_dirichlet_data():
     row = np.linspace(0.25, -0.5, NODES + 1) + 0.1 * checkerboard() / PROBE_AMPLITUDE
     s_cross = stability_bound(FormulaFamily.BDF1, 0.5, 0.8)
     s, lam = [0.5 * s_cross, 50.0 * s_cross], [0.8, 0.8]
-    levels, overflow = run_stacked(np.tile(row, (2, 1)), [table, table], s, lam, STEPS)
+    stack = held_run_stacked(np.tile(row, (2, 1)), [table, table], s, lam, STEPS)
     expected, level = direct_levels([row], table.weights, s[1], lam[1], STEPS)
-    assert overflow.tolist() == [0, level]
-    assert_close(levels[:level, 1], expected)
-    assert not np.any(levels[level:, 1, 1:-1])
-    assert np.all(levels[level:, 1, [0, -1]] == [0.25, -0.5])
+    assert stack.overflow.tolist() == [0, level]
+    assert_close(stack.levels[:level, 1], expected)
+    assert not np.any(stack.modes[level:, 1])
+    assert not np.any(stack.last[1, 1:-1])
+    assert np.all(stack.last[1, [0, -1]] == [0.25, -0.5])
     expected, _ = direct_levels([row], table.weights, s[0], lam[0], STEPS)
-    assert_close(levels[:, 0], expected)
+    assert_close(stack.levels[:, 0], expected)
+    assert_close(stack.last[0], expected[-1])
+
+
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_last_level_equals_the_last_level_of_run(family):
+    # a stack forms its last level from the modes, run from increments on
+    # the nodes of each block start: the two agree to rounding
+    gammas, lams = (0.5, 0.7, 0.4, 0.6), (0.0, 0.5, 0.8, 1.0)
+    problems = [boundary_problem(g) for g in gammas]
+    s = [2.0, 1.0] + [0.9 * stability_bound(family, g, lam) for g, lam in zip(gammas[2:], lams[2:])]
+    configs = [make_config(g, lam, x, 1.0 / NODES, STEPS, family) for g, lam, x in zip(gammas, lams, s)]
+    tables = [build_table(family, 1.0 - g, STEPS + 1) for g in gammas]
+    alone = [run(p, c, t).values for p, c, t in zip(problems, configs, tables)]
+    ratios = [mesh_ratio(p, c) for p, c in zip(problems, configs)]
+    first_rows = [values[0] for values in alone]
+    last, overflow = run_stacked(first_rows, tables, ratios, lams, STEPS)
+    assert not overflow.any()
+    for b, values in enumerate(alone):
+        assert np.abs(last[b] - values[-1]).max() <= 1e-13 * np.abs(values[-1]).max()
+
+
+def test_a_fig2_like_batch_holds_no_node_history():
+    # ten explicit probes at the bound, as in one round of fig2's bisections;
+    # with its (401, 10, 33) node history a batch peaked above 3.49 MB
+    cases = [(0.1 * k, 1.0, stability_bound(FormulaFamily.BDF1, 0.1 * k, 1.0)) for k in range(1, 11)]
+    probe_batch(FormulaFamily.BDF1, cases)  # imports and FFT plans, outside the count
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        probe_batch(FormulaFamily.BDF1, cases)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 3.49e6
 
 
 def test_all_overflowing_batch_stops_at_the_last_overflow():
     cases = [(0.5, 1.0, 5.0), (0.7, 1.0, 3.0)]
-    (levels, overflow), _ = stacked_levels(FormulaFamily.BDF1, cases)
-    assert overflow.min() > 0
-    assert len(levels) == overflow.max() + 1
+    stack, _ = stacked_levels(FormulaFamily.BDF1, cases)
+    assert stack.overflow.min() > 0
+    # the last block solved is the one that holds the last overflow
+    m0 = stack.memory.solved[0]
+    assert m0 < stack.overflow.max() <= m0 + 16
+    assert not np.any(stack.last)
 
 
 def test_criterion_4_bisections_in_lockstep_equal_one_by_one():
