@@ -26,7 +26,7 @@ from fracstep.coeffs import (
     newton_gregory_omegas,
 )
 from fracstep.exact_solution import SineSeriesIC, exact_eval, exact_profile, parabola_ic
-from fracstep.mittag_leffler import MLEvalConfig, ml_decay_profile, ml_eval, ml_eval_neg
+from fracstep.mittag_leffler import ml_decay_profile, ml_eval, ml_eval_neg
 from fracstep.solver import (
     OverflowDetected,
     ProblemSpec,
@@ -52,7 +52,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientTable",
     "FormulaFamily",
-    "MLEvalConfig",
     "OverflowDetected",
     "ProblemSpec",
     "SchemeConfig",

@@ -16,7 +16,7 @@ import numpy as np
 from fracstep import harness
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.exact_solution import check_profile_size, exact_profile, parabola_ic
-from fracstep.mittag_leffler import MLEvalConfig, ml_eval
+from fracstep.mittag_leffler import ml_eval
 from fracstep.stability import MAX_PHASE_POINTS, phase_diagram, probe_stability, stability_bound
 
 EXIT_OK = 0
@@ -68,11 +68,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma", required=True, type=float)
     p.add_argument("--z", required=True, type=float)
     legacy = "legacy, validated only"
-    p.add_argument("--series-cutoff", type=float, default=MLEvalConfig.series_cutoff, help=legacy)
-    p.add_argument("--series-tol", type=float, default=MLEvalConfig.series_tol, help=legacy)
-    p.add_argument(
-        "--asymptotic-terms", type=int, default=MLEvalConfig.asymptotic_terms, help=legacy
-    )
+    p.add_argument("--series-cutoff", type=float, default=10.0, help=legacy)
+    p.add_argument("--series-tol", type=float, default=1e-16, help=legacy)
+    p.add_argument("--asymptotic-terms", type=int, default=30, help=legacy)
 
     p = sub.add_parser("exact", help="analytical benchmark profile as CSV")
     p.add_argument("--gamma", required=True, type=float)
@@ -141,15 +139,19 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "ml":
-        config = MLEvalConfig(
-            series_cutoff=args.series_cutoff,
-            series_tol=args.series_tol,
-            asymptotic_terms=args.asymptotic_terms,
-        )
-        print(f"{ml_eval(args.gamma, args.z, config):.15g}")
+        # the legacy flags select nothing, but a bad value is still an error
+        if not (args.series_cutoff > 0.0):
+            raise ValueError(f"series_cutoff must be > 0, got {args.series_cutoff}")
+        if not (args.series_tol > 0.0):
+            raise ValueError(f"series_tol must be > 0, got {args.series_tol}")
+        if args.asymptotic_terms < 1:
+            raise ValueError(f"asymptotic_terms must be >= 1, got {args.asymptotic_terms}")
+        print(f"{ml_eval(args.gamma, args.z):.15g}")
         return EXIT_OK
 
     if args.command == "exact":
+        if args.nx < 1:
+            raise ValueError(f"--nx must be >= 1, got {args.nx}")
         check_profile_size(args.nx + 1)
         xs = np.arange(args.nx + 1) / args.nx
         profile = exact_profile(parabola_ic(), args.gamma, args.kgamma, xs, args.t, tol=args.tol)

@@ -16,10 +16,7 @@ one running product (the same multiplications in the same order).  BDF2/BDF3
 are the Taylor coefficients of a polynomial raised to a real power (J.C.P.
 Miller recurrence); NG2 composes the BDF1 stream with the linear
 Newton-Gregory correction W_0 + W_1 (1 - z) in one elementwise expression.
-
-Tables are append-only: extending the capacity never changes entries that
-have already been published, so a completed prefix can be shared
-read-only between concurrent solver runs.
+A table is built once, at its capacity, and is read-only.
 """
 
 from __future__ import annotations
@@ -133,97 +130,57 @@ def newton_gregory_omegas(alpha: float, count: int) -> np.ndarray:
 
 
 class CoefficientTable:
-    """Memoized weight sequence w_0 .. w_K for one (family, alpha) pair.
+    """The weight sequence w_0 .. w_K of one (family, alpha) pair, built once.
 
-    The table grows on demand and is append-only; extending the capacity
-    never changes entries already computed.  A table whose construction is
-    finished is safe to share across concurrent readers; extension must
-    remain single-writer.
+    The weights are read-only, so a table can be shared between concurrent
+    solver runs.
     """
 
     def __init__(self, family: FormulaFamily, alpha: float, capacity: int = 0):
         self.family = FormulaFamily(family)
-        self.alpha = _check_alpha(alpha)
-        if capacity < 0:
+        self.alpha = a = _check_alpha(alpha)
+        count = int(capacity) + 1
+        if count < 1:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self._buf = np.empty(16)  # grown to the capacity, within MAX_WEIGHTS
-        self._size = 0  # number of published weights
-        if self.family is FormulaFamily.NG2:
-            w0, w1 = newton_gregory_omegas(self.alpha, 2)
-            self._ng = (w0, w1)
-        self._extend_to(capacity)
+        if count > MAX_WEIGHTS:
+            raise ValueError(f"a table of {count} weights exceeds MAX_WEIGHTS = {MAX_WEIGHTS}")
+        if self.family is FormulaFamily.BDF1:
+            w = _bdf1_product(a, count)
+        elif self.family is FormulaFamily.NG2:
+            # Cauchy product of the BDF1 stream with W0 + W1 (1 - z)
+            #   = (W0 + W1) - W1 z, i.e. w_k = (W0 + W1) b_k - W1 b_{k-1}.
+            w0, w1 = newton_gregory_omegas(a, 2)
+            b = _bdf1_product(a, count)
+            w = np.concatenate(([(w0 + w1) * b[0]], (w0 + w1) * b[1:] - w1 * b[:-1]))
+        else:
+            w = _series_pow(self.family.base_poly, a, count)
+        w.flags.writeable = False
+        self._w = w
 
     @property
     def capacity(self) -> int:
         """Largest index k for which w_k is available."""
-        return self._size - 1
+        return len(self._w) - 1
 
     @property
     def weights(self) -> np.ndarray:
-        """Read-only view of all published weights w_0 .. w_capacity."""
-        view = self._buf[: self._size]
-        view.flags.writeable = False
-        return view
-
-    def weight(self, k: int) -> float:
-        if k < 0:
-            raise IndexError(f"weight index must be >= 0, got {k}")
-        if k > self.capacity:
-            self._extend_to(k)
-        return float(self._buf[k])
-
-    def ensure_capacity(self, k: int) -> "CoefficientTable":
-        """Extend the table (single-writer) so that w_0 .. w_k exist."""
-        if k > self.capacity:
-            self._extend_to(k)
-        return self
+        """Read-only array of the weights w_0 .. w_capacity."""
+        return self._w
 
     def array(self, upto: int) -> np.ndarray:
         """Read-only view of w_0 .. w_upto; raises if the prefix is missing."""
         if upto > self.capacity:
             raise RuntimeError(
                 f"coefficient table capacity {self.capacity} < requested {upto}; "
-                "the caller must pre-extend the table"
+                "the caller must build a larger table"
             )
-        view = self._buf[: upto + 1]
-        view.flags.writeable = False
-        return view
-
-    def _extend_to(self, k: int) -> None:
-        needed = k + 1
-        if needed > MAX_WEIGHTS:
-            raise ValueError(f"a table of {needed} weights exceeds MAX_WEIGHTS = {MAX_WEIGHTS}")
-        if needed > len(self._buf):
-            grown = np.empty(min(max(needed, 2 * len(self._buf)), MAX_WEIGHTS))
-            grown[: self._size] = self._buf[: self._size]
-            self._buf = grown
-        fam, a = self.family, self.alpha
-        if fam is FormulaFamily.BDF1:
-            # a running product seeded with the last published weight, so
-            # extending leaves the published entries as they are
-            top = max(self._size, 1)
-            self._buf[0] = 1.0
-            self._buf[top - 1 : needed] = _bdf1_product(a, self._buf[top - 1], top, needed)
-        elif fam is FormulaFamily.NG2:
-            # Cauchy product of the BDF1 stream with W0 + W1 (1 - z)
-            #   = (W0 + W1) - W1 z, i.e. w_k = (W0 + W1) b_k - W1 b_{k-1}.
-            w0, w1 = self._ng
-            b = _bdf1_product(a, 1.0, 1, needed)
-            self._buf[0] = (w0 + w1) * b[0]
-            self._buf[1:needed] = (w0 + w1) * b[1:] - w1 * b[:-1]
-        else:
-            # Miller recurrence needs the full prefix anyway; regenerating it
-            # reproduces the identical forward recursion, so published
-            # entries are rewritten with bit-identical values.
-            self._buf[:needed] = _series_pow(fam.base_poly, a, needed)
-        self._size = needed
+        return self._w[: upto + 1]
 
 
-def _bdf1_product(a: float, seed: float, lo: int, hi: int) -> np.ndarray:
-    """seed, then seed times the running product of the BDF1 ratios
-    1 - (a + 1)/k for k = lo .. hi - 1: one multiplication per entry, in
-    the order of the recurrence w_k = (1 - (a + 1)/k) w_{k-1}."""
-    return np.cumprod(np.concatenate(([seed], 1.0 - (a + 1.0) / np.arange(lo, hi))))
+def _bdf1_product(a: float, count: int) -> np.ndarray:
+    """The running product of the BDF1 ratios 1 - (a + 1)/k from w_0 = 1: one
+    multiplication per entry, in the order of the recurrence w_k = (1 - (a + 1)/k) w_{k-1}."""
+    return np.cumprod(np.concatenate(([1.0], 1.0 - (a + 1.0) / np.arange(1, count))))
 
 
 def build_table(family: FormulaFamily, alpha: float, capacity: int) -> CoefficientTable:
@@ -233,10 +190,6 @@ def build_table(family: FormulaFamily, alpha: float, capacity: int) -> Coefficie
     alpha = 1 - gamma, so alpha = 0 (classical diffusion) is accepted and
     yields the identity weights (1, 0, 0, ...).
     """
-    family = FormulaFamily(family)
-    capacity = int(capacity)
-    if capacity < 0:
-        raise ValueError(f"capacity must be >= 0, got {capacity}")
     return CoefficientTable(family, alpha, capacity)
 
 

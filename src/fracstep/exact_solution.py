@@ -138,8 +138,8 @@ def exact_profile(
     _validate(gamma, k_gamma, t, tol)
     xs = np.asarray(xs, dtype=float)
     check_profile_size(xs.size)
-    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
-        raise ValueError("grid points must lie in [0, 1]")
+    if not np.all((xs >= 0.0) & (xs <= 1.0)):  # NaN fails both
+        raise ValueError("grid points must be finite and lie in [0, 1]")
     out = np.zeros_like(xs)
     interior = (xs != 0.0) & (xs != 1.0)
     xi = xs[interior]

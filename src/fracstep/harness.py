@@ -88,7 +88,7 @@ class ExperimentSpec:
         for t in self.output_times:
             if t < 0.0 or t > t_end + 0.5 * self.dt:
                 raise ValueError(f"output time {t} outside [0, t_end={t_end}]")
-        _ic_callable(self.ic)  # validate early
+        _parse_ic(self.ic)  # validate early
 
     @property
     def t_end(self) -> float:
@@ -96,7 +96,7 @@ class ExperimentSpec:
 
     def problem(self) -> ProblemSpec:
         return ProblemSpec(
-            gamma=self.gamma, k_gamma=self.k_gamma, initial_condition=_ic_callable(self.ic)
+            gamma=self.gamma, k_gamma=self.k_gamma, initial_condition=_parse_ic(self.ic)[0]
         )
 
     def scheme(self) -> SchemeConfig:
@@ -110,7 +110,7 @@ class ExperimentSpec:
         )
 
     def sine_series(self) -> SineSeriesIC:
-        return _ic_sine_series(self.ic)
+        return _parse_ic(self.ic)[1]
 
     def exact_at_end(self, xs) -> np.ndarray:
         """The analytical solution at the nodes ``xs`` at t_end."""
@@ -118,26 +118,18 @@ class ExperimentSpec:
         return exact_profile(series, self.gamma, self.k_gamma, xs, t, tol=EXACT_TOL)
 
 
-def _ic_callable(ic: str):
+def _parse_ic(ic: str):
+    """The initial condition named by ``ic``: a callable u(x, 0) and its sine series."""
     if ic == "poly:x*(1-x)":
-        return lambda x: x * (1.0 - x)
+        return (lambda x: x * (1.0 - x)), parabola_ic()
     if ic == "zero":
-        return lambda x: 0.0
+        return (lambda x: 0.0), SineSeriesIC(((1, 0.0),), description=ic)
     if ic.startswith("sine:"):
         n = int(ic.split(":", 1)[1])
         if n < 1:
             raise ValueError(f"sine mode must be >= 1, got {n}")
-        return lambda x: math.sin(n * math.pi * x)
+        return (lambda x: math.sin(n * math.pi * x)), SineSeriesIC(((n, 1.0),), description=ic)
     raise ValueError(f"unsupported ic {ic!r}; expected 'poly:x*(1-x)', 'sine:<n>' or 'zero'")
-
-
-def _ic_sine_series(ic: str) -> SineSeriesIC:
-    if ic == "poly:x*(1-x)":
-        return parabola_ic()
-    if ic == "zero":
-        return SineSeriesIC(((1, 0.0),), description=ic)
-    n = int(ic.split(":", 1)[1])
-    return SineSeriesIC(((n, 1.0),), description=ic)
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -462,13 +454,21 @@ def startup_comparison(base: ExperimentSpec, startup_steps_grid) -> list[tuple[i
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
-# profile presets: (gamma, lam, S, dx, steps or t_end)
+# fig3's cases: (label, gamma, lam, S, dx), each run to _FIG3_T_END
 _FIG3_CASES = (
     ("triangles", 0.5, 1.0, 0.33, 1.0 / 10.0),
     ("squares", 0.75, 1.0, 0.4, 1.0 / 20.0),
     ("circles", 1.0, 1.0, 0.5, 1.0 / 50.0),
 )
 _FIG3_T_END = 0.5
+# the single-run figures: (gamma, lam, S, dx, steps), the levels written in a
+# "level" column (else only the last, without one) and whether u_exact is written
+_FIG_RUNS = {
+    "fig4": ((0.5, 1.0, 0.37, 1.0 / 20.0, 200), (150, 200), False),
+    "fig5": ((0.5, 0.8, 0.55, 1.0 / 20.0, 500), (), True),
+    "fig6": ((0.5, 0.8, 0.7, 1.0 / 20.0, 50), (), False),
+    "fig7": ((0.5, 0.8, 0.7, 1.0 / 20.0, 100), (), False),
+}
 
 # the marked cases of the bound diagrams: header, columns, rows
 _FIG_MARKERS = {
@@ -517,16 +517,9 @@ def figure_specs(fig_id: str, t_end: float | None = None) -> list[ExperimentSpec
             steps = max(1, round(t / dt))
             specs.append(_profile_spec(f"fig3_{label}", gamma, lam, s, dx, steps))
         return specs
-    presets = {
-        "fig4": ("fig4", 0.5, 1.0, 0.37, 1.0 / 20.0, 200),
-        "fig5": ("fig5", 0.5, 0.8, 0.55, 1.0 / 20.0, 500),
-        "fig6": ("fig6", 0.5, 0.8, 0.7, 1.0 / 20.0, 50),
-        "fig7": ("fig7", 0.5, 0.8, 0.7, 1.0 / 20.0, 100),
-    }
-    if fig_id not in presets:
+    if fig_id not in _FIG_RUNS:
         raise ValueError(f"{fig_id!r} has no profile specs")
-    name, gamma, lam, s, dx, steps = presets[fig_id]
-    return [_profile_spec(name, gamma, lam, s, dx, steps)]
+    return [_profile_spec(fig_id, *_FIG_RUNS[fig_id][0])]
 
 
 @dataclass
@@ -618,15 +611,12 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         f"steps={spec.steps} probe_verdict={report.empirical_verdict} "
         f"probe_growth={report.growth_factor!r}"
     )
-    x, u = history.x, history.level(history.top_level)
-    if fig_id == "fig4":
-        columns, rows = ("level", "x", "u_numeric"), []
-        for level in (150, 200):
-            u = history.level(min(level, history.top_level))
-            rows += [(level, *xu) for xu in zip(x.tolist(), u.tolist())]
-    elif fig_id == "fig5":
-        columns = ("x", "u_numeric", "u_exact")
-        rows = np.column_stack((x, u, spec.exact_at_end(x))).tolist()
-    else:  # fig6 / fig7
-        columns, rows = ("x", "u_numeric"), np.column_stack((x, u)).tolist()
+    _, levels, with_exact = _FIG_RUNS[fig_id]
+    x = history.x
+    exact = [spec.exact_at_end(x)] if with_exact else []
+    columns = ("level",) * bool(levels) + ("x", "u_numeric") + ("u_exact",) * with_exact
+    rows = []
+    for level in levels or (history.top_level,):
+        u = history.level(min(level, history.top_level))
+        rows += [(level,) * bool(levels) + tuple(r) for r in np.column_stack([x, u, *exact]).tolist()]
     return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", desc, columns, rows)], status)

@@ -37,38 +37,10 @@ t = 1.  The absolute error is below 1e-12 on that range (measured: about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MLEvalConfig", "ml_eval", "ml_eval_neg", "ml_decay_profile"]
-
-
-@dataclass(frozen=True)
-class MLEvalConfig:
-    """Legacy evaluation parameters of :func:`ml_eval`.
-
-    Earlier versions chose between a multiprecision power series and an
-    asymptotic expansion with these fields.  The contour quadrature needs
-    no branch, so they are still accepted and validated (a bad value is a
-    ``ValueError``) but no longer change the result.
-
-    series_cutoff: former |z| threshold between the two branches.
-    series_tol: former term-magnitude stop criterion of the series.
-    asymptotic_terms: former term count of the asymptotic expansion.
-    """
-
-    series_cutoff: float = 10.0
-    series_tol: float = 1e-16
-    asymptotic_terms: int = 30
-
-    def __post_init__(self):
-        if not (self.series_cutoff > 0.0):
-            raise ValueError(f"series_cutoff must be > 0, got {self.series_cutoff}")
-        if not (self.series_tol > 0.0):
-            raise ValueError(f"series_tol must be > 0, got {self.series_tol}")
-        if self.asymptotic_terms < 1:
-            raise ValueError(f"asymptotic_terms must be >= 1, got {self.asymptotic_terms}")
+__all__ = ["ml_eval", "ml_eval_neg", "ml_decay_profile"]
 
 
 # hyperbola s(u) = mu (1 + sin(i u - alpha)) at u = k h, k = 0..N; the
@@ -114,11 +86,8 @@ def ml_eval_neg(gamma: float, x) -> np.ndarray:
     return np.where(x == 0.0, 1.0, out.reshape(x.shape))
 
 
-def ml_eval(gamma: float, z: float, config: MLEvalConfig | None = None) -> float:
-    """Evaluate E_gamma(z) for 0 < gamma <= 1 and z <= 0.
-
-    ``config`` is accepted for compatibility and has no effect.
-    """
+def ml_eval(gamma: float, z: float) -> float:
+    """Evaluate E_gamma(z) for 0 < gamma <= 1 and z <= 0."""
     gamma = _check_gamma(gamma)
     z = float(z)
     if not math.isfinite(z):
@@ -128,12 +97,11 @@ def ml_eval(gamma: float, z: float, config: MLEvalConfig | None = None) -> float
     return float(ml_eval_neg(gamma, -z))
 
 
-def ml_decay_profile(gamma, rate, times, config: MLEvalConfig | None = None):
+def ml_decay_profile(gamma, rate, times):
     """E_gamma(-rate * t^gamma) for each t in ``times``.
 
     This is the decay factor of a single spatial eigenmode with
-    eigenvalue ``rate``; it is non-increasing in t.  ``config`` has no
-    effect.
+    eigenvalue ``rate``; it is non-increasing in t.
     """
     gamma = _check_gamma(gamma)
     rate = float(rate)

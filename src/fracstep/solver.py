@@ -39,18 +39,17 @@ modes, the far sums and ``run``'s nodes are arrays of one row per level.
 Level 0 is transformed in long double, because an unstable run amplifies
 the rounding of its fastest-growing mode.
 
-Overflow is checked once per block, before its levels enter the far
-sums, and first in mode space: by the inverse DST-I, max|U(r)| <=
-max|ends| + max_k |zeta_k(r)|.  Only a block whose bound reaches the
-limit (less a margin for rounding; capped, so that inf modes fail it)
-takes its nodes and checks them.  ``run`` steps one problem in at most
-two ranges (the explicit startup, then the rest) and ``step`` one level
-of a cached block: their increments zeta^(r) - zeta^(m0) wait in the
-node rows and become nodes U^(m0) + the inverse transform of the
-increment in chunks of levels, at the end of a range and before any
-return.  ``run_stacked`` steps stability probes in lockstep and keeps
-no nodes: it forms l + the inverse transform of zeta^(r) for a block
-that fails the bound and for the last level, which it returns.
+The stepper itself keeps only modes.  Overflow is checked once per block,
+before its levels enter the far sums, and first in mode space: by the
+inverse DST-I, max|U(r)| <= max|ends| + max_k |zeta_k(r)|.  Only a block
+whose bound reaches the limit (less a margin for rounding; capped, so
+that inf modes fail it) takes its nodes, l + the inverse transform of
+zeta^(r), and checks them.  ``run`` steps one problem in at most two
+ranges (the explicit startup, then the rest) and ``step`` one level of a
+cached block; after each range its levels are written as U^(0) + the
+inverse transform of zeta^(r) - zeta^(0), in chunks of levels.
+``run_stacked`` steps stability probes in lockstep and keeps no nodes:
+it returns l + the inverse transform of the last level's modes.
 """
 
 from __future__ import annotations
@@ -419,57 +418,38 @@ def _solve_block(memory, m0):
     return (memory.inverse @ b.transpose(1, 2, 0)[..., None])[..., 0].transpose(2, 0, 1)
 
 
+def _line(ends: np.ndarray, n: int) -> np.ndarray:
+    """The lines (B, n) through the Dirichlet data (B, 2) on n nodes."""
+    return ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n)
+
+
+def _level_modes(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The modes (..., B, N - 2) of node rows (..., B, N) less their line, in long double."""
+    return _modes(rows[..., 1:-1].astype(np.longdouble) - _line(ends, rows.shape[-1])[:, 1:-1])
+
+
 def _nodes(zeta: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The nodes (..., B, N) of levels from their modes: the line through the ends + v."""
     n = zeta.shape[-1] + 2
-    line = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n)
     rows = np.empty(zeta.shape[:-1] + (n,))
-    rows[..., 1:-1] = line[:, 1:-1] + _unmodes(zeta)
+    rows[..., 1:-1] = _line(ends, n)[:, 1:-1] + _unmodes(zeta)
     rows[..., :: n - 1] = ends
     return rows
 
 
-def _take_nodes(values, a, b, origin, ends) -> None:
-    """Turn the increments staged in the interiors of levels a + 1 .. b into nodes.
-
-    U(r) = U(m0) + the inverse transform of zeta(r) - zeta(m0), m0 the start
-    of r's block.  The starts past a are levels of the chunk itself; their
-    nodes are taken in order, by one running sum of the block ends.
-    """
-    if b <= a:
-        return
-    rows = values[a + 1 : b + 1]
-    steps = _unmodes(rows[..., 1:-1])
-    start = a - a % _BLOCK
-    later = np.arange(start + _BLOCK, b, _BLOCK)  # block starts in a + 1 .. b - 1
-    base = np.concatenate((values[None, max(origin, start), :, 1:-1], steps[later - a - 1]))
-    np.cumsum(base, axis=0, out=base)
-    np.add(steps, base[np.arange(a, b) // _BLOCK - a // _BLOCK], out=rows[..., 1:-1])
-    rows[..., [0, -1]] = ends
-
-
-def _advance(values, lo, hi, memory, ends):
-    """Write levels lo + 1 .. hi of the problems stacked in ``values`` (levels, B, N).
+def _advance(lo, hi, memory, ends):
+    """Step the modes of the stacked problems from level lo to level hi.
 
     Blocks start at the range's origin and at multiples of _BLOCK; one that
     starts before lo keeps only its rows past lo.  The Dirichlet data
-    ``ends`` are shared or per problem (B, 2).  With ``values`` None only
-    modes are kept.  Returns None when every new level is within the
-    overflow limit, else (the level reached, each problem's first level
-    past the limit or 0).
+    ``ends`` are shared or per problem (B, 2).  Returns None when every new
+    level is within the overflow limit, else (the level reached, each
+    problem's first level past the limit or 0).
     """
-    modes, n = memory.modes, memory.modes.shape[2] + 2
-    if memory.known <= lo:
-        # level 0, or levels appended outside the stepper: the modes of the
-        # nodes less the line through the Dirichlet data, in long double
-        line = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n)
-        rows = values[memory.known : lo + 1, :, 1:-1].astype(np.longdouble) - line[:, 1:-1]
-        modes[memory.known : lo + 1] = _modes(rows)
+    modes = memory.modes
     memory.known = hi + 1  # once this range is done; a caller cuts it at an overflow
     # max|U(r)| <= max|ends| + max_k |zeta_k(r)|, as |sin| <= 1 in the inverse DST-I
     bound = min(OVERFLOW_LIMIT, _BOUND_CAP) * _BOUND_SHARE - np.abs(ends).max()
-    chunk = max(_BLOCK, _NODE_VALUES // (len(ends) * n))  # levels per node chunk
-    taken = lo  # the nodes are held up to this level
     m0 = max(memory.origin, lo - lo % _BLOCK)
     # levels past an overflow run on to the check, their inf and NaN are discarded
     with np.errstate(over="ignore", invalid="ignore"):
@@ -479,19 +459,12 @@ def _advance(values, lo, hi, memory, ends):
             if memory.solved[0] != m0:
                 memory.solved = m0, _solve_block(memory, m0)
             first, end = max(lo, m0), min(m0 + _BLOCK - m0 % _BLOCK, hi)
-            y = memory.solved[1][first - m0 : end - m0]
             block = modes[first + 1 : end + 1]
-            np.add(y, modes[m0], out=block)
-            # a NaN fails the comparisons too
-            check = not (block.max() <= bound and block.min() >= -bound)
-            if values is not None:
-                values[first + 1 : end + 1, :, 1:-1] = y  # staged until the nodes are taken
-                if check or end - taken >= chunk or end == hi:
-                    _take_nodes(values, taken, end, memory.origin, ends)
-                    taken = end
-            # the exact check, on the nodes, before a flush takes the levels in
-            if check:
-                rows = _nodes(block, ends) if values is None else values[first + 1 : end + 1]
+            np.add(memory.solved[1][first - m0 : end - m0], modes[m0], out=block)
+            # the exact check, on the nodes, before a flush takes the levels in; a NaN
+            # fails the comparisons too
+            if not (block.max() <= bound and block.min() >= -bound):
+                rows = _nodes(block, ends)
                 if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
                     bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
                     return end, np.where(bad.any(axis=0), bad.argmax(axis=0) + first + 1, 0)
@@ -502,18 +475,28 @@ def _advance(values, lo, hi, memory, ends):
 def _advance_history(history, problem, memory, hi, lam, s) -> None:
     """Advance one problem's history to level hi with one lam; raise on overflow.
 
-    The range goes on, with its block origin, while lam, S and the ends hold.
+    The range goes on, with its block origin, while lam, S and the ends
+    hold.  Its levels are written as U(r) = U(0) + the inverse transform of
+    zeta(r) - zeta(0), in chunks of levels.
     """
+    lo, values, modes = history._top, history._values, memory.modes
     key = (lam, s, problem.left_value, problem.right_value)
-    if memory.key != key or memory.known != history._top + 1:
-        memory.begin(history._top, key, None if lam == 1.0 else (1.0 - lam) * s, lam * s)
+    if memory.key != key or memory.known != lo + 1:
+        memory.begin(lo, key, None if lam == 1.0 else (1.0 - lam) * s, lam * s)
     ends = np.array([[problem.left_value, problem.right_value]])
-    found = _advance(history._values, history._top, hi, memory, ends)
+    if memory.known <= lo:  # level 0, or levels appended outside the stepper
+        modes[memory.known : lo + 1] = _level_modes(values[memory.known : lo + 1], ends)
+    found = _advance(lo, hi, memory, ends)
+    top = hi if found is None else int(found[1][0]) - 1
+    chunk = max(1, _NODE_VALUES // history.n_nodes)
+    for a in range(lo + 1, top + 1, chunk):
+        rows = values[a : min(a + chunk, top + 1), 0]
+        rows[:, 1:-1] = values[0, 0, 1:-1] + _unmodes(modes[a : a + len(rows), 0] - modes[0, 0])
+        rows[:, :: history.n_nodes - 1] = ends
+    history._top = top
     if found is not None:
-        memory.known = int(found[1][0])
-        history._top = memory.known - 1
-        raise OverflowDetected(memory.known, history)
-    history._top = hi
+        memory.known = top + 1
+        raise OverflowDetected(top + 1, history)
 
 
 def step(
@@ -597,7 +580,7 @@ def run(
     elif table.capacity < config.steps + 1:
         raise ValueError(
             f"provided table capacity {table.capacity} < steps + 1; "
-            "pre-extend it or pass table=None"
+            "build a larger one or pass table=None"
         )
     row0 = _sample_ic(problem, config, nodes)
     history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps)
@@ -648,8 +631,8 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     implicit = implicit if implicit.any() else None
     overflow, level = np.zeros(n_problems, dtype=int), 0
     memory.begin(0, None, implicit, explicit)
-    _advance(first_rows[None], 0, 0, memory, ends)  # a range of no levels: level 0's modes
-    while (found := _advance(None, level, steps, memory, ends)) is not None:
+    memory.modes[0] = _level_modes(first_rows, ends)
+    while (found := _advance(level, steps, memory, ends)) is not None:
         level, first = found
         # a masked problem keeps zero modes: it weighs both sums by 0
         for b in np.flatnonzero(first):

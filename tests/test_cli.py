@@ -114,6 +114,13 @@ class TestExact:
         assert lines[-1] == "1.0,0.0"
         assert len(lines) == 6
 
+    @pytest.mark.parametrize("nx", ["0", "-1"])
+    def test_grids_of_no_intervals_are_refused(self, capsys, nx):
+        code, out, err = run_cli(
+            capsys, "exact", "--gamma", "0.5", "--kgamma", "1", "--t", "0.5", "--nx", nx
+        )
+        assert code == EXIT_USAGE and out == "" and "--nx" in err
+
 
 class TestSolve:
     def test_stable_run(self, capsys, tmp_path):

@@ -151,3 +151,10 @@ class TestValidation:
             exact_eval(ic, 0.5, 0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             exact_eval(ic, 0.5, 1.0, 0.5, 0.5, tol=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_points_are_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            exact_profile(parabola_ic(4), 0.5, 1.0, [0.0, bad, 1.0], 0.5)
+        with pytest.raises(ValueError):
+            exact_eval(parabola_ic(4), 0.5, 1.0, bad, 0.5)

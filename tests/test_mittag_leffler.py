@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from fracstep.mittag_leffler import MLEvalConfig, ml_decay_profile, ml_eval, ml_eval_neg
+from fracstep.mittag_leffler import ml_decay_profile, ml_eval, ml_eval_neg
 
 # z ranges around |z| = cutoff, where earlier versions switched from the
 # power series to the asymptotic expansion; kept as a hard test region
@@ -127,9 +127,8 @@ class TestBranches:
 
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75])
     def test_complete_monotonicity_proxy(self, gamma):
-        config = MLEvalConfig(series_cutoff=OVERLAP_CUTOFF[gamma])
         zs = np.linspace(0.0, -100.0, 201)
-        values = [ml_eval(gamma, float(z), config) for z in zs]
+        values = [ml_eval(gamma, float(z)) for z in zs]
         assert all(0.0 < v <= 1.0 for v in values)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -165,11 +164,6 @@ class TestAccuracy:
             scalar = [ml_eval(gamma, -x) for x in xs]
             np.testing.assert_allclose(ml_eval_neg(gamma, xs), scalar, rtol=0.0, atol=1e-15)
 
-    def test_config_has_no_effect(self):
-        config = MLEvalConfig(series_cutoff=0.5, series_tol=1e-3, asymptotic_terms=2)
-        for gamma, z in HARD_POINTS:
-            assert ml_eval(gamma, z, config) == ml_eval(gamma, z)
-
 
 class TestDecayProfile:
     def test_zero_rate_gives_ones(self):
@@ -189,7 +183,7 @@ class TestDecayProfile:
 
     def test_profile_is_non_increasing(self):
         times = np.linspace(0.0, 3.0, 31)
-        values = ml_decay_profile(0.6, 4.0, times, MLEvalConfig(series_cutoff=5.0))
+        values = ml_decay_profile(0.6, 4.0, times)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_times_must_ascend(self):
@@ -217,11 +211,3 @@ class TestValidation:
             ml_eval(0.5, math.nan)
         with pytest.raises(ValueError):
             ml_eval(0.5, math.inf)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MLEvalConfig(series_cutoff=0.0)
-        with pytest.raises(ValueError):
-            MLEvalConfig(series_tol=-1.0)
-        with pytest.raises(ValueError):
-            MLEvalConfig(asymptotic_terms=0)

@@ -102,9 +102,11 @@ class TestMemoryTerm:
 class TestClassicalLimit:
     def test_hand_computed_explicit_step(self):
         # gamma=1, lam=1, S=1/4, dx=1/4, IC x(1-x):
-        # U1 = [0, 3/16, 7/32, 3/16, 0] + S * second difference
-        history = run(make_problem(1.0), make_config(1.0, 1.0, 0.25, 0.25, 1))
+        # U(m+1) = U(m) + S * second difference of U(m), U(0) = [0, 3/16, 1/4, 3/16, 0]
+        history = run(make_problem(1.0), make_config(1.0, 1.0, 0.25, 0.25, 3))
         assert history.level(1).tolist() == [0.0, 0.15625, 0.21875, 0.15625, 0.0]
+        assert history.level(2).tolist() == [0.0, 17 / 128, 3 / 16, 17 / 128, 0.0]
+        assert history.level(3).tolist() == [0.0, 29 / 256, 41 / 256, 29 / 256, 0.0]
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
     def test_matches_independent_classical_scheme(self, lam):
