@@ -48,6 +48,13 @@ def _grid(text: str) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
+def _end_time(text: str) -> float:
+    try:
+        return harness.end_time(float(text))
+    except ValueError as exc:
+        raise _UsageError(f"--t-end: {exc}")
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fracstep", description=__doc__)
@@ -111,7 +118,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("figure", help="emit a bundled figure dataset as CSV")
     p.add_argument("--id", required=True, choices=harness.FIGURE_IDS)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--t-end", type=float, default=None, help="shorten fig3 runs")
+    p.add_argument("--t-end", type=_end_time, default=None, help="shorten fig3 runs")
 
     return parser
 
@@ -217,7 +224,7 @@ def _dispatch_stability(args) -> int:
             Path(args.out),
             f"stability phase sweep family={args.family.value}",
             ("gamma", "lambda", "inv_s_cross"),
-            rows,
+            [(np.array(rows),)],
         )
         print(args.out)
         return EXIT_OK

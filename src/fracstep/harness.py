@@ -9,15 +9,20 @@ bound curves with empirical circles, stable and unstable profile runs) as
 CSV files; each profile dataset also carries the checkerboard-probe
 stability verdict at its parameters.
 
-All file output is atomic (temp file + rename) and uses the shortest
-round-trip decimal representation, so identical specs produce
-byte-identical files.
+All file output is atomic (temp file + rename), written in chunks of
+rows, and every float is written as its shortest round-trip decimal,
+exactly as ``repr`` gives it, so identical specs produce byte-identical
+files.  Float cells are formatted a chunk at a time by
+``shortest.repr_cells``, a numpy version of Giulietti's Schubfach ("The
+Schubfach way to render doubles", 2020); only non-finite and subnormal
+cells fall back to ``float.__repr__``, one at a time.  Label and level
+cells are written by ``str``.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
+import itertools
 import math
 import os
 from dataclasses import astuple, dataclass, replace
@@ -27,6 +32,7 @@ import numpy as np
 
 from fracstep.coeffs import FormulaFamily
 from fracstep.exact_solution import SineSeriesIC, check_profile_size, exact_profile, parabola_ic
+from fracstep.shortest import MAX_CELL, repr_cells
 from fracstep.solver import (
     OverflowDetected,
     ProblemSpec,
@@ -86,7 +92,7 @@ class ExperimentSpec:
                 raise ValueError(f"unknown output flag {flag!r}")
         t_end = self.steps * self.dt
         for t in self.output_times:
-            if t < 0.0 or t > t_end + 0.5 * self.dt:
+            if not 0.0 <= t <= t_end + 0.5 * self.dt:
                 raise ValueError(f"output time {t} outside [0, t_end={t_end}]")
         _parse_ic(self.ic)  # validate early
 
@@ -116,6 +122,13 @@ class ExperimentSpec:
         """The analytical solution at the nodes ``xs`` at t_end."""
         series, t = self.sine_series(), self.t_end
         return exact_profile(series, self.gamma, self.k_gamma, xs, t, tol=EXACT_TOL)
+
+
+def end_time(t: float) -> float:
+    """``t`` as a run's end time; a ValueError unless it is finite and > 0."""
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t_end must be finite and > 0, got {t}")
+    return t
 
 
 def _parse_ic(ic: str):
@@ -168,10 +181,12 @@ def parse_experiment(text: str) -> ExperimentSpec:
 
     if "steps" in sec and "t_end" in sec:
         raise ValueError("give either steps or t_end, not both")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
     if "steps" in sec:
         steps = int(sec["steps"])
     elif "t_end" in sec:
-        steps = round(float(sec["t_end"]) / dt)
+        steps = round(end_time(float(sec["t_end"])) / dt)
         if steps < 1:
             raise ValueError(f"t_end {sec['t_end']} is below one time step (dt={dt})")
     else:
@@ -225,23 +240,103 @@ def format_experiment(spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = None) -> Path:
-    """Write rows of str, int and float cells, Python or numpy scalars.
+# the cells formatted at a time, in one repr_cells call: bounds the writer's memory
+_CHUNK_CELLS = 4096
 
-    ``str`` gives the shortest round-trip repr of either kind of float.
+
+def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = None) -> Path:
+    """Write a CSV atomically (temp file + rename), a chunk of rows at a time.
+
+    Each item of ``rows`` is a tuple: one row of str, int and float cells,
+    or a block of n rows whose cells may also be arrays of length n, each a
+    column (1-D) or a run of float columns (2-D), the other cells repeating
+    down the block.  Floats are written by ``shortest.repr_cells``, every
+    other cell by ``str``.
     """
     path = Path(path)
-    buf = io.StringIO()
-    buf.write(f"# {header} | columns: {','.join(columns)}\n")
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(map(str, row)) + "\n")
-    if trailer:
-        buf.write(f"# {trailer}\n")
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(buf.getvalue())
+    step = max(1, _CHUNK_CELLS // len(columns))
+    try:
+        with open(tmp, "wb") as out:
+            out.write(f"# {header} | columns: {','.join(columns)}\n{','.join(columns)}\n".encode())
+            chunk, cells = [], 0
+            for n, block in _blocks(rows):
+                for a in range(0, n, step):
+                    size = min(step, n - a) * len(columns)
+                    if cells + size > _CHUNK_CELLS:
+                        out.write(_format_rows(chunk))
+                        chunk, cells = [], 0
+                    chunk.append([column[a : a + step] for column in block])
+                    cells += size
+            out.write(_format_rows(chunk))
+            if trailer:
+                out.write(f"# {trailer}\n".encode())
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
     return path
+
+
+def _blocks(rows):
+    """Each block of rows as (n, columns).  When no row holds an array, all the
+    rows form one block; else each row is a block."""
+    rows = list(rows)
+    types = set(map(type, itertools.chain.from_iterable(rows)))
+    if not any(issubclass(t, np.ndarray) for t in types):
+        if rows:
+            yield len(rows), [_column(cells) for cells in zip(*rows)]
+        return
+    for row in rows:
+        n = next((len(cell) for cell in row if isinstance(cell, np.ndarray)), 1)
+        yield n, [_column(cell if isinstance(cell, np.ndarray) else [cell] * n) for cell in row]
+
+
+def _column(cells):
+    """A float64 array when every cell is a float, else the list of cells."""
+    if isinstance(cells, np.ndarray):
+        return cells if cells.dtype == np.float64 else cells.tolist()
+    if set(map(type, cells)) <= {float, np.float64}:
+        return np.array(cells, dtype=np.float64)
+    return list(cells)
+
+
+def _format_rows(pieces) -> bytes:
+    """The CSV lines of pieces of blocks, each given as columns, in one repr_cells call.
+
+    Every cell is laid out with NUL holes and a last byte for its separator
+    (the last byte of a repr_cells cell is always NUL); the NULs are dropped
+    at the end.
+    """
+    floats = [col.ravel() for piece in pieces for col in piece if isinstance(col, np.ndarray)]
+    if floats:
+        float_cells = repr_cells(np.concatenate(floats))
+        float_cells[:, -1] = ord(",")
+        float_cells = iter(np.split(float_cells, np.cumsum([len(f) for f in floats[:-1]])))
+    text = []
+    for piece in pieces:
+        r = len(piece[0])
+        parts = [
+            next(float_cells).reshape(r, -1) if isinstance(col, np.ndarray) else _text_cells(col)
+            for col in piece
+        ]
+        lines = np.concatenate(parts, axis=1)
+        lines[:, -1] = ord("\n")
+        text.append(lines.tobytes().translate(None, b"\0"))
+    return b"".join(text)
+
+
+def _text_cells(cells) -> np.ndarray:
+    """Rows of NUL-padded bytes plus a NUL, one per cell: str() of each cell that is
+    not a float, repr_cells of those that are."""
+    text = np.array([b"" if isinstance(c, float) else str(c).encode() for c in cells], dtype=bytes)
+    floats = [i for i, c in enumerate(cells) if isinstance(c, float)]
+    out = np.zeros((len(cells), max(text.itemsize, MAX_CELL if floats else 0) + 1), np.uint8)
+    out[:, : text.itemsize] = text.view(np.uint8).reshape(len(cells), -1)
+    if floats:
+        out[floats, :MAX_CELL] = repr_cells([cells[i] for i in floats])
+    out[:, -1] = ord(",")
+    return out
 
 
 @dataclass
@@ -300,14 +395,14 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
             exact = exact_profile(series, spec.gamma, spec.k_gamma, xs, t_level, tol=EXACT_TOL)
             err = np.abs(u - exact)
             columns = ("x", "u_numeric", "u_exact", "abs_error")
-            rows = np.column_stack((xs, u, exact, err)).tolist()
+            rows = [(xs, u, exact, err)]
             max_err = float(np.max(err))
             l2_err = float(math.sqrt(spec.dx * float(np.sum(err * err))))
             summaries.append((t_level, max_err, l2_err))
             trailer = f"summary t={t_level!r} max_error={max_err!r} l2_error={l2_err!r}"
         else:
             columns = ("x", "u_numeric")
-            rows = np.column_stack((xs, u)).tolist()
+            rows = [(xs, u)]
             trailer = f"summary t={t_level!r}"
         if status == "unstable":
             trailer += f" UNSTABLE at step {unstable_level}"
@@ -321,7 +416,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
     if "history_csv" in spec.outputs or dump_history:
         target = Path(dump_history) if dump_history else out_dir / f"{spec.name}_history.csv"
         columns = ("level",) + tuple(f"u{j}" for j in range(history.n_nodes))
-        rows = [(m, *row) for m, row in enumerate(history.values.tolist())]
+        rows = [(np.arange(history.top_level + 1), history.values)]
         paths.append(_write_csv(target, spec_desc + " full history", columns, rows))
 
     if "stability_report" in spec.outputs:
@@ -510,7 +605,7 @@ def figure_specs(fig_id: str, t_end: float | None = None) -> list[ExperimentSpec
     ``reproduce_figure`` runs exactly these.
     """
     if fig_id == "fig3":
-        t = _FIG3_T_END if t_end is None else t_end
+        t = _FIG3_T_END if t_end is None else end_time(t_end)
         specs = []
         for label, gamma, lam, s, dx in _FIG3_CASES:
             dt = dt_for_mesh_ratio(s, dx, gamma)
@@ -552,7 +647,8 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             "inv_s_cross = 2(2*lambda-1)*w(-1,1-gamma)"
         )
         line = phase_diagram(FormulaFamily.BDF1, [0.5], np.linspace(0.0, 1.0, 101))
-        paths = [_write_csv(out_dir / "fig1.csv", header, ("gamma", "lambda", "inv_s_cross"), line)]
+        columns = ("gamma", "lambda", "inv_s_cross")
+        paths = [_write_csv(out_dir / "fig1.csv", header, columns, [(np.array(line),)])]
     if fig_id == "fig2":
         header = "explicit-method stability bounds: inv_s_cross = 2*w(-1,1-gamma), lambda=1"
         rows = [
@@ -584,8 +680,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             label = spec.name.removeprefix("fig3_")
             s = mesh_ratio(spec.problem(), spec.scheme())
             u = history.level(history.top_level)
-            for x, un, ue in zip(history.x.tolist(), u.tolist(), exact.tolist()):
-                rows.append((label, spec.gamma, s, spec.dx, t_actual, x, un, ue))
+            rows.append((label, spec.gamma, s, spec.dx, t_actual, history.x, u, exact))
         path = _write_csv(
             out_dir / "fig3.csv",
             "stable explicit profiles vs analytical solution (bdf1, lambda=1)",
@@ -613,10 +708,10 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     )
     _, levels, with_exact = _FIG_RUNS[fig_id]
     x = history.x
-    exact = [spec.exact_at_end(x)] if with_exact else []
+    exact = (spec.exact_at_end(x),) if with_exact else ()
     columns = ("level",) * bool(levels) + ("x", "u_numeric") + ("u_exact",) * with_exact
-    rows = []
-    for level in levels or (history.top_level,):
-        u = history.level(min(level, history.top_level))
-        rows += [(level,) * bool(levels) + tuple(r) for r in np.column_stack([x, u, *exact]).tolist()]
+    rows = [
+        (level,) * bool(levels) + (x, history.level(min(level, history.top_level)), *exact)
+        for level in levels or (history.top_level,)
+    ]
     return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", desc, columns, rows)], status)

@@ -263,6 +263,34 @@ class TestFigure:
         assert code == EXIT_USAGE
 
 
+class TestBadTimes:
+    """A time that cannot run exits 1 with an error line naming its flag or key,
+    before anything runs or is written."""
+
+    @pytest.mark.parametrize("t_end", ["inf", "nan", "-1", "0"])
+    def test_figure_t_end(self, capsys, tmp_path, t_end):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "figure", "--id", "fig3", "--t-end", t_end, "--out-dir", str(out))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: --t-end: t_end must be finite and > 0, got {float(t_end)}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "times, key",
+        [("s = 0.33\nt_end = inf", "t_end"), ("s = 0.33\nt_end = nan", "t_end"),
+         ("s = 0.33\nt_end = 0", "t_end"), ("s = 0.33\nsteps = 10\noutput_times = nan", "output time"),
+         ("dt = 0\nt_end = 1", "dt")],
+    )
+    def test_solve_config(self, capsys, tmp_path, times, key):
+        config = tmp_path / "exp.cfg"
+        config.write_text(STABLE_CONFIG.replace("s = 0.33\nt_end = 0.005", times))
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "solve", "--config", str(config), "--out-dir", str(out))
+        assert code == EXIT_USAGE
+        assert err.startswith("error: ") and key in err
+        assert not out.exists()
+
+
 class TestOversizedRuns:
     """Runs past MAX_HISTORY_CELLS fail fast, in a child process under an address-space cap.
 

@@ -1,6 +1,7 @@
 """Tests of the experiment runner, convergence studies and figure datasets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,11 @@ class TestConfigFormat:
         spec = parse_experiment(BASE_CONFIG)
         again = parse_experiment(format_experiment(spec))
         assert again == spec
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan, -1.0, 0.0])
+    def test_figure_specs_refuse_a_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite and > 0"):
+            figure_specs("fig3", t_end=t_end)
 
     def test_figure_specs_round_trip(self):
         for fig_id in ("fig3", "fig4", "fig5", "fig6", "fig7"):
@@ -350,14 +356,39 @@ class TestCsvRows:
         expected += [",".join(per_cell_fmt(v) for v in row) for row in rows]
         assert path.read_text() == "\n".join(expected + ["# end"]) + "\n"
 
+    # (spec overrides, whether the last level is in exponent form)
+    HISTORIES = (
+        (dict(lam=0.5, steps=70), False),
+        # the cn-solve benchmark's run: BDF3, lambda 1/2, 101 nodes, 1,500 steps
+        (dict(lam=0.5, family=FormulaFamily.BDF3, dx=0.01, dt=1e-8, steps=1500, output_times=()), False),
+        # an unstable explicit run (S = 0.7): it grows to 1e68
+        (dict(lam=1.0, dt=dt_for_mesh_ratio(0.7, 0.05, 0.5), steps=200, output_times=()), True),
+    )
+
     def test_history_csv_matches_the_per_cell_format(self, tmp_path):
-        spec = make_spec(lam=0.5, steps=70, outputs=("history_csv",))
-        result = run_experiment(spec, tmp_path)
-        values = result.history.values
-        lines = (tmp_path / "unit_history.csv").read_text().splitlines()[2:]
-        assert len(lines) == 71
-        for m, line in enumerate(lines):
-            assert line == ",".join(per_cell_fmt(v) for v in (m, *values[m]))
+        for i, (overrides, exponent_form) in enumerate(self.HISTORIES):
+            spec = make_spec(outputs=("history_csv",), **overrides)
+            result = run_experiment(spec, tmp_path / str(i))
+            values = result.history.values
+            lines = (tmp_path / str(i) / "unit_history.csv").read_text().splitlines()[2:]
+            assert len(lines) == len(values) == spec.steps + 1
+            for m, line in enumerate(lines):
+                assert line == ",".join(per_cell_fmt(v) for v in (m, *values[m]))
+            assert ("e+" in lines[-1]) == exponent_form
+
+    def test_writing_a_history_holds_little_memory(self, tmp_path):
+        # a 1,501 x 102 history CSV is 3 MB; it is written in chunks, not held whole
+        values = np.random.default_rng(3).random((1501, 101)) * 0.25
+        rows = [(np.arange(1501), values)]
+        columns = ("level",) + tuple(f"u{j}" for j in range(101))
+        tracemalloc.start()
+        try:
+            path = _write_csv(tmp_path / "history.csv", "history", columns, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 2_500_000
+        assert peak <= 3 * 2**20
 
 
 class TestFigures:

@@ -1,4 +1,4 @@
-"""Figure CSVs and probe reports do not depend on the BLAS thread count.
+"""Figure and solve CSVs and probe reports do not depend on the BLAS thread count.
 
 The stepper's products are numpy matmuls, which may go through BLAS, and
 ``exact_profile`` sums its sine table without BLAS, so one or two
@@ -23,6 +23,19 @@ CHILD = (
 
 # the figures whose runs go unstable, and exit with code 2
 UNSTABLE_FIGURES = ("fig4", "fig6", "fig7")
+
+# the cn-solve benchmark's run, with its 1,501-level history
+SOLVE_CONFIG = """[experiment]
+name = cn
+gamma = 0.5
+lambda = 0.5
+family = bdf3
+dx = 0.01
+s = 1.0
+steps = 1500
+output_times = 1.5e-05
+outputs = profile_csv, error_vs_exact, history_csv
+"""
 
 
 def cli(threads, *argv):
@@ -64,3 +77,16 @@ def test_one_and_two_blas_threads_give_identical_probes(family, gamma, lam, s):
     one, two = cli(1, *argv), cli(2, *argv)
     assert "growth_factor=" in one[1]
     assert one == two
+
+
+def test_one_and_two_blas_threads_give_identical_solve_csvs(tmp_path):
+    config = tmp_path / "cn.cfg"
+    config.write_text(SOLVE_CONFIG)
+    csvs = []
+    for threads in (1, 2):
+        out = tmp_path / f"solve_{threads}"
+        code, _ = cli(threads, "solve", "--config", str(config), "--out-dir", str(out))
+        assert code == 0
+        csvs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert sorted(csvs[0]) == ["cn_history.csv", "cn_t1500.csv"]
+    assert csvs[0] == csvs[1]
