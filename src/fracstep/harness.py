@@ -12,17 +12,17 @@ stability verdict at its parameters.
 All file output is atomic (temp file + rename), written in chunks of
 rows, and every float is written as its shortest round-trip decimal,
 exactly as ``repr`` gives it, so identical specs produce byte-identical
-files.  Float cells are formatted a chunk at a time by
+files.  Float arrays are formatted a chunk at a time by
 ``shortest.repr_cells``, a numpy version of Giulietti's Schubfach ("The
 Schubfach way to render doubles", 2020); only non-finite and subnormal
-cells fall back to ``float.__repr__``, one at a time.  Label and level
-cells are written by ``str``.
+cells fall back to ``float.__repr__``, one at a time.  Every other cell
+(labels, levels, and scalar floats, for which ``str`` is ``repr``) is
+written by ``str``.
 """
 
 from __future__ import annotations
 
 import configparser
-import itertools
 import math
 import os
 from dataclasses import astuple, dataclass, replace
@@ -32,7 +32,7 @@ import numpy as np
 
 from fracstep.coeffs import FormulaFamily
 from fracstep.exact_solution import SineSeriesIC, check_profile_size, exact_profile, parabola_ic
-from fracstep.shortest import MAX_CELL, repr_cells
+from fracstep.shortest import repr_cells
 from fracstep.solver import (
     OverflowDetected,
     ProblemSpec,
@@ -240,8 +240,10 @@ def format_experiment(spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the cells formatted at a time, in one repr_cells call: bounds the writer's memory
-_CHUNK_CELLS = 4096
+# The cells formatted at a time, in one repr_cells call.  On a 2-core Xeon VM a
+# 1,501 x 102 history is written in 67 ms at 2,048 and 88 ms at 4,096 (best of 25
+# interleaved rounds), with tracemalloc peaks of 0.8 and 1.5 MB; 8,192 peaks at 3.1 MB.
+_CHUNK_CELLS = 2048
 
 
 def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = None) -> Path:
@@ -250,8 +252,8 @@ def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = Non
     Each item of ``rows`` is a tuple: one row of str, int and float cells,
     or a block of n rows whose cells may also be arrays of length n, each a
     column (1-D) or a run of float columns (2-D), the other cells repeating
-    down the block.  Floats are written by ``shortest.repr_cells``, every
-    other cell by ``str``.
+    down the block.  Float64 arrays are written by ``shortest.repr_cells``,
+    every other cell by ``str``, which gives ``repr``'s bytes for a float.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -279,36 +281,40 @@ def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = Non
 
 
 def _blocks(rows):
-    """Each block of rows as (n, columns).  When no row holds an array, all the
-    rows form one block; else each row is a block."""
+    """Each block of rows as (n, columns), a column being a float64 array or an
+    array of bytes.  When no row holds an array, all the rows form one block;
+    else each row is a block."""
     rows = list(rows)
-    types = set(map(type, itertools.chain.from_iterable(rows)))
-    if not any(issubclass(t, np.ndarray) for t in types):
+    if not any(isinstance(cell, np.ndarray) for row in rows for cell in row):
         if rows:
-            yield len(rows), [_column(cells) for cells in zip(*rows)]
+            yield len(rows), [_text(cells) for cells in zip(*rows)]
         return
     for row in rows:
         n = next((len(cell) for cell in row if isinstance(cell, np.ndarray)), 1)
-        yield n, [_column(cell if isinstance(cell, np.ndarray) else [cell] * n) for cell in row]
+        yield n, [_column(cell, n) for cell in row]
 
 
-def _column(cells):
-    """A float64 array when every cell is a float, else the list of cells."""
-    if isinstance(cells, np.ndarray):
-        return cells if cells.dtype == np.float64 else cells.tolist()
-    if set(map(type, cells)) <= {float, np.float64}:
-        return np.array(cells, dtype=np.float64)
-    return list(cells)
+def _column(cell, n):
+    """A float64 array as it is; any other array as the str() of its elements; any
+    other cell as its str() repeated n times."""
+    if not isinstance(cell, np.ndarray):
+        return np.full(n, str(cell).encode())
+    return cell if cell.dtype == np.float64 else _text(cell.tolist())
+
+
+def _text(cells) -> np.ndarray:
+    return np.array([str(c).encode() for c in cells], dtype=bytes)
 
 
 def _format_rows(pieces) -> bytes:
-    """The CSV lines of pieces of blocks, each given as columns, in one repr_cells call.
+    """The CSV lines of pieces of blocks, each given as columns; the float cells of
+    all the pieces are formatted in one repr_cells call.
 
     Every cell is laid out with NUL holes and a last byte for its separator
     (the last byte of a repr_cells cell is always NUL); the NULs are dropped
     at the end.
     """
-    floats = [col.ravel() for piece in pieces for col in piece if isinstance(col, np.ndarray)]
+    floats = [col.ravel() for piece in pieces for col in piece if col.dtype == np.float64]
     if floats:
         float_cells = repr_cells(np.concatenate(floats))
         float_cells[:, -1] = ord(",")
@@ -317,7 +323,7 @@ def _format_rows(pieces) -> bytes:
     for piece in pieces:
         r = len(piece[0])
         parts = [
-            next(float_cells).reshape(r, -1) if isinstance(col, np.ndarray) else _text_cells(col)
+            next(float_cells).reshape(r, -1) if col.dtype == np.float64 else _text_cells(col)
             for col in piece
         ]
         lines = np.concatenate(parts, axis=1)
@@ -326,15 +332,10 @@ def _format_rows(pieces) -> bytes:
     return b"".join(text)
 
 
-def _text_cells(cells) -> np.ndarray:
-    """Rows of NUL-padded bytes plus a NUL, one per cell: str() of each cell that is
-    not a float, repr_cells of those that are."""
-    text = np.array([b"" if isinstance(c, float) else str(c).encode() for c in cells], dtype=bytes)
-    floats = [i for i, c in enumerate(cells) if isinstance(c, float)]
-    out = np.zeros((len(cells), max(text.itemsize, MAX_CELL if floats else 0) + 1), np.uint8)
-    out[:, : text.itemsize] = text.view(np.uint8).reshape(len(cells), -1)
-    if floats:
-        out[floats, :MAX_CELL] = repr_cells([cells[i] for i in floats])
+def _text_cells(text) -> np.ndarray:
+    """Rows of NUL-padded bytes plus a separator, one per cell of a bytes array."""
+    out = np.zeros((len(text), text.itemsize + 1), np.uint8)
+    out[:, :-1] = text.view(np.uint8).reshape(len(text), -1)
     out[:, -1] = ord(",")
     return out
 

@@ -22,7 +22,7 @@ def assert_matches_repr(values):
         assert not cells[:, -1].any()  # the last byte is free for a separator
         cells[:, -1] = ord("\n")
         got = cells.tobytes().translate(None, b"\0").decode()
-        want = "".join(repr(v) + "\n" for v in part.tolist())
+        want = "\n".join(map(repr, part.tolist())) + "\n"
         if got != want:
             for v, g in zip(part.tolist(), got.splitlines()):
                 assert g == repr(v), f"bits {np.float64(v).view(np.uint64):#018x}"
