@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -219,12 +218,11 @@ def _dispatch_stability(args) -> int:
         print(f"probe_steps={report.probe_steps}")
         return EXIT_UNSTABLE if report.empirical_verdict == "unstable" else EXIT_OK
     if args.stability_command == "phase":
-        rows = phase_diagram(args.family, args.gamma_grid, args.lambda_grid)
         harness._write_csv(
-            Path(args.out),
+            args.out,
             f"stability phase sweep family={args.family.value}",
             ("gamma", "lambda", "inv_s_cross"),
-            [(np.array(rows),)],
+            [phase_diagram(args.family, args.gamma_grid, args.lambda_grid)],
         )
         print(args.out)
         return EXIT_OK

@@ -12,12 +12,12 @@ stability verdict at its parameters.
 All file output is atomic (temp file + rename), written in chunks of
 rows, and every float is written as its shortest round-trip decimal,
 exactly as ``repr`` gives it, so identical specs produce byte-identical
-files.  Float arrays are formatted a chunk at a time by
-``shortest.repr_cells``, a numpy version of Giulietti's Schubfach ("The
-Schubfach way to render doubles", 2020); only non-finite and subnormal
-cells fall back to ``float.__repr__``, one at a time.  Every other cell
-(labels, levels, and scalar floats, for which ``str`` is ``repr``) is
-written by ``str``.
+files.  Every table is a sequence of columns.  A float64 array column is
+formatted a chunk at a time by ``shortest.repr_cells``, a numpy version
+of Giulietti's Schubfach ("The Schubfach way to render doubles", 2020);
+only non-finite and subnormal cells fall back to ``float.__repr__``, one
+at a time.  Any other column is a sequence of cells written by ``str``
+(labels, levels, and scalar floats, for which ``str`` is ``repr``).
 """
 
 from __future__ import annotations
@@ -246,31 +246,26 @@ def format_experiment(spec: ExperimentSpec) -> str:
 _CHUNK_CELLS = 2048
 
 
-def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = None) -> Path:
+def _write_csv(path: Path, header: str, columns, table, trailer: str | None = None) -> Path:
     """Write a CSV atomically (temp file + rename), a chunk of rows at a time.
 
-    Each item of ``rows`` is a tuple: one row of str, int and float cells,
-    or a block of n rows whose cells may also be arrays of length n, each a
-    column (1-D) or a run of float columns (2-D), the other cells repeating
-    down the block.  Float64 arrays are written by ``shortest.repr_cells``,
-    every other cell by ``str``, which gives ``repr``'s bytes for a float.
+    ``table`` is a sequence of equal-length columns.  A float64 array is one
+    column (1-D) or a run of float columns (2-D) and is written by
+    ``shortest.repr_cells``; any other column is a sequence of cells written
+    by ``str``, which gives ``repr``'s bytes for a float.
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    table = [
+        col if isinstance(col, np.ndarray) and col.dtype == np.float64 else _text(col)
+        for col in table
+    ]
     step = max(1, _CHUNK_CELLS // len(columns))
     try:
         with open(tmp, "wb") as out:
             out.write(f"# {header} | columns: {','.join(columns)}\n{','.join(columns)}\n".encode())
-            chunk, cells = [], 0
-            for n, block in _blocks(rows):
-                for a in range(0, n, step):
-                    size = min(step, n - a) * len(columns)
-                    if cells + size > _CHUNK_CELLS:
-                        out.write(_format_rows(chunk))
-                        chunk, cells = [], 0
-                    chunk.append([column[a : a + step] for column in block])
-                    cells += size
-            out.write(_format_rows(chunk))
+            for a in range(0, len(table[0]) if table else 0, step):
+                out.write(_format_rows([col[a : a + step] for col in table]))
             if trailer:
                 out.write(f"# {trailer}\n".encode())
     except BaseException:
@@ -280,64 +275,38 @@ def _write_csv(path: Path, header: str, columns, rows, trailer: str | None = Non
     return path
 
 
-def _blocks(rows):
-    """Each block of rows as (n, columns), a column being a float64 array or an
-    array of bytes.  When no row holds an array, all the rows form one block;
-    else each row is a block."""
-    rows = list(rows)
-    if not any(isinstance(cell, np.ndarray) for row in rows for cell in row):
-        if rows:
-            yield len(rows), [_text(cells) for cells in zip(*rows)]
-        return
-    for row in rows:
-        n = next((len(cell) for cell in row if isinstance(cell, np.ndarray)), 1)
-        yield n, [_column(cell, n) for cell in row]
-
-
-def _column(cell, n):
-    """A float64 array as it is; any other array as the str() of its elements; any
-    other cell as its str() repeated n times."""
-    if not isinstance(cell, np.ndarray):
-        return np.full(n, str(cell).encode())
-    return cell if cell.dtype == np.float64 else _text(cell.tolist())
-
-
 def _text(cells) -> np.ndarray:
-    return np.array([str(c).encode() for c in cells], dtype=bytes)
+    """Rows of NUL-padded str() bytes plus a separator, one per cell (of an array, its value)."""
+    if isinstance(cells, np.ndarray):
+        cells = cells.tolist()
+    text = np.array([str(c).encode() for c in cells], dtype=bytes)
+    out = np.zeros((len(text), text.itemsize + 1), np.uint8)
+    out[:, :-1] = text.view(np.uint8).reshape(len(text), text.itemsize)
+    out[:, -1] = ord(",")
+    return out
 
 
-def _format_rows(pieces) -> bytes:
-    """The CSV lines of pieces of blocks, each given as columns; the float cells of
-    all the pieces are formatted in one repr_cells call.
+def _format_rows(table) -> bytes:
+    """The CSV lines of a chunk of rows, given as columns; its float cells are
+    formatted in one repr_cells call.
 
     Every cell is laid out with NUL holes and a last byte for its separator
     (the last byte of a repr_cells cell is always NUL); the NULs are dropped
     at the end.
     """
-    floats = [col.ravel() for piece in pieces for col in piece if col.dtype == np.float64]
+    floats = [col for col in table if col.dtype == np.float64]
     if floats:
-        float_cells = repr_cells(np.concatenate(floats))
+        float_cells = repr_cells(np.concatenate([col.ravel() for col in floats]))
         float_cells[:, -1] = ord(",")
-        float_cells = iter(np.split(float_cells, np.cumsum([len(f) for f in floats[:-1]])))
-    text = []
-    for piece in pieces:
-        r = len(piece[0])
-        parts = [
-            next(float_cells).reshape(r, -1) if col.dtype == np.float64 else _text_cells(col)
-            for col in piece
-        ]
-        lines = np.concatenate(parts, axis=1)
-        lines[:, -1] = ord("\n")
-        text.append(lines.tobytes().translate(None, b"\0"))
-    return b"".join(text)
-
-
-def _text_cells(text) -> np.ndarray:
-    """Rows of NUL-padded bytes plus a separator, one per cell of a bytes array."""
-    out = np.zeros((len(text), text.itemsize + 1), np.uint8)
-    out[:, :-1] = text.view(np.uint8).reshape(len(text), -1)
-    out[:, -1] = ord(",")
-    return out
+        float_cells = iter(np.split(float_cells, np.cumsum([col.size for col in floats[:-1]])))
+    r = len(table[0])
+    parts = [
+        next(float_cells).reshape(r, -1) if col.dtype == np.float64 else col
+        for col in table
+    ]
+    lines = np.concatenate(parts, axis=1)
+    lines[:, -1] = ord("\n")
+    return lines.tobytes().translate(None, b"\0")
 
 
 @dataclass
@@ -396,29 +365,29 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
             exact = exact_profile(series, spec.gamma, spec.k_gamma, xs, t_level, tol=EXACT_TOL)
             err = np.abs(u - exact)
             columns = ("x", "u_numeric", "u_exact", "abs_error")
-            rows = [(xs, u, exact, err)]
+            table = (xs, u, exact, err)
             max_err = float(np.max(err))
             l2_err = float(math.sqrt(spec.dx * float(np.sum(err * err))))
             summaries.append((t_level, max_err, l2_err))
             trailer = f"summary t={t_level!r} max_error={max_err!r} l2_error={l2_err!r}"
         else:
             columns = ("x", "u_numeric")
-            rows = [(xs, u)]
+            table = (xs, u)
             trailer = f"summary t={t_level!r}"
         if status == "unstable":
             trailer += f" UNSTABLE at step {unstable_level}"
         if "profile_csv" in spec.outputs or want_error:
             paths.append(
                 _write_csv(
-                    out_dir / f"{spec.name}_t{level}.csv", spec_desc, columns, rows, trailer
+                    out_dir / f"{spec.name}_t{level}.csv", spec_desc, columns, table, trailer
                 )
             )
 
     if "history_csv" in spec.outputs or dump_history:
         target = Path(dump_history) if dump_history else out_dir / f"{spec.name}_history.csv"
         columns = ("level",) + tuple(f"u{j}" for j in range(history.n_nodes))
-        rows = [(np.arange(history.top_level + 1), history.values)]
-        paths.append(_write_csv(target, spec_desc + " full history", columns, rows))
+        table = (np.arange(history.top_level + 1), history.values)
+        paths.append(_write_csv(target, spec_desc + " full history", columns, table))
 
     if "stability_report" in spec.outputs:
         report = _probe(spec, s)
@@ -427,7 +396,7 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
                 out_dir / f"{spec.name}_stability.csv",
                 spec_desc,
                 ("s", "s_cross", "theoretical_verdict", "growth_factor", "empirical_verdict"),
-                [astuple(report)[:5]],
+                zip(astuple(report)[:5]),
             )
         )
     return ExperimentResult(spec, paths, status, unstable_level, summaries, history)
@@ -649,7 +618,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         )
         line = phase_diagram(FormulaFamily.BDF1, [0.5], np.linspace(0.0, 1.0, 101))
         columns = ("gamma", "lambda", "inv_s_cross")
-        paths = [_write_csv(out_dir / "fig1.csv", header, columns, [(np.array(line),)])]
+        paths = [_write_csv(out_dir / "fig1.csv", header, columns, [line])]
     if fig_id == "fig2":
         header = "explicit-method stability bounds: inv_s_cross = 2*w(-1,1-gamma), lambda=1"
         rows = [
@@ -658,7 +627,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
             for g in np.linspace(0.05, 1.0, 39)
         ]
         columns = ("family", "gamma", "inv_s_cross")
-        paths = [_write_csv(out_dir / "fig2_bounds.csv", header, columns, rows)]
+        paths = [_write_csv(out_dir / "fig2_bounds.csv", header, columns, zip(*rows))]
         gammas = [round(0.1 * k, 1) for k in range(1, 11)]
         bounds = [stability_bound(FormulaFamily.BDF1, g, 1.0) for g in gammas]
         # the ten bisections run in lockstep: one stacked probe run per round
@@ -668,25 +637,25 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         header = "empirical explicit-method thresholds: family=bdf1 lambda=1 (bisection probe)"
         columns = ("gamma", "s_cross_empirical", "inv_s_cross_empirical")
         rows = [(g, est, 1.0 / est) for g, est in zip(gammas, thresholds)]
-        paths.append(_write_csv(out_dir / "fig2_circles.csv", header, columns, rows))
+        paths.append(_write_csv(out_dir / "fig2_circles.csv", header, columns, zip(*rows)))
     if fig_id in _FIG_MARKERS:
-        paths.append(_write_csv(out_dir / f"{fig_id}_markers.csv", *_FIG_MARKERS[fig_id]))
+        header, columns, rows = _FIG_MARKERS[fig_id]
+        paths.append(_write_csv(out_dir / f"{fig_id}_markers.csv", header, columns, zip(*rows)))
         return FigureResult(paths, "completed")
 
     if fig_id == "fig3":
-        rows = []
+        rows, profiles = [], []
         for spec in figure_specs("fig3", t_end=t_end):
             history = run(spec.problem(), spec.scheme())
-            t_actual, exact = spec.t_end, spec.exact_at_end(history.x)
-            label = spec.name.removeprefix("fig3_")
+            x, u = history.x, history.level(history.top_level)
             s = mesh_ratio(spec.problem(), spec.scheme())
-            u = history.level(history.top_level)
-            rows.append((label, spec.gamma, s, spec.dx, t_actual, history.x, u, exact))
+            rows += [(spec.name.removeprefix("fig3_"), spec.gamma, s, spec.dx, spec.t_end)] * len(x)
+            profiles.append(np.column_stack((x, u, spec.exact_at_end(x))))
         path = _write_csv(
             out_dir / "fig3.csv",
             "stable explicit profiles vs analytical solution (bdf1, lambda=1)",
             ("case", "gamma", "s", "dx", "t", "x", "u_numeric", "u_exact"),
-            rows,
+            (*zip(*rows), np.concatenate(profiles)),
         )
         return FigureResult([path], "completed")
 
@@ -711,8 +680,9 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     x = history.x
     exact = (spec.exact_at_end(x),) if with_exact else ()
     columns = ("level",) * bool(levels) + ("x", "u_numeric") + ("u_exact",) * with_exact
-    rows = [
-        (level,) * bool(levels) + (x, history.level(min(level, history.top_level)), *exact)
+    profiles = [
+        np.column_stack((x, history.level(min(level, history.top_level)), *exact))
         for level in levels or (history.top_level,)
     ]
-    return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", desc, columns, rows)], status)
+    table = ([level for level in levels for _ in x],) * bool(levels) + (np.concatenate(profiles),)
+    return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", desc, columns, table)], status)

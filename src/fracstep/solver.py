@@ -178,7 +178,11 @@ def dt_for_mesh_ratio(s: float, dx: float, gamma: float, k_gamma: float = 1.0) -
     """Invert the mesh ratio: dt = (S dx^2 / k_gamma)^(1/gamma)."""
     if not (s > 0.0):
         raise ValueError(f"mesh ratio must be > 0, got {s}")
-    return (s * dx * dx / k_gamma) ** (1.0 / gamma)
+    ProblemSpec(gamma, k_gamma)  # checks gamma and k_gamma
+    try:
+        return (s * dx * dx / k_gamma) ** (1.0 / gamma)
+    except OverflowError:
+        raise ValueError(f"dt overflows at S={s}, dx={dx}, gamma={gamma}") from None
 
 
 class SolutionHistory:

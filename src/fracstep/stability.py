@@ -47,8 +47,7 @@ INSTABILITY_THRESHOLD = 10.0
 PROBE_AMPLITUDE = 1e-6
 BISECTION_TOL = 1e-3
 
-#: Most (gamma, lam) points a phase sweep takes: a 1024 x 1024 grid, about
-#: 4 s of bound evaluations.
+#: Most (gamma, lam) points a phase sweep takes: a 1024 x 1024 grid, a 24 MB table.
 MAX_PHASE_POINTS = 1 << 20
 
 
@@ -214,12 +213,13 @@ def find_empirical_thresholds(family: FormulaFamily, cases, nodes=32, steps=400)
     return [0.5 * (s_lo + s_hi) for s_lo, s_hi in brackets]
 
 
-def phase_diagram(family: FormulaFamily, gamma_grid, lambda_grid) -> list[tuple[float, float, float]]:
-    """Tabulate (gamma, lam, 1/S_x) over the grid.
+def phase_diagram(family: FormulaFamily, gamma_grid, lambda_grid) -> np.ndarray:
+    """Tabulate (gamma, lam, 1/S_x) over the grid as a (points, 3) float64 array.
 
-    1/S_x is the raw bound value, so it crosses zero at lam = 1/2 and is
-    negative in the unconditionally stable region.  A grid of more than
-    ``MAX_PHASE_POINTS`` points is refused.
+    lam runs fastest.  1/S_x is the raw bound value, equal to
+    :func:`inv_stability_bound` at each point, so it crosses zero at
+    lam = 1/2 and is negative in the unconditionally stable region.  A grid
+    of more than ``MAX_PHASE_POINTS`` points is refused.
     """
     gamma_grid = [float(g) for g in gamma_grid]
     lambda_grid = [float(l) for l in lambda_grid]
@@ -231,4 +231,12 @@ def phase_diagram(family: FormulaFamily, gamma_grid, lambda_grid) -> list[tuple[
             f"a phase grid of {len(gamma_grid)} x {len(lambda_grid)} = {points} points "
             f"exceeds MAX_PHASE_POINTS = {MAX_PHASE_POINTS}"
         )
-    return [(g, l, inv_stability_bound(family, g, l)) for g in gamma_grid for l in lambda_grid]
+    # the first bad point in row order: the first gamma with every lambda, then the rest
+    for lam in lambda_grid:
+        _check_params(gamma_grid[0], lam)
+    for gamma in gamma_grid:
+        _check_params(gamma, lambda_grid[0])
+    gammas, lams = np.meshgrid(gamma_grid, lambda_grid, indexing="ij")
+    w = np.array([eval_generating_function(family, 1.0 - g, -1.0) for g in gamma_grid])
+    inv = 2.0 * (2.0 * lams - 1.0) * w[:, None]
+    return np.stack((gammas, lams, inv), axis=-1).reshape(points, 3)

@@ -291,6 +291,24 @@ class TestBadTimes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    @pytest.mark.parametrize(
+        "params, key",
+        [("gamma = 0\ns = 0.33", "gamma"), ("gamma = 0.5\nkgamma = 0\ns = 0.33", "k_gamma"),
+         ("gamma = 1e-4\ns = 200", "dt")],
+    )
+    def test_mesh_ratio_config(self, capsys, tmp_path, command, params, key):
+        # dt = (S dx^2 / k_gamma)^(1/gamma) divides by zero, or overflows
+        config = tmp_path / "exp.cfg"
+        config.write_text(STABLE_CONFIG.replace("gamma = 0.5", "").replace("s = 0.33", params))
+        out = tmp_path / "out"
+        argv = ["--config", str(config)] + ["--out-dir", str(out)] * (command == "solve")
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith(f"error: {key} ") and stdout == ""
+        assert not out.exists()
+
+
 class TestOversizedRuns:
     """Runs past MAX_HISTORY_CELLS fail fast, in a child process under an address-space cap.
 

@@ -351,10 +351,29 @@ class TestCsvRows:
             tuple(floats.tolist()),
             tuple(floats),
         ]
-        path = _write_csv(tmp_path / "mixed.csv", "mixed", ("a", "b", "c", "d", "e", "f"), rows, "end")
+        columns = ("a", "b", "c", "d", "e", "f")
+        path = _write_csv(tmp_path / "mixed.csv", "mixed", columns, zip(*rows), "end")
         expected = ["# mixed | columns: a,b,c,d,e,f", "a,b,c,d,e,f"]
         expected += [",".join(per_cell_fmt(v) for v in row) for row in rows]
         assert path.read_text() == "\n".join(expected + ["# end"]) + "\n"
+
+    def test_a_mixed_table_over_several_chunks_matches_the_per_cell_format(self, tmp_path):
+        # text columns between float columns, over more than two chunks of rows
+        rng = np.random.default_rng(11)
+        n = 2 * harness._CHUNK_CELLS // 9 + 100
+        floats = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-300, 300, (n, 4))
+        floats[:6, 0] = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16)
+        labels = [f"case{i % 7}" for i in range(n)]
+        levels = np.arange(n) * 3 - 50
+        columns = ("label", "a", "level", "t", "b0", "b1", "b2", "name", "c")
+        a, block, c = floats[:, 0], floats[:, 1:] / 3.0, floats[:, 0] * 7  # a is strided
+        table = (labels, a, levels, [0.1] * n, block, labels, c)
+        path = _write_csv(tmp_path / "mixed.csv", "mixed", columns, table)
+        lines = path.read_text().splitlines()[2:]
+        assert len(lines) == n
+        for i, line in enumerate(lines):
+            cells = (labels[i], a[i], levels[i], 0.1, *block[i], labels[i], c[i])
+            assert line == ",".join(per_cell_fmt(v) for v in cells)
 
     # (spec overrides, whether the last level is in exponent form)
     HISTORIES = (
@@ -379,11 +398,11 @@ class TestCsvRows:
     def test_writing_a_history_holds_little_memory(self, tmp_path):
         # a 1,501 x 102 history CSV is 3 MB; it is written in chunks, not held whole
         values = np.random.default_rng(3).random((1501, 101)) * 0.25
-        rows = [(np.arange(1501), values)]
+        table = (np.arange(1501), values)
         columns = ("level",) + tuple(f"u{j}" for j in range(101))
         tracemalloc.start()
         try:
-            path = _write_csv(tmp_path / "history.csv", "history", columns, rows)
+            path = _write_csv(tmp_path / "history.csv", "history", columns, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

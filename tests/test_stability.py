@@ -161,6 +161,29 @@ class TestPhaseDiagram:
         ((_, _, inv),) = phase_diagram(FormulaFamily.BDF1, [0.5], [0.2])
         assert inv < 0.0
 
+    @staticmethod
+    def per_point(family, gammas, lams):
+        return [(g, l, inv_stability_bound(family, g, l)) for g in gammas for l in lams]
+
+    @pytest.mark.parametrize("family", list(FormulaFamily))
+    def test_equals_the_per_point_bound(self, family):
+        gammas = [0.05, 0.3, 0.5, 2.0 / 3.0, 0.9, 1.0]
+        lams = [0.0, 0.2, 0.49, 0.5, 0.51, 0.8, 1.0 / 3.0, 1.0]
+        table = phase_diagram(family, gammas, np.array(lams))
+        assert table.dtype == np.float64 and table.shape == (len(gammas) * len(lams), 3)
+        assert np.array_equal(table, np.array(self.per_point(family, gammas, lams)))
+
+    @pytest.mark.parametrize(
+        "gammas, lams",
+        [([0.5, 0.0], [0.5]), ([0.5], [0.5, 1.5]), ([1.5, 0.5], [0.2, -0.1]),
+         ([0.5, 1.5], [0.2, -0.1]), ([0.5, math.nan], [0.5]), ([0.5], [math.nan])],
+    )
+    def test_bad_points_raise_the_per_point_message(self, gammas, lams):
+        with pytest.raises(ValueError) as expected:
+            self.per_point(FormulaFamily.BDF1, gammas, lams)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            phase_diagram(FormulaFamily.BDF1, gammas, lams)
+
     def test_grid_must_be_non_empty(self):
         with pytest.raises(ValueError):
             phase_diagram(FormulaFamily.BDF1, [], [0.5])

@@ -1,0 +1,142 @@
+"""Write fracstep's standard CSV output set with two source trees and compare it.
+
+Usage::
+
+    python tools/compare_outputs.py OLD_TREE NEW_TREE
+
+Each tree is a checkout holding ``src/fracstep``.  The set is written once
+per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
+``OPENBLAS_NUM_THREADS=1``), from the same config files:
+
+* ``figure`` fig1-fig7, with fig3 at ``--t-end 0.05`` and at ``0.12``;
+* ``solve`` of the cn-solve benchmark config (BDF3, lambda 1/2, 101 nodes,
+  1,500 steps): four profiles, the history and the stability report;
+* ``solve`` of an unstable explicit run (S = 0.7, 200 steps) with its history;
+* ``stability phase`` on a 64 x 64 grid for each family.
+
+For each file it prints ``identical``, or the largest absolute difference
+between the float cells of the two versions (and whether other cells
+differ).  It exits 1 if any file or exit code differs.  It needs only the
+standard library and numpy.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+CN_DT = (0.01 * 0.01) ** 2.0  # gamma = 1/2, S = 1, dx = 0.01
+CN_CONFIG = (
+    "[experiment]\nname = cn\ngamma = 0.5\nkgamma = 1.0\nlambda = 0.5\nfamily = bdf3\n"
+    "dx = 0.01\ns = 1.0\nsteps = 1500\nic = poly:x*(1-x)\noutput_times = "
+    + ", ".join(repr(level * CN_DT) for level in (250, 500, 1000, 1500))
+    + "\noutputs = profile_csv, error_vs_exact, history_csv, stability_report\n"
+)
+UNSTABLE_CONFIG = (
+    "[experiment]\nname = blowup\ngamma = 0.5\nlambda = 1.0\nfamily = bdf1\ndx = 0.05\n"
+    "s = 0.7\nsteps = 200\noutputs = profile_csv, history_csv\n"
+)
+FAMILIES = ("bdf1", "bdf2", "bdf3", "ng2")
+
+# runs the commands in one interpreter and prints their exit codes as its last line
+CHILD = (
+    "import json, sys; from fracstep.cli import main; "
+    "codes = [main(argv) for argv in json.loads(sys.argv[1])]; print(json.dumps(codes))"
+)
+
+
+def commands(configs: Path, out: Path) -> list[list[str]]:
+    """The CLI argument lists that write the output set under ``out``."""
+    argvs = [
+        ["figure", "--id", fig, "--out-dir", str(out / fig)]
+        for fig in ("fig1", "fig2", "fig4", "fig5", "fig6", "fig7")
+    ]
+    argvs += [
+        ["figure", "--id", "fig3", "--t-end", t, "--out-dir", str(out / f"fig3_t{t}")]
+        for t in ("0.05", "0.12")
+    ]
+    argvs += [
+        ["solve", "--config", str(configs / f"{name}.cfg"), "--out-dir", str(out / name)]
+        for name in ("cn", "blowup")
+    ]
+    argvs += [
+        ["stability", "phase", "--family", family, "--gamma-grid", "0.05:1:64",
+         "--lambda-grid", "0:1:64", "--out", str(out / f"phase_{family}.csv")]
+        for family in FAMILIES
+    ]
+    return argvs
+
+
+def write_set(tree: Path, configs: Path, out: Path) -> list[int]:
+    """Write the set with ``tree``'s fracstep; the exit code of each command."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
+    argvs = json.dumps(commands(configs, out))
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD, argvs], capture_output=True, text=True, env=env, check=False
+    )
+    if child.returncode != 0:
+        sys.exit(f"{tree}: the output set could not be written:\n{child.stderr}")
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def _float(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def compare(old: Path, new: Path) -> str:
+    """``identical``, or the largest absolute difference between float cells."""
+    if old.read_bytes() == new.read_bytes():
+        return "identical"
+    old_lines, new_lines = old.read_text().splitlines(), new.read_text().splitlines()
+    worst, other = 0.0, len(old_lines) != len(new_lines)
+    for old_line, new_line in zip(old_lines, new_lines):
+        old_cells, new_cells = old_line.split(","), new_line.split(",")
+        other |= len(old_cells) != len(new_cells)
+        for a, b in zip(old_cells, new_cells):
+            x, y = _float(a), _float(b)
+            if x is None or y is None or old_line.startswith("#"):
+                other |= a != b
+            elif not (x == y or (math.isnan(x) and math.isnan(y))):
+                worst = max(worst, abs(x - y) if math.isfinite(x - y) else math.inf)
+    return f"differs: max abs float diff {worst!r}" + (", other cells differ" if other else "")
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    old_tree, new_tree = (Path(a).resolve() for a in argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cn.cfg").write_text(CN_CONFIG)
+        (tmp / "blowup.cfg").write_text(UNSTABLE_CONFIG)
+        old_codes = write_set(old_tree, tmp, tmp / "old")
+        new_codes = write_set(new_tree, tmp, tmp / "new")
+        failed = False
+        for argv_, a, b in zip(commands(tmp, tmp / "out"), old_codes, new_codes):
+            if a != b:
+                print(f"exit codes differ ({a} -> {b}): fracstep {' '.join(argv_[:3])}")
+                failed = True
+        old_files = {p.relative_to(tmp / "old") for p in (tmp / "old").rglob("*.csv")}
+        new_files = {p.relative_to(tmp / "new") for p in (tmp / "new").rglob("*.csv")}
+        for name in sorted(old_files | new_files):
+            if name not in old_files or name not in new_files:
+                verdict = f"only in {'new' if name in new_files else 'old'}"
+            else:
+                verdict = compare(tmp / "old" / name, tmp / "new" / name)
+            print(f"{name}: {verdict}")
+            failed |= verdict != "identical"
+    print(f"{len(old_files | new_files)} files, {'some differ' if failed else 'all identical'}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
