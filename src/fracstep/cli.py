@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 import numpy as np
@@ -27,7 +28,15 @@ class _UsageError(Exception):
     pass
 
 
+# argparse takes only -1 and -1.5 for negative numbers, and reads -1e3 and -inf as flags
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     # argparse exits with code 2 on usage errors; 2 means "instability
     # detected" here, so route usage problems through exit code 1 instead.
     def error(self, message):
@@ -152,7 +161,11 @@ def _dispatch(args) -> int:
             raise ValueError(f"series_tol must be > 0, got {args.series_tol}")
         if args.asymptotic_terms < 1:
             raise ValueError(f"asymptotic_terms must be >= 1, got {args.asymptotic_terms}")
-        print(f"{ml_eval(args.gamma, args.z):.15g}")
+        try:
+            value = ml_eval(args.gamma, args.z)
+        except ValueError as exc:
+            raise _UsageError(f"--gamma {args.gamma!r} --z {args.z!r}: {exc}") from None
+        print(f"{value:.15g}")
         return EXIT_OK
 
     if args.command == "exact":
@@ -160,7 +173,11 @@ def _dispatch(args) -> int:
             raise ValueError(f"--nx must be >= 1, got {args.nx}")
         check_profile_size(args.nx + 1)
         xs = np.arange(args.nx + 1) / args.nx
-        profile = exact_profile(parabola_ic(), args.gamma, args.kgamma, xs, args.t, tol=args.tol)
+        try:
+            profile = exact_profile(parabola_ic(), args.gamma, args.kgamma, xs, args.t, tol=args.tol)
+        except ValueError as exc:
+            flags = f"--gamma {args.gamma!r} --kgamma {args.kgamma!r} --t {args.t!r} --tol {args.tol!r}"
+            raise _UsageError(f"{flags}: {exc}") from None
         print("x,u_exact")
         for x, u in zip(xs, profile):
             print(f"{float(x)!r},{float(u)!r}")

@@ -54,6 +54,13 @@ class FormulaFamily(str, enum.Enum):
         """Coefficients (constant term first) of the polynomial under the power."""
         return _BASE_POLYS[self]
 
+    def base_value(self, z: float) -> float:
+        """The polynomial under the power at z, by Horner's rule."""
+        acc = 0.0
+        for c in reversed(self.base_poly):
+            acc = acc * z + c
+        return acc
+
     @classmethod
     def parse(cls, text: str) -> "FormulaFamily":
         try:
@@ -193,13 +200,6 @@ def build_table(family: FormulaFamily, alpha: float, capacity: int) -> Coefficie
     return CoefficientTable(family, alpha, capacity)
 
 
-def _poly_eval(coeffs: Sequence[float], z: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
-
-
 def eval_generating_function(family: FormulaFamily, alpha: float, z: float) -> float:
     """Closed-form value of the generating function w(z, alpha).
 
@@ -212,7 +212,7 @@ def eval_generating_function(family: FormulaFamily, alpha: float, z: float) -> f
     family = FormulaFamily(family)
     alpha = _check_alpha(alpha)
     z = float(z)
-    base = _poly_eval(family.base_poly, z)
+    base = family.base_value(z)
     if base > 0.0:
         value = base**alpha
     elif alpha == int(alpha):

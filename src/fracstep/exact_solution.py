@@ -102,7 +102,11 @@ def _mode_factors(ic: SineSeriesIC, gamma, k_gamma, t, tol):
     """Retained mode numbers n and amplitudes b_n E_gamma(-k n^2 pi^2 t^gamma)."""
     kept = int(np.count_nonzero(ic.tail_bounds() >= tol))
     modes = ic._modes[:kept]
-    return modes, ic._amps[:kept] * ml_eval_neg(gamma, k_gamma * (modes * math.pi) ** 2 * t**gamma)
+    with np.errstate(over="ignore"):
+        x = k_gamma * (modes * math.pi) ** 2 * t**gamma
+    if not np.isfinite(x).all():
+        raise ValueError("the decay argument k_gamma (n pi)^2 t^gamma is not finite")
+    return modes, ic._amps[:kept] * ml_eval_neg(gamma, x)
 
 
 def exact_eval(

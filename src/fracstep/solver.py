@@ -49,7 +49,12 @@ ranges (the explicit startup, then the rest) and ``step`` one level of a
 cached block; after each range its levels are written as U^(0) + the
 inverse transform of zeta^(r) - zeta^(0), in chunks of levels.
 ``run_stacked`` steps stability probes in lockstep and keeps no nodes:
-it returns l + the inverse transform of the last level's modes.
+it returns l + the inverse transform of the last level's modes.  It steps
+only the live modes, those nonzero at level 0 in some problem of the
+stack: the update is diagonal in the sine basis, so a mode that starts at
+exactly 0 stays exactly 0, and dropping it leaves the others' recurrences
+as they are.  The checkerboard probe is symmetric about the centre, so
+about half of its modes, the even ones, are not live.
 """
 
 from __future__ import annotations
@@ -313,15 +318,18 @@ class _HistorySums:
 
     The far part of P(m+1) is that of R(m) = w_0 zeta(m) + P(m+1).  Each
     problem has its own table; all share the capacity K.  ``modes[r]`` and
-    ``far[r]`` are (B, N - 2).  When the level count L is a multiple of
-    the leaf size 64, the levels [L - b, L) are added to the rows
-    [L + 1, L + b], with b = 64 2^v and 2^v the largest power of two
-    dividing L/64, so a row r in (L', L' + 64] holds every level below L'
-    once the flushes up to L' are done.
+    ``far[r]`` are (B, len(live)): the modes ``live`` (default all N - 2)
+    are stepped, the others are 0 at every level.  When the level count L
+    is a multiple of the leaf size 64, the levels [L - b, L) are added to
+    the rows [L + 1, L + b], with b = 64 2^v and 2^v the largest power of
+    two dividing L/64, so a row r in (L', L' + 64] holds every level below
+    L' once the flushes up to L' are done.
     """
 
-    def __init__(self, tables, n_nodes: int):
+    def __init__(self, tables, n_nodes: int, live=None):
         self.tables = tables
+        self.live = np.arange(n_nodes - 2) if live is None else live
+        self.n_modes = n_nodes - 2
         self.capacity = tables[0].capacity
         # w_0 .. w_K of each problem, zero past the table
         self.w = np.zeros((len(tables), max(self.capacity + 1, _LEAF + _BLOCK + 1)))
@@ -330,17 +338,24 @@ class _HistorySums:
         shape = (len(tables), _BLOCK + 1, self.w.shape[1] - _BLOCK)
         self.near = np.ndarray(shape, buffer=self.w, strides=self.w.strides + (8,))
         # zero pages are mapped on first write, so rows never reached cost nothing
-        self.modes = np.zeros((self.capacity + 1, len(tables), n_nodes - 2))
+        self.modes = np.zeros((self.capacity + 1, len(tables), len(self.live)))
         self.far = np.zeros((self.capacity + 1 + _BLOCK,) + self.modes.shape[1:])
         # the eigenvalues of D on the interior modes
-        self.sigma = -4.0 * np.sin(np.arange(1, n_nodes - 1) * (0.5 * np.pi / (n_nodes - 1))) ** 2
+        sigma = -4.0 * np.sin(np.arange(1, n_nodes - 1) * (0.5 * np.pi / (n_nodes - 1))) ** 2
+        self.sigma = sigma[self.live]
         self.known = 0  # the modes of the levels below this are held
         self.flushed = 0  # the flushes at level counts up to this are done
         self.key = None
         self._spectra: dict[int, np.ndarray] = {}
 
+    def nodes(self, zeta: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """``_nodes`` of levels (..., B, len(live)) of the stepped modes, the others 0."""
+        full = np.zeros(zeta.shape[:-1] + (self.n_modes,))
+        full[..., self.live] = zeta
+        return _nodes(full, ends)
+
     def begin(self, origin: int, key, implicit, explicit) -> None:
-        """Start a range at ``origin``: g and the block inverse H (B, N - 2, 16, 16)."""
+        """Start a range at ``origin``: g and the block inverse H (B, len(live), 16, 16)."""
         self.origin, self.key, self.solved = origin, key, (-1, None)  # solved: m0, its increments
         if implicit is None:  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
             self.g = self.sigma * explicit, None
@@ -388,7 +403,7 @@ class _HistorySums:
         # chunks of whole problems, or of columns of one problem; the spectrum
         # broadcasts over the columns
         cols = max(1, _DIRECT_VALUES // rows if direct else _FFT_DOUBLES // (2 * b))
-        group = max(1, cols // block.shape[2])
+        group = max(1, cols // max(1, block.shape[2]))
         for p in range(0, block.shape[1], group):
             for c in range(0, block.shape[2], cols):
                 if direct:
@@ -402,7 +417,7 @@ class _HistorySums:
 
 
 def _solve_block(memory, m0):
-    """zeta(m0 + 1 + i) - zeta(m0) for i < _BLOCK, (_BLOCK, B, N - 2), in the range begun."""
+    """zeta(m0 + 1 + i) - zeta(m0) for i < _BLOCK, (_BLOCK, B, len(live)), in the range begun."""
     modes, far, explicit, implicit = memory.modes, memory.far, *memory.g
     # b of rows m0 .. m0 + _BLOCK - 1 from the levels up to m0, every row formed
     start = m0 - m0 % _LEAF
@@ -466,9 +481,9 @@ def _advance(lo, hi, memory, ends):
             block = modes[first + 1 : end + 1]
             np.add(memory.solved[1][first - m0 : end - m0], modes[m0], out=block)
             # the exact check, on the nodes, before a flush takes the levels in; a NaN
-            # fails the comparisons too
-            if not (block.max() <= bound and block.min() >= -bound):
-                rows = _nodes(block, ends)
+            # fails the comparisons too; the modes not stepped are 0
+            if not (block.max(initial=0.0) <= bound and block.min(initial=0.0) >= -bound):
+                rows = memory.nodes(block, ends)
                 if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
                     bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
                     return end, np.where(bad.any(axis=0), bad.argmax(axis=0) + first + 1, 0)
@@ -604,10 +619,15 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     data, with its own table (all of one capacity >= steps), S = s[b] and
     lam[b].  A problem that leaves the representable range is masked
     instead of ending the run: from that level on its modes are zero, and
-    once all are masked the run stops.  Nodes are formed only for a block
-    that fails the mode bound and for the last level, which is returned
-    (B, N, masked interiors zero) with each problem's overflow level (0 if
-    none).  A stack of more than ``MAX_HISTORY_CELLS`` cells is refused.
+    once all are masked the run stops.  Only the live modes are stepped:
+    those nonzero at level 0 in some problem.  The others would stay exactly
+    0, as the stepper is diagonal in the sine basis, so the levels are those
+    of stepping every mode.  Only their rounding can move, where BLAS blocks
+    a product of the narrower width differently: a 33-node probe gives the
+    same bits.  Nodes are formed only for a block that fails the
+    mode bound and for the last level, which is returned (B, N, masked
+    interiors zero) with each problem's overflow level (0 if none).  A stack
+    of more than ``MAX_HISTORY_CELLS`` cells is refused.
     """
     first_rows = np.asarray(first_rows, dtype=float)
     s, lam = (np.array(x, dtype=float).reshape(-1, 1) for x in (s, lam))
@@ -629,13 +649,14 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     check_history_size(steps + 1, n, n_problems)
     if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
         raise ValueError(f"tables need one capacity >= steps = {steps}")
-    memory = _HistorySums(tables, n)
     ends = first_rows[:, :: n - 1]
+    zeta0 = _level_modes(first_rows, ends)
+    memory = _HistorySums(tables, n, np.flatnonzero(zeta0.any(axis=0)))
     implicit, explicit = (1.0 - lam) * s, lam * s
     implicit = implicit if implicit.any() else None
     overflow, level = np.zeros(n_problems, dtype=int), 0
     memory.begin(0, None, implicit, explicit)
-    memory.modes[0] = _level_modes(first_rows, ends)
+    memory.modes[0] = zeta0[:, memory.live]
     while (found := _advance(level, steps, memory, ends)) is not None:
         level, first = found
         # a masked problem keeps zero modes: it weighs both sums by 0
@@ -649,6 +670,6 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
         if overflow.all():
             break
         memory.begin(level, None, implicit, explicit)
-    last = _nodes(memory.modes[level if overflow.all() else steps], ends)
+    last = memory.nodes(memory.modes[level if overflow.all() else steps], ends)
     last[overflow > 0, 1:-1] = 0.0
     return last, overflow

@@ -221,22 +221,30 @@ def phase_diagram(family: FormulaFamily, gamma_grid, lambda_grid) -> np.ndarray:
     lam = 1/2 and is negative in the unconditionally stable region.  A grid
     of more than ``MAX_PHASE_POINTS`` points is refused.
     """
-    gamma_grid = [float(g) for g in gamma_grid]
-    lambda_grid = [float(l) for l in lambda_grid]
-    if not gamma_grid or not lambda_grid:
+    gamma_grid = np.asarray(gamma_grid, dtype=float)
+    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    if not gamma_grid.size or not lambda_grid.size:
         raise ValueError("grids must be non-empty")
-    points = len(gamma_grid) * len(lambda_grid)
+    points = gamma_grid.size * lambda_grid.size
     if points > MAX_PHASE_POINTS:
         raise ValueError(
-            f"a phase grid of {len(gamma_grid)} x {len(lambda_grid)} = {points} points "
+            f"a phase grid of {gamma_grid.size} x {lambda_grid.size} = {points} points "
             f"exceeds MAX_PHASE_POINTS = {MAX_PHASE_POINTS}"
         )
     # the first bad point in row order: the first gamma with every lambda, then the rest
-    for lam in lambda_grid:
-        _check_params(gamma_grid[0], lam)
-    for gamma in gamma_grid:
-        _check_params(gamma, lambda_grid[0])
+    bad_lam = np.flatnonzero(~((0.0 <= lambda_grid) & (lambda_grid <= 1.0)))
+    bad_gamma = np.flatnonzero(~((0.0 < gamma_grid) & (gamma_grid <= 1.0)))
+    _check_params(float(gamma_grid[0]), float(lambda_grid[bad_lam[0] if bad_lam.size else 0]))
+    _check_params(float(gamma_grid[bad_gamma[0] if bad_gamma.size else 0]), float(lambda_grid[0]))
+    # w(-1, alpha) as eval_generating_function gives it, one Python pow per gamma: numpy's
+    # power rounds some of them differently.  NG2's bracket W_0 + 2 W_1 is 1 + alpha
+    # exactly, as W_0 = 1 and W_1 = alpha / 2
+    family = FormulaFamily(family)
+    base = family.base_value(-1.0)
+    alphas = 1.0 - gamma_grid
+    w = np.array([base**alpha for alpha in alphas.tolist()])
+    if family is FormulaFamily.NG2:
+        w *= 1.0 + alphas
     gammas, lams = np.meshgrid(gamma_grid, lambda_grid, indexing="ij")
-    w = np.array([eval_generating_function(family, 1.0 - g, -1.0) for g in gamma_grid])
     inv = 2.0 * (2.0 * lams - 1.0) * w[:, None]
     return np.stack((gammas, lams, inv), axis=-1).reshape(points, 3)

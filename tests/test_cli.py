@@ -309,6 +309,29 @@ class TestBadTimes:
         assert not out.exists()
 
 
+class TestNumericFlags:
+    """Negative numbers in every form argparse can meet are values, and a
+    number out of a command's domain exits 1 naming its flags, with no warning."""
+
+    @pytest.mark.parametrize("z", ["-1e3", "-1E+03", "-1000", "-.1e4"])
+    def test_ml_takes_exponent_form_negatives(self, capsys, z):
+        code, out, err = run_cli(capsys, "ml", "--gamma", "0.5", "--z", z)
+        assert (code, out, err) == (EXIT_OK, "0.000564189301453392\n", "")
+
+    @pytest.mark.parametrize("z", ["-inf", "-Infinity"])
+    def test_ml_negative_infinity(self, capsys, z):
+        code, out, err = run_cli(capsys, "ml", "--gamma", "0.5", "--z", z)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "--z -inf" in err
+
+    @pytest.mark.parametrize("kgamma, t", [("1e308", "1"), ("inf", "1"), ("1", "inf"), ("1", "nan")])
+    def test_exact_decay_argument_past_the_floats(self, capsys, recwarn, kgamma, t):
+        code, out, err = run_cli(capsys, "exact", "--gamma", "0.5", "--kgamma", kgamma, "--t", t, "--nx", "10")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and "--kgamma" in err and "--t" in err
+        assert "decay argument" in err and not recwarn.list
+
+
 class TestOversizedRuns:
     """Runs past MAX_HISTORY_CELLS fail fast, in a child process under an address-space cap.
 

@@ -130,7 +130,8 @@ class Stack(NamedTuple):
     """A ``run_stacked`` call with every level of its stack.
 
     last, overflow: what ``run_stacked`` returned.
-    modes: the sine modes (steps + 1, B, N - 2) that its stepper held.
+    modes: the sine modes (steps + 1, B, N - 2) that its stepper held, with
+        the modes it did not step (zero) put back.
     levels: the nodes (steps + 1, B, N) formed from them.
     memory: the stepper's ``_HistorySums``.
     """
@@ -160,8 +161,10 @@ def nodes_from_modes(modes, ends):
 def held_run_stacked(first_rows, tables, s, lam, steps):
     """``run_stacked``, with its levels read from the modes its stepper holds.
 
-    A masked problem's modes are zero from its overflow on; rows past the
-    level where the stack stopped were never written and are zero too.
+    The stepper holds only the live modes; the others, zero at every level,
+    are put back, so ``modes`` has every mode.  A masked problem's modes are
+    zero from its overflow on; rows past the level where the stack stopped
+    were never written and are zero too.
     """
     held = []
 
@@ -174,7 +177,8 @@ def held_run_stacked(first_rows, tables, s, lam, steps):
         patch.setattr(solver, "_HistorySums", Held)
         last, overflow = run_stacked(first_rows, tables, s, lam, steps)
     (memory,) = held
-    modes = memory.modes[: steps + 1]
+    modes = np.zeros(memory.modes[: steps + 1].shape[:2] + (memory.n_modes,))
+    modes[..., memory.live] = memory.modes[: steps + 1]
     first_rows = np.asarray(first_rows, dtype=float)
     levels = nodes_from_modes(modes, first_rows[:, :: first_rows.shape[1] - 1])
     return Stack(last, overflow, modes, levels, memory)

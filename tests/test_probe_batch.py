@@ -110,6 +110,41 @@ def test_overflow_neither_ends_nor_changes_the_others():
     assert np.array_equal(stack.last[:-1], alone.last)
 
 
+def test_a_probe_stack_steps_only_the_odd_modes():
+    # the checkerboard is symmetric about the centre: its 15 even modes of 31 are 0
+    stack, _ = stacked_levels(FormulaFamily.BDF1, mixed_cases(FormulaFamily.BDF1))
+    assert stack.memory.modes.shape[2] == 16
+    assert np.array_equal(stack.memory.live, np.arange(0, NODES - 1, 2))
+
+
+@pytest.mark.parametrize("overflowing", [0, 1])
+def test_a_checkerboard_beside_an_asymmetric_problem_runs_as_alone(overflowing):
+    # the stack steps all 31 modes, the checkerboard alone only its 16 odd ones
+    rows = np.array([checkerboard(), np.linspace(0.25, -0.5, NODES + 1)])
+    rows[1, 1:-1] += PROBE_AMPLITUDE * np.random.default_rng(5).standard_normal(NODES - 1)
+    tables = [build_table(FormulaFamily.BDF2, 1.0 - g, STEPS + 1) for g in (0.5, 0.7)]
+    s_cross = [stability_bound(FormulaFamily.BDF2, g, 0.8) for g in (0.5, 0.7)]
+    s = [(50.0 if b == overflowing else 0.9) * x for b, x in enumerate(s_cross)]
+    stack = held_run_stacked(rows, tables, s, [0.8, 0.8], STEPS)
+    assert stack.memory.modes.shape[2] == NODES - 1
+    assert stack.overflow[overflowing] > 0 and stack.overflow[1 - overflowing] == 0
+    for b in range(2):
+        alone = held_run_stacked(rows[b : b + 1], tables[b : b + 1], s[b : b + 1], [0.8], STEPS)
+        assert alone.memory.modes.shape[2] == (16 if b == 0 else NODES - 1)
+        assert np.array_equal(stack.last[b], alone.last[0])
+        assert stack.overflow[b] == alone.overflow[0]
+
+
+def test_a_stack_on_its_lines_steps_no_mode():
+    # first rows on the lines through their ends have no live mode; they stay there
+    ends = np.array([[0.25, -0.5], [0.0, 0.0], [1.0, 3.0]])
+    rows = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, NODES + 1)
+    tables = [build_table(FormulaFamily.NG2, 0.5, STEPS + 1)] * 3
+    stack = held_run_stacked(rows, tables, [0.3, 5.0, 0.3], [1.0, 0.5, 0.0], STEPS)
+    assert stack.memory.modes.shape[2] == 0
+    assert np.array_equal(stack.last, rows) and not stack.overflow.any()
+
+
 def test_masked_problem_keeps_only_its_dirichlet_data():
     # unequal Dirichlet data and lam < 1: the masked problem's tridiagonal
     # solve must stop too

@@ -12,7 +12,11 @@ per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
 * ``solve`` of the cn-solve benchmark config (BDF3, lambda 1/2, 101 nodes,
   1,500 steps): four profiles, the history and the stability report;
 * ``solve`` of an unstable explicit run (S = 0.7, 200 steps) with its history;
-* ``stability phase`` on a 64 x 64 grid for each family.
+* ``stability phase`` on a 64 x 64 grid for each family;
+* ``stability probe`` for each family at gamma 1/2 and lambda 0, 1/2, 0.8
+  and 1, with S on both sides of the bound (0.5 and 5 where it does not
+  bind), and one probe that overflows early.  Their standard output is
+  written as one row per probe of ``stability_probes.csv``.
 
 For each file it prints ``identical``, or the largest absolute difference
 between the float cells of the two versions (and whether other cells
@@ -42,12 +46,44 @@ UNSTABLE_CONFIG = (
     "s = 0.7\nsteps = 200\noutputs = profile_csv, history_csv\n"
 )
 FAMILIES = ("bdf1", "bdf2", "bdf3", "ng2")
+# the polynomial under the power at z = -1 of each family's generating function
+BASES = {"bdf1": 2.0, "bdf2": 4.0, "bdf3": 11.0 / 6.0 + 3.0 + 1.5 + 1.0 / 3.0, "ng2": 2.0}
+PROBE_FIELDS = ("s", "s_cross", "theoretical_verdict", "growth_factor", "empirical_verdict", "probe_steps")
 
-# runs the commands in one interpreter and prints their exit codes as its last line
-CHILD = (
-    "import json, sys; from fracstep.cli import main; "
-    "codes = [main(argv) for argv in json.loads(sys.argv[1])]; print(json.dumps(codes))"
-)
+# runs the commands in one interpreter and prints their exit codes and standard
+# output as its last line
+CHILD = """
+import contextlib, io, json, sys
+from fracstep.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        code = main(argv)
+    results.append([code, text.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def s_cross(family: str, gamma: float, lam: float) -> float:
+    """The bound S_x = 1 / (2 (2 lam - 1) w(-1, 1 - gamma)), for lam > 1/2."""
+    alpha = 1.0 - gamma
+    w = BASES[family] ** alpha * (1.0 + alpha if family == "ng2" else 1.0)
+    return 1.0 / (2.0 * (2.0 * lam - 1.0) * w)
+
+
+def probes() -> list[list[str]]:
+    """The ``stability probe`` argument lists of the set."""
+    cases = []
+    for family in FAMILIES:
+        for lam in (0.0, 0.5, 0.8, 1.0):
+            ratios = (0.5, 5.0) if lam <= 0.5 else [f * s_cross(family, 0.5, lam) for f in (0.9, 1.3)]
+            cases += [(family, 0.5, lam, s) for s in ratios]
+    cases.append(("bdf1", 0.9, 1.0, 50.0 * s_cross("bdf1", 0.9, 1.0)))  # overflows early
+    return [
+        ["stability", "probe", "--family", family, "--gamma", repr(gamma), "--lambda", repr(lam),
+         "--s", repr(s)]
+        for family, gamma, lam, s in cases
+    ]
 
 
 def commands(configs: Path, out: Path) -> list[list[str]]:
@@ -69,19 +105,30 @@ def commands(configs: Path, out: Path) -> list[list[str]]:
          "--lambda-grid", "0:1:64", "--out", str(out / f"phase_{family}.csv")]
         for family in FAMILIES
     ]
-    return argvs
+    return argvs + probes()
 
 
 def write_set(tree: Path, configs: Path, out: Path) -> list[int]:
-    """Write the set with ``tree``'s fracstep; the exit code of each command."""
+    """Write the set with ``tree``'s fracstep; the exit code of each command.
+
+    The probes' standard output goes to ``out/stability_probes.csv``.
+    """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
-    argvs = json.dumps(commands(configs, out))
+    argvs = commands(configs, out)
     child = subprocess.run(
-        [sys.executable, "-c", CHILD, argvs], capture_output=True, text=True, env=env, check=False
+        [sys.executable, "-c", CHILD, json.dumps(argvs)], capture_output=True, text=True, env=env,
+        check=False,
     )
     if child.returncode != 0:
         sys.exit(f"{tree}: the output set could not be written:\n{child.stderr}")
-    return json.loads(child.stdout.splitlines()[-1])
+    results = json.loads(child.stdout.splitlines()[-1])
+    rows = [",".join(("family", "gamma", "lambda", "exit") + PROBE_FIELDS)]
+    for argv, (code, stdout) in zip(argvs, results):
+        if argv[:2] == ["stability", "probe"]:
+            fields = dict(line.split("=", 1) for line in stdout.splitlines())
+            rows.append(",".join([argv[3], argv[5], argv[7], str(code)] + [fields[k] for k in PROBE_FIELDS]))
+    (out / "stability_probes.csv").write_text("\n".join(rows) + "\n")
+    return [code for code, _ in results]
 
 
 def _float(cell: str) -> float | None:
