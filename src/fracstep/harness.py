@@ -4,10 +4,11 @@ Experiments are described by flat ``key = value`` text files with a single
 ``[experiment]`` section (see :func:`parse_experiment`); the runner writes
 CSV profiles, optional error columns against the analytical benchmark,
 and full history dumps.  ``reproduce_figure`` regenerates the package's
-bundled demonstration datasets (stability phase line, explicit-method
-bound curves with empirical circles, stable and unstable profile runs) as
-CSV files; each profile dataset also carries the checkerboard-probe
-stability verdict at its parameters.
+bundled demonstration datasets as CSV files: fig1's and fig2's bound
+curves from the ``phase_diagram`` sweep, fig2's circles from lockstep
+probe bisections, and the profile figures fig3..fig7 from one preset
+table, ``_FIG_RUNS``; a profile figure of one run carries the
+checkerboard-probe stability verdict at its parameters in its header.
 
 All file output is atomic (temp file + rename), written in chunks of
 rows, and every float is written as its shortest round-trip decimal,
@@ -45,7 +46,6 @@ from fracstep.solver import (
 )
 from fracstep.stability import (
     find_empirical_thresholds,
-    inv_stability_bound,
     phase_diagram,
     probe_stability,
     stability_bound,
@@ -519,20 +519,20 @@ def startup_comparison(base: ExperimentSpec, startup_steps_grid) -> list[tuple[i
 
 FIGURE_IDS = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
 
-# fig3's cases: (label, gamma, lam, S, dx), each run to _FIG3_T_END
-_FIG3_CASES = (
-    ("triangles", 0.5, 1.0, 0.33, 1.0 / 10.0),
-    ("squares", 0.75, 1.0, 0.4, 1.0 / 20.0),
-    ("circles", 1.0, 1.0, 0.5, 1.0 / 50.0),
-)
-_FIG3_T_END = 0.5
-# the single-run figures: (gamma, lam, S, dx, steps), the levels written in a
-# "level" column (else only the last, without one) and whether u_exact is written
+# the profile figures: their cases (label, gamma, lam, S, dx, steps; a case
+# without steps runs to t_end, 0.5 unless given), the levels written in a "level"
+# column (else only the last, without one) and whether u_exact is written
 _FIG_RUNS = {
-    "fig4": ((0.5, 1.0, 0.37, 1.0 / 20.0, 200), (150, 200), False),
-    "fig5": ((0.5, 0.8, 0.55, 1.0 / 20.0, 500), (), True),
-    "fig6": ((0.5, 0.8, 0.7, 1.0 / 20.0, 50), (), False),
-    "fig7": ((0.5, 0.8, 0.7, 1.0 / 20.0, 100), (), False),
+    "fig3": (
+        (("triangles", 0.5, 1.0, 0.33, 1.0 / 10.0, None),
+         ("squares", 0.75, 1.0, 0.4, 1.0 / 20.0, None),
+         ("circles", 1.0, 1.0, 0.5, 1.0 / 50.0, None)),
+        (), True,
+    ),
+    "fig4": (((None, 0.5, 1.0, 0.37, 1.0 / 20.0, 200),), (150, 200), False),
+    "fig5": (((None, 0.5, 0.8, 0.55, 1.0 / 20.0, 500),), (), True),
+    "fig6": (((None, 0.5, 0.8, 0.7, 1.0 / 20.0, 50),), (), False),
+    "fig7": (((None, 0.5, 0.8, 0.7, 1.0 / 20.0, 100),), (), False),
 }
 
 # the marked cases of the bound diagrams: header, columns, rows
@@ -551,40 +551,34 @@ _FIG_MARKERS = {
 }
 
 
-def _profile_spec(name, gamma, lam, s, dx, steps, outputs=("profile_csv",)) -> ExperimentSpec:
-    dt = dt_for_mesh_ratio(s, dx, gamma)
-    return ExperimentSpec(
-        name=name,
-        gamma=gamma,
-        k_gamma=1.0,
-        lam=lam,
-        family=FormulaFamily.BDF1,
-        dx=dx,
-        dt=dt,
-        steps=steps,
-        ic="poly:x*(1-x)",
-        output_times=(steps * dt,),
-        outputs=outputs,
-    )
-
-
 def figure_specs(fig_id: str, t_end: float | None = None) -> list[ExperimentSpec]:
     """The experiment specs behind a profile figure (fig3..fig7).
 
     Every figure maps to specs expressible in the public config format;
-    ``reproduce_figure`` runs exactly these.
+    ``reproduce_figure`` runs exactly these.  Only a case without a step
+    count reads ``t_end``.
     """
-    if fig_id == "fig3":
-        t = _FIG3_T_END if t_end is None else end_time(t_end)
-        specs = []
-        for label, gamma, lam, s, dx in _FIG3_CASES:
-            dt = dt_for_mesh_ratio(s, dx, gamma)
-            steps = max(1, round(t / dt))
-            specs.append(_profile_spec(f"fig3_{label}", gamma, lam, s, dx, steps))
-        return specs
     if fig_id not in _FIG_RUNS:
         raise ValueError(f"{fig_id!r} has no profile specs")
-    return [_profile_spec(fig_id, *_FIG_RUNS[fig_id][0])]
+    specs = []
+    for label, gamma, lam, s, dx, steps in _FIG_RUNS[fig_id][0]:
+        dt = dt_for_mesh_ratio(s, dx, gamma)
+        if steps is None:
+            steps = max(1, round(end_time(0.5 if t_end is None else t_end) / dt))
+        specs.append(
+            ExperimentSpec(
+                name=f"{fig_id}_{label}" if label else fig_id,
+                gamma=gamma,
+                k_gamma=1.0,
+                lam=lam,
+                family=FormulaFamily.BDF1,
+                dx=dx,
+                dt=dt,
+                steps=steps,
+                output_times=(steps * dt,),
+            )
+        )
+    return specs
 
 
 @dataclass
@@ -600,8 +594,8 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
           two marked implicit cases; fig2: bound curves of the explicit
           method versus gamma for all four families, empirical BDF1
           thresholds, and the marked explicit cases; fig3: three stable
-          explicit profiles against the analytical solution (``t_end``
-          shortens the runs for constrained environments); fig4: levels
+          explicit profiles against the analytical solution at ``t_end``
+          (0.5 unless given; fig4..fig7 ignore it); fig4: levels
           150 and 200 of the unstable explicit run; fig5: stable implicit
           profile; fig6/fig7: growing oscillation of the unstable
           implicit run.  Unstable presets report status "unstable".
@@ -621,13 +615,11 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         paths = [_write_csv(out_dir / "fig1.csv", header, columns, [line])]
     if fig_id == "fig2":
         header = "explicit-method stability bounds: inv_s_cross = 2*w(-1,1-gamma), lambda=1"
-        rows = [
-            (family.value, float(g), inv_stability_bound(family, g, 1.0))
-            for family in FormulaFamily
-            for g in np.linspace(0.05, 1.0, 39)
-        ]
+        gammas = np.linspace(0.05, 1.0, 39)
+        bounds = np.concatenate([phase_diagram(f, gammas, [1.0]) for f in FormulaFamily])
+        families = [family.value for family in FormulaFamily for _ in gammas]
         columns = ("family", "gamma", "inv_s_cross")
-        paths = [_write_csv(out_dir / "fig2_bounds.csv", header, columns, zip(*rows))]
+        paths = [_write_csv(out_dir / "fig2_bounds.csv", header, columns, (families, bounds[:, ::2]))]
         gammas = [round(0.1 * k, 1) for k in range(1, 11)]
         bounds = [stability_bound(FormulaFamily.BDF1, g, 1.0) for g in gammas]
         # the ten bisections run in lockstep: one stacked probe run per round
@@ -643,46 +635,34 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         paths.append(_write_csv(out_dir / f"{fig_id}_markers.csv", header, columns, zip(*rows)))
         return FigureResult(paths, "completed")
 
-    if fig_id == "fig3":
-        rows, profiles = [], []
-        for spec in figure_specs("fig3", t_end=t_end):
+    # fig3..fig7: the profiles of each case at its written levels
+    cases, levels, with_exact = _FIG_RUNS[fig_id]
+    # the cells that lead each row: a figure of several cases names its case in them
+    lead = ("case", "gamma", "s", "dx", "t") * (len(cases) > 1) + ("level",) * bool(levels)
+    status, rows, profiles = "completed", [], []
+    for (label, *_), spec in zip(cases, figure_specs(fig_id, t_end)):
+        try:
             history = run(spec.problem(), spec.scheme())
-            x, u = history.x, history.level(history.top_level)
-            s = mesh_ratio(spec.problem(), spec.scheme())
-            rows += [(spec.name.removeprefix("fig3_"), spec.gamma, s, spec.dx, spec.t_end)] * len(x)
-            profiles.append(np.column_stack((x, u, spec.exact_at_end(x))))
-        path = _write_csv(
-            out_dir / "fig3.csv",
-            "stable explicit profiles vs analytical solution (bdf1, lambda=1)",
-            ("case", "gamma", "s", "dx", "t", "x", "u_numeric", "u_exact"),
-            (*zip(*rows), np.concatenate(profiles)),
+        except OverflowDetected as overflow:
+            history, status = overflow.history, "unstable"
+        s = mesh_ratio(spec.problem(), spec.scheme())
+        x = history.x
+        exact = (spec.exact_at_end(x),) if with_exact else ()
+        for level in levels or (history.top_level,):
+            profiles.append(np.column_stack((x, history.level(min(level, history.top_level)), *exact)))
+            cells = dict(case=label, gamma=spec.gamma, s=s, dx=spec.dx, t=spec.t_end, level=level)
+            rows += [tuple(cells[c] for c in lead)] * len(x)
+    if len(cases) > 1:
+        header = "stable explicit profiles vs analytical solution (bdf1, lambda=1)"
+    else:  # one run: its parameters and the probe verdict at them
+        report = _probe(spec, s)
+        if report.empirical_verdict == "unstable":
+            status = "unstable"
+        header = (
+            f"{fig_id}: gamma={spec.gamma!r} lambda={spec.lam!r} S={s!r} dx={spec.dx!r} "
+            f"steps={spec.steps} probe_verdict={report.empirical_verdict} "
+            f"probe_growth={report.growth_factor!r}"
         )
-        return FigureResult([path], "completed")
-
-    # fig4..fig7: single-run profile figures with a probe verdict
-    (spec,) = figure_specs(fig_id)
-    status = "completed"
-    try:
-        history = run(spec.problem(), spec.scheme())
-    except OverflowDetected as overflow:
-        history = overflow.history
-        status = "unstable"
-    s = mesh_ratio(spec.problem(), spec.scheme())
-    report = _probe(spec, s)
-    if report.empirical_verdict == "unstable":
-        status = "unstable"
-    desc = (
-        f"{fig_id}: gamma={spec.gamma!r} lambda={spec.lam!r} S={s!r} dx={spec.dx!r} "
-        f"steps={spec.steps} probe_verdict={report.empirical_verdict} "
-        f"probe_growth={report.growth_factor!r}"
-    )
-    _, levels, with_exact = _FIG_RUNS[fig_id]
-    x = history.x
-    exact = (spec.exact_at_end(x),) if with_exact else ()
-    columns = ("level",) * bool(levels) + ("x", "u_numeric") + ("u_exact",) * with_exact
-    profiles = [
-        np.column_stack((x, history.level(min(level, history.top_level)), *exact))
-        for level in levels or (history.top_level,)
-    ]
-    table = ([level for level in levels for _ in x],) * bool(levels) + (np.concatenate(profiles),)
-    return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", desc, columns, table)], status)
+    columns = lead + ("x", "u_numeric") + ("u_exact",) * with_exact
+    table = (*zip(*rows), np.concatenate(profiles))
+    return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", header, columns, table)], status)

@@ -607,8 +607,9 @@ def run(
     memory = _HistorySums((table,), nodes)
     s = mesh_ratio(problem, config)
     startup = min(config.startup_explicit_steps, config.steps)
-    _advance_history(history, problem, memory, startup, 1.0, s)
-    _advance_history(history, problem, memory, config.steps, config.lam, s)
+    for hi, lam in ((startup, 1.0), (config.steps, config.lam)):
+        if hi > history.top_level:  # a range that steps nothing is not begun
+            _advance_history(history, problem, memory, hi, lam, s)
     return history
 
 
@@ -618,11 +619,12 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     Problem b starts from first_rows[b], whose ends are its Dirichlet
     data, with its own table (all of one capacity >= steps), S = s[b] and
     lam[b].  A problem that leaves the representable range is masked
-    instead of ending the run: from that level on its modes are zero, and
-    once all are masked the run stops.  Only the live modes are stepped:
-    those nonzero at level 0 in some problem.  The others would stay exactly
-    0, as the stepper is diagonal in the sine basis, so the levels are those
-    of stepping every mode.  Only their rounding can move, where BLAS blocks
+    instead of ending the run: from that level on its modes are zero, it
+    is left out of the overflow checks, and once all are masked the run
+    stops.  Only the live modes are stepped: those nonzero at level 0 in
+    some problem.  The others would stay exactly 0, as the stepper is
+    diagonal in the sine basis, so the levels are those of stepping every
+    mode.  Only their rounding can move, where BLAS blocks
     a product of the narrower width differently: a 33-node probe gives the
     same bits.  Nodes are formed only for a block that fails the
     mode bound and for the last level, which is returned (B, N, masked
@@ -650,6 +652,7 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
         raise ValueError(f"tables need one capacity >= steps = {steps}")
     ends = first_rows[:, :: n - 1]
+    checked = ends.copy()  # the ends checked: a masked problem's are 0, as are its modes
     zeta0 = _level_modes(first_rows, ends)
     memory = _HistorySums(tables, n, np.flatnonzero(zeta0.any(axis=0)))
     implicit, explicit = (1.0 - lam) * s, lam * s
@@ -657,13 +660,14 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     overflow, level = np.zeros(n_problems, dtype=int), 0
     memory.begin(0, None, implicit, explicit)
     memory.modes[0] = zeta0[:, memory.live]
-    while (found := _advance(level, steps, memory, ends)) is not None:
+    while (found := _advance(level, steps, memory, checked)) is not None:
         level, first = found
         # a masked problem keeps zero modes: it weighs both sums by 0
         for b in np.flatnonzero(first):
             memory.modes[first[b] : level + 1, b] = 0.0
         masked = first > 0
         overflow[masked] = first[masked]
+        checked[masked] = 0.0
         explicit[masked] = 0.0
         if implicit is not None:
             implicit[masked] = 0.0

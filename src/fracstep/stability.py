@@ -8,10 +8,13 @@ stable as long as 1/S >= 1/S_x with
 
 where w(z, alpha) is the generating function of the weight family.  The
 right-hand side is non-positive for lam <= 1/2, so those schemes are
-stable for every S.  This module exposes the bound, an empirical probe
-that drives the worst-case checkerboard mode (q dx = pi) through the
-actual stepper, a bisection estimator of the empirical threshold, and
-grid sweeps for phase diagrams.  Probes sharing the family, node count
+stable for every S.  The bound is the exact asymptotic threshold of the
+q dx = pi mode; finite grids and horizons sit above it, since a grid's
+fastest mode is slower and growth just past the bound needs many steps to
+show.  This module exposes the bound, an empirical probe that drives the
+worst-case checkerboard mode (q dx = pi) through the actual stepper, a
+bisection estimator of the empirical threshold, and grid sweeps for
+phase diagrams.  Probes sharing the family, node count
 and step count run as one stack that keeps only their sine modes and
 last level (``probe_batch``); a single probe is the batch of one.
 Bisections run in lockstep, one stack per round (``find_empirical_thresholds``).

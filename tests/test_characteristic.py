@@ -1,0 +1,89 @@
+"""The stability bound against the characteristic function of one sine mode.
+
+Each sine mode zeta_k of the scheme obeys a scalar linear recurrence whose
+generating function has the denominator
+
+    f(z) = 1 - z + mu w(z) ((1 - lam) + lam z),   mu = -S sigma_k > 0,
+
+with w the weight family's generating function.  The mode stays bounded
+iff f has no zero in |z| < 1, so the boundary of the stable mu is where
+the locus
+
+    mu(theta) = (e^{i theta} - 1) / (w(e^{i theta}) ((1 - lam) + lam e^{i theta}))
+
+first meets the positive real axis.  For lam > 1/2 that happens at
+theta = pi, where mu(pi) = 2 / ((2 lam - 1) w(-1)); the checkerboard mode
+has sigma = -4 on a fine grid, so mu(pi) / 4 is the paper's S_x.  For
+lam <= 1/2 the locus never meets the positive real axis: every S is
+stable.  w is evaluated here from its closed form on the unit circle,
+independently of ``coeffs.eval_generating_function``, which is real-only.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from fracstep.coeffs import FormulaFamily, eval_generating_function
+from fracstep.stability import stability_bound
+
+GAMMAS = np.linspace(0.05, 1.0, 20)[:, None]
+THETA = np.linspace(0.0, np.pi, 8193)[1:]  # (0, pi]; the locus starts at 0
+Z = np.exp(1j * THETA)
+
+
+@functools.cache
+def log_base(family):
+    """The log of the base polynomial p on Z, on the branch analytic in the
+    unit disc and real at z = 0 (p vanishes only at z = 1): the principal
+    angle just above z = 1, unwrapped along the circle."""
+    base = np.polynomial.polynomial.polyval(Z, family.base_poly)
+    return np.log(np.abs(base)) + 1j * np.unwrap(np.angle(base))
+
+
+def w_on_circle(family, alpha):
+    """w(z, alpha) on Z for each alpha (rows): the base polynomial to the power
+    alpha, times the Newton-Gregory bracket 1 + (alpha / 2) (1 - z) for NG2."""
+    w = np.exp(alpha * log_base(family))
+    if family is FormulaFamily.NG2:
+        w *= 1.0 + 0.5 * alpha * (1.0 - Z)
+    return w
+
+
+def locus(family, lam):
+    """mu(theta) on THETA, one row per gamma of GAMMAS."""
+    # at lam = 1/2 the locus has a pole at theta = pi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (Z - 1.0) / (w_on_circle(family, 1.0 - GAMMAS) * ((1.0 - lam) + lam * Z))
+
+
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_w_on_the_circle_meets_the_real_closed_form_at_minus_one(family):
+    w = w_on_circle(family, 1.0 - GAMMAS)[:, -1]
+    expected = [eval_generating_function(family, 1.0 - g, -1.0) for g in GAMMAS[:, 0]]
+    assert np.all(abs(w - expected) <= 1e-14 * np.array(expected))
+
+
+@pytest.mark.parametrize("lam", [0.55, 0.6, 0.8, 1.0])
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_the_locus_first_meets_the_positive_axis_at_pi(family, lam):
+    mu = locus(family, lam)
+    # above the real axis on (0, pi): no crossing before pi
+    assert np.all(mu.imag[:, :-1] > 0.0)
+    end = mu[:, -1]
+    assert np.all(end.real > 0.0) and np.all(abs(end.imag) <= 1e-12 * end.real)
+    s_cross = np.array([stability_bound(family, g, lam) for g in GAMMAS[:, 0]])
+    assert np.all(abs(end.real / 4.0 - s_cross) <= 1e-12 * s_cross)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 0.4, 0.5])
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_no_positive_crossing_at_or_below_one_half(family, lam):
+    mu = locus(family, lam)
+    if lam == 0.5:
+        mu = mu[:, :-1]  # the pole
+    else:
+        assert np.all(mu[:, -1].real < 0.0)
+    rows, turns = np.nonzero(np.sign(mu.imag[:, :-1]) != np.sign(mu.imag[:, 1:]))
+    # every change of side (or touch) is on the negative real axis
+    assert np.all(mu.real[rows, turns] < 0.0) and np.all(mu.real[rows, turns + 1] < 0.0)

@@ -20,6 +20,7 @@ from fracstep.harness import (
     startup_comparison,
 )
 from fracstep.solver import dt_for_mesh_ratio
+from fracstep.stability import inv_stability_bound
 
 BASE_CONFIG = """
 [experiment]
@@ -437,6 +438,41 @@ class TestFigures:
             parts = line.split(",")
             u_num, u_exact = float(parts[-2]), float(parts[-1])
             assert abs(u_num - u_exact) < 5e-2
+
+    # fig3 (shortened) .. fig7: the header, the column line, the data rows and the status
+    PROFILE_FIGURES = [
+        ("fig3", "stable explicit profiles vs analytical solution (bdf1, lambda=1)",
+         "case,gamma,s,dx,t,x,u_numeric,u_exact", 11 + 21 + 51, "completed"),
+        ("fig4", "fig4: gamma=0.5 lambda=1.0 S=0.36999999999999994 dx=0.05 steps=200 "
+         "probe_verdict=unstable probe_growth=29263.178531224123",
+         "level,x,u_numeric", 2 * 21, "unstable"),
+        ("fig5", "fig5: gamma=0.5 lambda=0.8 S=0.55 dx=0.05 steps=500 "
+         "probe_verdict=stable probe_growth=0.029372598783865",
+         "x,u_numeric,u_exact", 21, "completed"),
+        ("fig6", "fig6: gamma=0.5 lambda=0.8 S=0.6999999999999998 dx=0.05 steps=50 "
+         "probe_verdict=unstable probe_growth=1364.3538027762213",
+         "x,u_numeric", 21, "unstable"),
+        ("fig7", "fig7: gamma=0.5 lambda=0.8 S=0.6999999999999998 dx=0.05 steps=100 "
+         "probe_verdict=unstable probe_growth=2216735.2808596822",
+         "x,u_numeric", 21, "unstable"),
+    ]
+
+    @pytest.mark.parametrize("fig_id, header, columns, rows, status", PROFILE_FIGURES)
+    def test_profile_figure_layout(self, tmp_path, fig_id, header, columns, rows, status):
+        result = reproduce_figure(fig_id, tmp_path, t_end=0.01)  # fig4..fig7 ignore t_end
+        assert result.status == status
+        lines = (tmp_path / f"{fig_id}.csv").read_text().splitlines()
+        assert lines[:2] == [f"# {header} | columns: {columns}", columns]
+        assert len(lines) == 2 + rows
+
+    def test_fig2_bounds_equal_the_per_point_bound(self, tmp_path):
+        reproduce_figure("fig2", tmp_path)
+        rows = [
+            f"{family.value},{float(g)!r},{inv_stability_bound(family, g, 1.0)!r}"
+            for family in FormulaFamily
+            for g in np.linspace(0.05, 1.0, 39)
+        ]
+        assert (tmp_path / "fig2_bounds.csv").read_text().splitlines()[2:] == rows
 
     def test_figure_determinism(self, tmp_path):
         for fig_id, kwargs in (("fig1", {}), ("fig6", {}), ("fig3", {"t_end": 0.005})):

@@ -221,6 +221,20 @@ def test_run_stacked_masks_at_the_first_level_past_the_limit(monkeypatch, level)
             assert np.all(stack.last[b, [0, -1]] == [0.25, -0.5])
 
 
+def test_run_stacked_keeps_the_first_level_of_data_past_the_limit():
+    """Dirichlet data past the limit mask a problem at level 1, and its line
+    stays out of every later check; the problem stacked with it runs as alone."""
+    row = PROBE_AMPLITUDE * (-1.0) ** np.arange(9)
+    row[0], row[-1] = 0.25, -0.5
+    rows = np.array([np.linspace(1e200, -3.0, 9), row])
+    tables = [build_table(FormulaFamily.BDF1, 0.5, 101)] * 2
+    last, overflow = run_stacked(rows, tables, [0.3, 0.3], [1.0, 1.0], 100)
+    alone, alone_overflow = run_stacked(rows[1:], tables[1:], [0.3], [1.0], 100)
+    assert overflow.tolist() == [1, 0] and alone_overflow.tolist() == [0]
+    assert np.array_equal(last[1], alone[0])
+    assert not np.any(last[0, 1:-1]) and last[0, 0] == 1e200 and last[0, -1] == -3.0
+
+
 class TestRunStackedValidation:
     def inputs(self, **change):
         args = dict(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fracstep import solver
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.solver import (
     MAX_HISTORY_CELLS,
@@ -194,6 +195,19 @@ class TestHybridStartup:
         # ... then the paths part ways
         assert np.max(np.abs(hybrid.values[4] - explicit.values[4])) > 0.0
         assert np.max(np.abs(hybrid.values[4] - cn.values[4])) > 0.0
+
+    @pytest.mark.parametrize("startup, origins", [(0, [0]), (3, [0, 3]), (10, [0])])
+    def test_each_range_that_steps_begins_once(self, monkeypatch, startup, origins):
+        begun = []
+        begin = solver._HistorySums.begin
+
+        def counted(memory, origin, *args):
+            begun.append(origin)
+            begin(memory, origin, *args)
+
+        monkeypatch.setattr(solver._HistorySums, "begin", counted)
+        run(make_problem(0.5), make_config(0.5, 0.5, 0.3, 0.125, 10, startup=startup))
+        assert begun == origins
 
 
 class TestErrorHandling:

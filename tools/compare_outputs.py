@@ -8,7 +8,8 @@ Each tree is a checkout holding ``src/fracstep``.  The set is written once
 per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
 ``OPENBLAS_NUM_THREADS=1``), from the same config files:
 
-* ``figure`` fig1-fig7, with fig3 at ``--t-end 0.05`` and at ``0.12``;
+* ``figure`` fig1-fig7, with fig3 also at ``--t-end 0.05`` and ``0.12``, and
+  fig4 also at ``--t-end 0.05``, which fig4-fig7 ignore;
 * ``solve`` of the cn-solve benchmark config (BDF3, lambda 1/2, 101 nodes,
   1,500 steps): four profiles, the history and the stability report;
 * ``solve`` of an unstable explicit run (S = 0.7, 200 steps) with its history;
@@ -90,11 +91,11 @@ def commands(configs: Path, out: Path) -> list[list[str]]:
     """The CLI argument lists that write the output set under ``out``."""
     argvs = [
         ["figure", "--id", fig, "--out-dir", str(out / fig)]
-        for fig in ("fig1", "fig2", "fig4", "fig5", "fig6", "fig7")
+        for fig in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7")
     ]
     argvs += [
-        ["figure", "--id", "fig3", "--t-end", t, "--out-dir", str(out / f"fig3_t{t}")]
-        for t in ("0.05", "0.12")
+        ["figure", "--id", fig, "--t-end", t, "--out-dir", str(out / f"{fig}_t{t}")]
+        for fig, t in (("fig3", "0.05"), ("fig3", "0.12"), ("fig4", "0.05"))
     ]
     argvs += [
         ["solve", "--config", str(configs / f"{name}.cfg"), "--out-dir", str(out / name)]
