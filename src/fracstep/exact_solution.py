@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,9 @@ def check_profile_size(points: int) -> None:
 class SineSeriesIC:
     """Initial condition as a finite list of sine modes (n, b_n), n ascending.
 
-    The mode numbers, amplitudes and tail bounds are also kept as read-only
-    arrays, built once.
+    Each n is an integer >= 1 (an int, or a float with an integral value), so
+    that every mode vanishes at both ends.  The mode numbers, amplitudes and
+    tail bounds are also kept as read-only arrays, built once.
     """
 
     coefficients: tuple[tuple[int, float], ...]
@@ -63,8 +65,11 @@ class SineSeriesIC:
     def __post_init__(self):
         prev = 0
         for n, b in self.coefficients:
+            integral = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
+            if not (integral and n >= 1):
+                raise ValueError(f"mode number {n!r} is not a finite integer >= 1")
             if n <= prev:
-                raise ValueError("mode numbers must be strictly increasing and >= 1")
+                raise ValueError(f"mode numbers must be strictly increasing, got {n!r} after {prev!r}")
             if not math.isfinite(b):
                 raise ValueError(f"amplitude for mode {n} is not finite")
             prev = n

@@ -25,12 +25,12 @@ sigma_k = -4 sin^2(pi k / (2(N-1))) and g = sigma / (1 - (1-lam) S w_0 sigma),
 Q(m) = sum_{j<=m} w_{m-j} zeta^(j), R(m) = w_0 zeta^(m) + P(m+1) and
 P(m+1) = sum_{j<=m} w_{m+1-j} zeta^(j): zeta(m+1) = zeta(m) + sum_{j<=m}
 K_{m-j} zeta(j) with scalar K_i per mode.  Given the levels up to m0, the
-16 levels of a block form a unit lower-triangular Toeplitz system whose
+32 levels of a block form a unit lower-triangular Toeplitz system whose
 inverse H has the first column h_0 = 1, h_n = sum_{i<n} d_i h_{n-1-i}
 (d_0 = 1 + K_0, d_i = K_i), set once per range as a contiguous (B, N - 2,
-16, 16) array, which matmul hands to BLAS.  H is applied directly: h
+32, 32) array, which matmul hands to BLAS.  H is applied directly: h
 grows like an unstable mode, so an FFT product would put eps max|h| on
-every row.  Blocks start at a range start or a multiple of 16; levels
+every row.  Blocks start at a range start or a multiple of 32; levels
 since the start of the leaf of 64 holding m0 are summed directly, and
 older ones arrive in blocks of b levels (Hairer, Lubich & Schlichte, SIAM
 J. Sci. Stat. Comput. 6 (1985)): for b <= 128 as direct products with a
@@ -278,7 +278,7 @@ def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: in
 # levels per leaf: history sums within a leaf are summed directly
 _LEAF = 64
 # levels per block solve; divides _LEAF, so no block crosses a flush
-_BLOCK = 16
+_BLOCK = 32
 # column chunks keep each FFT buffer near this many doubles
 _FFT_DOUBLES = 1 << 14
 # flushes of up to this many levels are direct Toeplitz products, longer ones FFT products
@@ -355,7 +355,7 @@ class _HistorySums:
         return _nodes(full, ends)
 
     def begin(self, origin: int, key, implicit, explicit) -> None:
-        """Start a range at ``origin``: g and the block inverse H (B, len(live), 16, 16)."""
+        """Start a range at ``origin``: g and the block inverse H (B, len(live), 32, 32)."""
         self.origin, self.key, self.solved = origin, key, (-1, None)  # solved: m0, its increments
         if implicit is None:  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
             self.g = self.sigma * explicit, None

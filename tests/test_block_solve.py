@@ -1,7 +1,7 @@
-"""The edges of the 16-level block solve.
+"""The edges of the 32-level block solve.
 
-The stepper solves 16 levels at a time from a range start and from each
-multiple of 16, and takes the nodes and checks overflow once per block.
+The stepper solves 32 levels at a time from a range start and from each
+multiple of 32, and takes the nodes and checks overflow once per block.
 Each test puts a range start, a run's end or an overflow at or next to
 a block edge: level-by-level ``step`` must equal ``run`` bit for bit,
 ``run`` must match direct summation, and ``run_stacked`` must report the
@@ -21,7 +21,7 @@ from test_overflow_checks import STEPS, first_past, limit_first_passed_at, stack
 from test_solver import make_config
 
 
-@pytest.mark.parametrize("startup", [1, 15, 16, 17, 63, 64, 65])
+@pytest.mark.parametrize("startup", [1, 15, 16, 17, 31, 32, 33, 63, 64, 65])
 def test_step_equals_run_bit_for_bit_from_any_range_start(startup):
     problem = boundary_problem(0.5)
     config = make_config(0.5, 0.5, 0.3, 0.1, 150, FormulaFamily.BDF2, startup=startup)
@@ -33,7 +33,7 @@ def test_step_equals_run_bit_for_bit_from_any_range_start(startup):
     assert np.array_equal(history.values, expected.values)
 
 
-@pytest.mark.parametrize("steps", [1, 15, 17, 1000])
+@pytest.mark.parametrize("steps", [1, 15, 17, 31, 33, 1000])
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 def test_run_ending_at_any_level_matches_direct_summation(steps, lam):
     problem = boundary_problem(0.5)
@@ -44,7 +44,7 @@ def test_run_ending_at_any_level_matches_direct_summation(steps, lam):
     assert_close(history.values, expected)
 
 
-@pytest.mark.parametrize("level", [15, 16, 17])
+@pytest.mark.parametrize("level", [15, 16, 17, 31, 32, 33])
 def test_run_stacked_reports_the_first_level_past_the_limit_at_a_block_edge(monkeypatch, level):
     reference = stacked_run(STEPS)
     norms = np.abs(reference.levels).max(axis=2)
@@ -65,8 +65,8 @@ def test_block_inverse_is_a_contiguous_lower_triangular_toeplitz_array():
     memory = solver._HistorySums(tables, 12)
     memory.begin(0, None, np.array([[0.1], [0.2]]), np.array([[0.3], [0.25]]))
     inverse = memory.inverse
-    assert inverse.shape == (2, 10, 16, 16) and inverse.flags.c_contiguous
-    i, l = np.indices((16, 16))
+    assert inverse.shape == (2, 10, solver._BLOCK, solver._BLOCK) and inverse.flags.c_contiguous
+    i, l = np.indices((solver._BLOCK, solver._BLOCK))
     assert np.all(inverse[..., i < l] == 0.0)
     assert np.array_equal(inverse[..., i >= l], inverse[..., (i - l)[i >= l], 0])
     assert np.all(inverse[..., 0, 0] == 1.0)

@@ -17,6 +17,8 @@ has sigma = -4 on a fine grid, so mu(pi) / 4 is the paper's S_x.  For
 lam <= 1/2 the locus never meets the positive real axis: every S is
 stable.  w is evaluated here from its closed form on the unit circle,
 independently of ``coeffs.eval_generating_function``, which is real-only.
+fig2's empirical circles, bisected with the default probe grid and its
+400 steps, sit above S_x and within 1% of it.
 """
 
 import functools
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from fracstep.coeffs import FormulaFamily, eval_generating_function
-from fracstep.stability import stability_bound
+from fracstep.stability import find_empirical_thresholds, stability_bound
 
 GAMMAS = np.linspace(0.05, 1.0, 20)[:, None]
 THETA = np.linspace(0.0, np.pi, 8193)[1:]  # (0, pi]; the locus starts at 0
@@ -87,3 +89,15 @@ def test_no_positive_crossing_at_or_below_one_half(family, lam):
     rows, turns = np.nonzero(np.sign(mu.imag[:, :-1]) != np.sign(mu.imag[:, 1:]))
     # every change of side (or touch) is on the negative real axis
     assert np.all(mu.real[rows, turns] < 0.0) and np.all(mu.real[rows, turns + 1] < 0.0)
+
+
+def test_fig2_circles_sit_just_above_the_bound():
+    # fig2's bisections: the probe grid's fastest mode has sigma above -4, and the
+    # 400-step horizon and the bisection tolerance move each circle up, by under 1%
+    gammas = [round(0.1 * k, 1) for k in range(1, 11)]
+    bounds = [stability_bound(FormulaFamily.BDF1, g, 1.0) for g in gammas]
+    circles = find_empirical_thresholds(
+        FormulaFamily.BDF1, [(g, 1.0, (0.5 * s, 1.5 * s)) for g, s in zip(gammas, bounds)]
+    )
+    for circle, s_cross in zip(circles, bounds):
+        assert s_cross < circle <= 1.01 * s_cross

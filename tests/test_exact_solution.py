@@ -1,6 +1,7 @@
 """Tests of the analytical sine-series benchmark solution."""
 
 import math
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -21,10 +22,23 @@ class TestIC:
             assert b == pytest.approx(8.0 / (math.pi**3 * n**3), rel=1e-15)
 
     def test_modes_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly increasing, got 2 after 3"):
             SineSeriesIC(((3, 1.0), (2, 1.0)))
         with pytest.raises(ValueError):
             SineSeriesIC(((1, math.inf),))
+
+    @pytest.mark.parametrize(
+        "n", [2.5, 0.5, math.nan, math.inf, -math.inf, np.float64(3.25), "3", 0, -1, 0.0, -2.0]
+    )
+    def test_modes_must_be_finite_integers_from_one(self, n):
+        # sin(n pi x) of a fractional n does not vanish at x = 1; nan and inf are no modes
+        with pytest.raises(ValueError, match=f"mode number {re.escape(repr(n))} is not a finite integer >= 1"):
+            SineSeriesIC(((n, 1.0),))
+
+    def test_integral_floats_are_mode_numbers(self):
+        ic = SineSeriesIC(((1.0, 1.0), (np.float64(3.0), 0.5), (np.int64(4), 0.25)))
+        assert ic._modes.tolist() == [1.0, 3.0, 4.0]
+        assert exact_eval(ic, 0.5, 1.0, 1.0, 0.1) == 0.0
 
 
 class TestPointwise:

@@ -1,6 +1,6 @@
-"""Overflow checked once per block of 16 levels against a check after every level.
+"""Overflow checked once per block of 32 levels against a check after every level.
 
-The stepping loop checks the new levels once per block of 16, before
+The stepping loop checks the new levels once per block of 32, before
 they enter the far sums: first by a bound on their sine modes, then, for
 a block that fails the bound, on its nodes.  Each test lowers the overflow
 limit so that a chosen level of an unstable run is the first one past it,

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fracstep import solver
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.harness import reproduce_figure
 from fracstep.solver import mesh_ratio, run, run_stacked
@@ -206,7 +207,7 @@ def test_all_overflowing_batch_stops_at_the_last_overflow():
     assert stack.overflow.min() > 0
     # the last block solved is the one that holds the last overflow
     m0 = stack.memory.solved[0]
-    assert m0 < stack.overflow.max() <= m0 + 16
+    assert m0 < stack.overflow.max() <= m0 + solver._BLOCK
     assert not np.any(stack.last)
 
 

@@ -20,9 +20,13 @@ per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
   written as one row per probe of ``stability_probes.csv``.
 
 For each file it prints ``identical``, or the largest absolute difference
-between the float cells of the two versions (and whether other cells
-differ).  It exits 1 if any file or exit code differs.  It needs only the
-standard library and numpy.
+between the float cells of the two versions and the largest difference
+relative to its row's largest |value| (and whether other cells differ).
+The absolute figure says little of an unstable run, whose values grow past
+1e50; the relative one shows rounding there too.  A row's scale leaves out
+cells written as integers, such as level numbers and step counts.  It
+exits 1 if any file or exit code differs.  It needs only the standard
+library and numpy.
 """
 
 from __future__ import annotations
@@ -139,22 +143,35 @@ def _float(cell: str) -> float | None:
         return None
 
 
+def _scale(cells: list[str]) -> float:
+    """The largest |value| of a row's float cells, leaving out those written as integers."""
+    values = [abs(x) for cell in cells if not cell.lstrip("-").isdigit() and (x := _float(cell)) is not None]
+    return max((x for x in values if not math.isnan(x)), default=0.0)
+
+
 def compare(old: Path, new: Path) -> str:
-    """``identical``, or the largest absolute difference between float cells."""
+    """``identical``, or the largest absolute and row-relative differences between float cells."""
     if old.read_bytes() == new.read_bytes():
         return "identical"
     old_lines, new_lines = old.read_text().splitlines(), new.read_text().splitlines()
-    worst, other = 0.0, len(old_lines) != len(new_lines)
+    worst, relative, other = 0.0, 0.0, len(old_lines) != len(new_lines)
     for old_line, new_line in zip(old_lines, new_lines):
         old_cells, new_cells = old_line.split(","), new_line.split(",")
         other |= len(old_cells) != len(new_cells)
+        scale = max(_scale(old_cells), _scale(new_cells))
         for a, b in zip(old_cells, new_cells):
             x, y = _float(a), _float(b)
             if x is None or y is None or old_line.startswith("#"):
                 other |= a != b
             elif not (x == y or (math.isnan(x) and math.isnan(y))):
-                worst = max(worst, abs(x - y) if math.isfinite(x - y) else math.inf)
-    return f"differs: max abs float diff {worst!r}" + (", other cells differ" if other else "")
+                diff = abs(x - y) if math.isfinite(x - y) else math.inf
+                worst = max(worst, diff)
+                top = max(scale, abs(x), abs(y))  # an integer cell is its own scale
+                relative = max(relative, diff / top if math.isfinite(diff) else math.inf)
+    return (
+        f"differs: max abs float diff {worst!r}, relative to its row's max|value| {relative!r}"
+        + (", other cells differ" if other else "")
+    )
 
 
 def main(argv: list[str]) -> int:
