@@ -27,14 +27,13 @@ P(m+1) = sum_{j<=m} w_{m+1-j} zeta^(j): zeta(m+1) = zeta(m) + sum_{j<=m}
 K_{m-j} zeta(j) with scalar K_i per mode.  Given the levels up to m0, the
 32 levels of a block form a unit lower-triangular Toeplitz system whose
 inverse H has the first column h_0 = 1, h_n = sum_{i<n} d_i h_{n-1-i}
-(d_0 = 1 + K_0, d_i = K_i), set once per range as a contiguous (B, N - 2,
+(d_0 = 1 + K_0, d_i = K_i), set once per range as a contiguous (B, len(live),
 32, 32) array, which matmul hands to BLAS.  H is applied directly: h
 grows like an unstable mode, so an FFT product would put eps max|h| on
 every row.  Blocks start at a range start or a multiple of 32; levels
-since the start of the leaf of 64 holding m0 are summed directly, and
-older ones arrive in blocks of b levels (Hairer, Lubich & Schlichte, SIAM
-J. Sci. Stat. Comput. 6 (1985)): for b <= 128 as direct products with a
-strided Toeplitz view of w, for longer blocks as FFT products.  The
+since the start of the leaf of 256 holding m0 are summed directly, and
+older ones arrive in blocks of b = 256, 512, ... levels as FFT products
+(Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  The
 modes, the far sums and ``run``'s nodes are arrays of one row per level.
 Level 0 is transformed in long double, because an unstable run amplifies
 the rounding of its fastest-growing mode.
@@ -275,17 +274,12 @@ def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: in
     return float(left - 2.0 * mid + right)
 
 
-# levels per leaf: history sums within a leaf are summed directly
-_LEAF = 64
+# levels per leaf: history sums within a leaf are summed directly, older ones by FFT
+_LEAF = 256
 # levels per block solve; divides _LEAF, so no block crosses a flush
 _BLOCK = 32
 # column chunks keep each FFT buffer near this many doubles
 _FFT_DOUBLES = 1 << 14
-# flushes of up to this many levels are direct Toeplitz products, longer ones FFT products
-_DIRECT_FLUSH = 128
-# and each direct product has about this many outputs: numpy hands large products of
-# strided views to BLAS, whose packing buffers then raise a process's peak memory
-_DIRECT_VALUES = 1 << 12
 # nodes are taken in chunks of about this many values, so that the chunk's
 # transform buffers do not raise a run's peak memory
 _NODE_VALUES = 1 << 12
@@ -320,10 +314,10 @@ class _HistorySums:
     problem has its own table; all share the capacity K.  ``modes[r]`` and
     ``far[r]`` are (B, len(live)): the modes ``live`` (default all N - 2)
     are stepped, the others are 0 at every level.  When the level count L
-    is a multiple of the leaf size 64, the levels [L - b, L) are added to
-    the rows [L + 1, L + b], with b = 64 2^v and 2^v the largest power of
-    two dividing L/64, so a row r in (L', L' + 64] holds every level below
-    L' once the flushes up to L' are done.
+    is a multiple of the leaf size 256, the levels [L - b, L) are added to
+    the rows [L + 1, L + b] by one FFT product, with b = 256 2^v and 2^v
+    the largest power of two dividing L/256, so a row r in (L', L' + 256]
+    holds every level below L' once the flushes up to L' are done.
     """
 
     def __init__(self, tables, n_nodes: int, live=None):
@@ -379,40 +373,27 @@ class _HistorySums:
         self.inverse = np.ndarray(shape, buffer=padded, strides=padded.strides + (8,))[..., ::-1].copy()
 
     def flush(self) -> None:
-        """Add the levels [L - b, L) to the rows [L + 1, L + b], L = flushed + 64."""
+        """Add the levels [L - b, L) to the rows [L + 1, L + b], L = flushed + 256."""
         end = self.flushed = self.flushed + _LEAF
         b = _LEAF
         while (end // b) % 2 == 0:
             b *= 2
         rows = min(b, self.capacity - end)
         block = self.modes[end - b : end]
-        direct = b <= _DIRECT_FLUSH
-        if direct:
-            # far[end + 1 + i] += sum_t w_{2 + i + t} zeta(end - 1 - t): a strided view of
-            # w_2 .. w_{rows + b}, within the table, against the levels newest first
-            shape = (len(self.tables), rows, b)
-            toeplitz = np.ndarray(shape, buffer=self.w, offset=16, strides=self.w.strides + (8,))
-            levels = block[::-1].transpose(1, 0, 2)
-        else:
-            spectrum = self._spectra.get(b)
-            if spectrum is None:
-                # w_1 .. w_2b, zero-padded past the table; circular outputs
-                # b .. 2b-1 do not wrap
-                spectrum = np.fft.rfft(self.w[:, 1 : 2 * b + 1], 2 * b).T[:, :, None]
-                self._spectra[b] = spectrum
+        spectrum = self._spectra.get(b)
+        if spectrum is None:
+            # w_1 .. w_2b, zero-padded past the table; circular outputs b .. 2b-1 do not wrap
+            spectrum = np.fft.rfft(self.w[:, 1 : 2 * b + 1], 2 * b).T[:, :, None]
+            self._spectra[b] = spectrum
         # chunks of whole problems, or of columns of one problem; the spectrum
         # broadcasts over the columns
-        cols = max(1, _DIRECT_VALUES // rows if direct else _FFT_DOUBLES // (2 * b))
+        cols = max(1, _FFT_DOUBLES // (2 * b))
         group = max(1, cols // max(1, block.shape[2]))
         for p in range(0, block.shape[1], group):
             for c in range(0, block.shape[2], cols):
-                if direct:
-                    product = toeplitz[p : p + group] @ levels[p : p + group, :, c : c + cols]
-                    product = product.transpose(1, 0, 2)
-                else:
-                    product = np.fft.rfft(block[:, p : p + group, c : c + cols], 2 * b, axis=0)
-                    product *= spectrum[:, p : p + group]
-                    product = np.fft.irfft(product, 2 * b, axis=0)[b : b + rows]
+                product = np.fft.rfft(block[:, p : p + group, c : c + cols], 2 * b, axis=0)
+                product *= spectrum[:, p : p + group]
+                product = np.fft.irfft(product, 2 * b, axis=0)[b : b + rows]
                 self.far[end + 1 : end + 1 + rows, p : p + group, c : c + cols] += product
 
 

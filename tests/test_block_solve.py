@@ -3,9 +3,10 @@
 The stepper solves 32 levels at a time from a range start and from each
 multiple of 32, and takes the nodes and checks overflow once per block.
 Each test puts a range start, a run's end or an overflow at or next to
-a block edge: level-by-level ``step`` must equal ``run`` bit for bit,
-``run`` must match direct summation, and ``run_stacked`` must report the
-first level past a lowered overflow limit.  A history or a table past
+a block edge or the edge of a 256-level leaf: level-by-level ``step``
+must equal ``run`` bit for bit, ``run`` must match direct summation, and
+``run_stacked`` must report the first level past a lowered overflow
+limit.  A history or a table past
 ``MAX_HISTORY_CELLS`` is refused by ``step`` too.
 """
 
@@ -21,10 +22,11 @@ from test_overflow_checks import STEPS, first_past, limit_first_passed_at, stack
 from test_solver import make_config
 
 
-@pytest.mark.parametrize("startup", [1, 15, 16, 17, 31, 32, 33, 63, 64, 65])
+@pytest.mark.parametrize("startup", [1, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257])
 def test_step_equals_run_bit_for_bit_from_any_range_start(startup):
+    # 255, 256 and 257 start a range at the edge of the 256-level leaf
     problem = boundary_problem(0.5)
-    config = make_config(0.5, 0.5, 0.3, 0.1, 150, FormulaFamily.BDF2, startup=startup)
+    config = make_config(0.5, 0.5, 0.3, 0.1, 600, FormulaFamily.BDF2, startup=startup)
     expected = run(problem, config)
     table = build_table(config.family, 0.5, config.steps + 1)
     history = SolutionHistory(expected.level(0), config.dx, config.dt)

@@ -1,4 +1,4 @@
-"""The overflow bound in mode space, the node chunks and the direct flushes.
+"""The overflow bound in mode space, the node chunks and the flushes.
 
 Each block is first checked by the bound max|ends| + max_k |zeta_k(r)| >=
 max|U(r)|; only a block that fails it takes its nodes for the exact
@@ -6,9 +6,9 @@ check, so a limit between max|U| and the bound must leave a run as the
 unlimited one, bit for bit.  ``run`` otherwise takes nodes in chunks,
 and the chunk size must not change a bit either, nor must flushing a
 stack in more or fewer groups of problems.  A stack keeps no nodes; its
-levels are read from the modes its stepper holds.  Flushes of up to
-``_DIRECT_FLUSH`` levels are direct Toeplitz products; they must agree
-with the FFT products they replace.
+levels are read from the modes its stepper holds.  The flushes of 256,
+512, ... levels are FFT products; they must agree with the sums they
+stand for, taken in long double.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from fracstep import solver
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.solver import _HistorySums, _modes, run
 
-from test_overflow_checks import held_run_stacked, stacked_run, unstable_case
+from test_overflow_checks import STEPS, held_run_stacked, stacked_run, unstable_case
 from test_solver import make_config
 
 
@@ -67,82 +67,72 @@ def test_node_chunks_do_not_change_a_bit(monkeypatch, values, startup):
 
 
 def test_chunks_in_a_stack_do_not_change_a_bit(monkeypatch):
-    # node chunks of one block, which a stack does not take, and direct
-    # flushes of the whole stack at once
-    expected = stacked_run(260)
+    # node chunks of one block, which a stack does not take, and FFT flushes
+    # of one column at a time or of the whole stack at once
+    expected = stacked_run(STEPS)
     monkeypatch.setattr(solver, "_NODE_VALUES", 1)
-    monkeypatch.setattr(solver, "_DIRECT_VALUES", 1 << 20)
-    stack = stacked_run(260)
-    assert not stack.overflow.any()
-    assert np.array_equal(stack.modes, expected.modes)
-    assert np.array_equal(stack.last, expected.last)
+    for doubles in (1, 1 << 20):
+        monkeypatch.setattr(solver, "_FFT_DOUBLES", doubles)
+        stack = stacked_run(STEPS)
+        assert not stack.overflow.any()
+        assert np.array_equal(stack.modes, expected.modes)
+        assert np.array_equal(stack.last, expected.last)
 
 
-def flushed(monkeypatch, tables, nodes, end, direct):
-    """The far rows after the flush at level count ``end``, of seeded random modes."""
-    monkeypatch.setattr(solver, "_DIRECT_FLUSH", 128 if direct else 0)
-    memory = _HistorySums(tables, nodes)
-    memory.modes[:] = np.random.default_rng(7).standard_normal(memory.modes.shape)
-    memory.flushed = end - 64
-    memory.flush()
-    return memory.far, memory.modes
-
-
-def check_flushes(monkeypatch, tables, nodes, b, end):
-    """Direct and FFT flushes of b levels agree within 1e-15 relative.
+def check_flush(tables, nodes, b, end):
+    """The flush of b levels at level count ``end``, of seeded random modes.
 
     The FFT product is a circular convolution with w_1 .. w_2b, so its
-    rounding is relative to sum_{k=1..2b} |w_k| max|zeta|; the two must
-    agree within 1e-15 of that.  The direct product is held to the sum it
-    stands for, in long double, within 1e-15 of the row's own scale
-    sum_j |w_{r - j}| |zeta(j)|.
+    rounding is relative to sum_{k=1..2b} |w_k| max|zeta|; each row must be
+    within 1e-15 times that of the sum it stands for, taken in long double.
+    No row outside [end + 1, end + rows] may be touched.
     """
-    direct, modes = flushed(monkeypatch, tables, nodes, end, direct=True)
-    fft, _ = flushed(monkeypatch, tables, nodes, end, direct=False)
+    memory = _HistorySums(tables, nodes)
+    memory.modes[:] = np.random.default_rng(7).standard_normal(memory.modes.shape)
+    memory.flushed = end - solver._LEAF
+    memory.flush()
+    far = memory.far
     rows = min(b, tables[0].capacity - end)
-    assert not np.any(direct[end + 1 + rows :]) and not np.any(direct[: end + 1])
+    assert not np.any(far[end + 1 + rows :]) and not np.any(far[: end + 1])
+    i, t = np.indices((rows, b))
     for p, table in enumerate(tables):
-        levels = modes[end - b : end, p]
+        levels = memory.modes[end - b : end, p].astype(np.longdouble)
         w = np.zeros(2 * b + 1, dtype=np.longdouble)
         w[: min(2 * b, table.capacity) + 1] = table.weights[: 2 * b + 1]
-        fft_scale = float(np.abs(w[1:]).sum() * np.abs(levels).max())
-        got, want = direct[end + 1 : end + 1 + rows, p], fft[end + 1 : end + 1 + rows, p]
-        assert np.abs(got - want).max() <= 1e-15 * fft_scale
-        for i in range(rows):
-            weights = w[b + 1 + i : i + 1 : -1]  # w_{b + 1 + i} .. w_{2 + i}, oldest level first
-            scale = float(np.abs(weights) @ np.abs(levels).max(axis=1))
-            exact = weights @ levels.astype(np.longdouble)
-            assert float(np.abs(got[i] - exact).max()) <= 1e-15 * scale
+        scale = float(np.abs(w[1:]).sum() * np.abs(levels).max())
+        exact = w[b + 1 + i - t] @ levels  # row i: w_{b + 1 + i} .. w_{2 + i}, oldest level first
+        assert float(np.abs(far[end + 1 : end + 1 + rows, p] - exact).max()) <= 1e-15 * scale
 
 
 # (b, flush level L, table capacity K): rows = min(b, K - L), so K < L + b cuts them
 @pytest.mark.parametrize(
     "b, end, capacity",
-    [(64, 64, 100), (64, 192, 300), (128, 128, 200), (128, 384, 600), (128, 640, 700)],
+    [(256, 256, 400), (256, 768, 1100), (512, 512, 800), (512, 1536, 1800), (1024, 1024, 1500)],
 )
-def test_direct_flush_equals_the_fft_flush(monkeypatch, b, end, capacity):
+def test_fft_flush_matches_the_long_double_sum(b, end, capacity):
     # three stacked tables of one capacity, shorter than 2b where K < 2b
     tables = [
         build_table(FormulaFamily.BDF1, 0.5, capacity),
         build_table(FormulaFamily.BDF3, 0.3, capacity),
         build_table(FormulaFamily.NG2, 0.8, capacity),
     ]
-    check_flushes(monkeypatch, tables, 13, b, end)
+    check_flush(tables, 13, b, end)
 
 
-@pytest.mark.parametrize("b", [64, 128])
-def test_direct_flush_of_a_single_problem_at_101_nodes(monkeypatch, b):
-    check_flushes(monkeypatch, [build_table(FormulaFamily.BDF3, 0.5, 1501)], 101, b, 3 * b)
+@pytest.mark.parametrize("b, end", [(256, 768), (512, 512), (1024, 1024)])
+def test_fft_flush_of_a_single_problem_at_101_nodes(b, end):
+    # the cn-solve problem's table: BDF3 at gamma 1/2, 1,500 steps
+    check_flush([build_table(FormulaFamily.BDF3, 0.5, 1501)], 101, b, end)
 
 
-def test_stacked_run_with_direct_flushes_matches_single_runs():
-    # a 400-level stack passes flushes of 64, 128 and 256 levels
+def test_stacked_run_through_three_flush_sizes_matches_single_runs():
+    # a 1,100-level stack passes flushes of 256, 512 and 1,024 levels
     row = 1e-6 * (-1.0) ** np.arange(17)
     row[0] = row[-1] = 0.0
-    tables = [build_table(FormulaFamily.BDF1, 1.0 - g, 400) for g in (0.4, 0.7)]
-    stack = held_run_stacked(np.tile(row, (2, 1)), tables, [0.2, 0.3], [0.5, 1.0], 400)
+    tables = [build_table(FormulaFamily.BDF1, 1.0 - g, 1100) for g in (0.4, 0.7)]
+    stack = held_run_stacked(np.tile(row, (2, 1)), tables, [0.2, 0.3], [0.5, 1.0], 1100)
     assert not stack.overflow.any()
     for b, (t, s, lam) in enumerate(zip(tables, (0.2, 0.3), (0.5, 1.0))):
-        alone = held_run_stacked(row[None], [t], [s], [lam], 400)
+        alone = held_run_stacked(row[None], [t], [s], [lam], 1100)
         assert np.array_equal(stack.modes[:, b], alone.modes[:, 0])
         assert np.array_equal(stack.last[b], alone.last[0])

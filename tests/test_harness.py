@@ -444,10 +444,10 @@ class TestFigures:
         ("fig3", "stable explicit profiles vs analytical solution (bdf1, lambda=1)",
          "case,gamma,s,dx,t,x,u_numeric,u_exact", 11 + 21 + 51, "completed"),
         ("fig4", "fig4: gamma=0.5 lambda=1.0 S=0.36999999999999994 dx=0.05 steps=200 "
-         "probe_verdict=unstable probe_growth=29263.178531224108",
+         "probe_verdict=unstable probe_growth=29263.178531224083",
          "level,x,u_numeric", 2 * 21, "unstable"),
         ("fig5", "fig5: gamma=0.5 lambda=0.8 S=0.55 dx=0.05 steps=500 "
-         "probe_verdict=stable probe_growth=0.029372598783864997",
+         "probe_verdict=stable probe_growth=0.029372598783864976",
          "x,u_numeric,u_exact", 21, "completed"),
         ("fig6", "fig6: gamma=0.5 lambda=0.8 S=0.6999999999999998 dx=0.05 steps=50 "
          "probe_verdict=unstable probe_growth=1364.3538027762197",

@@ -5,7 +5,7 @@ it convolves the second differences of the whole history with the
 weights, twice when 0 < lam < 1, and solves the tridiagonal system
 densely.  ``fracstep.solver`` carries the sums from level to level with
 blocked FFT products instead; both must agree to rounding.  Runs of
-1,100 steps reach flushes of 64 up to 1,024 levels.
+1,100 steps reach flushes of 256, 512 and 1,024 levels.
 """
 
 import numpy as np
@@ -103,12 +103,13 @@ def test_long_run_matches_direct_summation(family, lam):
 
 
 def test_hybrid_startup_matches_direct_summation():
-    # the explicit startup outlasts the first 64-level flush
+    # a startup of 260 outlasts the first flush, at level 256
     problem = boundary_problem(0.6)
-    config = make_config(0.6, 0.5, 0.2, 0.1, LONG_STEPS, FormulaFamily.BDF2, startup=70)
-    history = run(problem, config)
-    expected, _ = reference(problem, config, [history.level(0)])
-    assert_close(history.values, expected)
+    for startup in (70, 260):
+        config = make_config(0.6, 0.5, 0.2, 0.1, LONG_STEPS, FormulaFamily.BDF2, startup=startup)
+        history = run(problem, config)
+        expected, _ = reference(problem, config, [history.level(0)])
+        assert_close(history.values, expected)
 
 
 @pytest.mark.parametrize(

@@ -4,12 +4,12 @@ The stepping loop checks the new levels once per block of 32, before
 they enter the far sums: first by a bound on their sine modes, then, for
 a block that fails the bound, on its nodes.  Each test lowers the overflow
 limit so that a chosen level of an unstable run is the first one past it,
-at levels 0, 1 and 63 (mod 64) and at a run's last level.  The level
-reported must be the one a check after every level finds, the levels
-before it must be the unlimited run's bit for bit, and in a stack the
-other problems must not change at all.  A stack keeps no nodes, so its
-levels are read from the modes its stepper holds.  ``run_stacked`` also
-validates its inputs up front.
+at levels 0, 1 and 255 (mod 256, the leaf), at 0, 1 and 63 (mod 64), and
+at a run's last level.  The level reported must be the one a check after
+every level finds, the levels before it must be the unlimited run's bit
+for bit, and in a stack the other problems must not change at all.  A
+stack keeps no nodes, so its levels are read from the modes its stepper
+holds.  ``run_stacked`` also validates its inputs up front.
 """
 
 from typing import NamedTuple
@@ -31,8 +31,9 @@ from fracstep.solver import (
 )
 from fracstep.stability import PROBE_AMPLITUDE, stability_bound
 
-STEPS = 260
-LEVELS = [63, 64, 65, 127, 128, 191, 192]  # 63, 0 and 1 (mod 64)
+STEPS = 520
+# 63, 0 and 1 (mod 64), and 255, 0 and 1 (mod 256): the leaf and the first two flushes
+LEVELS = [63, 64, 65, 127, 128, 191, 192, 255, 256, 257, 511, 512]
 LAST = 150  # a run of LAST steps overflows at its last level, inside a leaf
 
 
@@ -94,7 +95,7 @@ def test_hybrid_startup_reports_the_first_level_past_the_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("lam", [1.0, 0.8])
-@pytest.mark.parametrize("level", [64, 65, 127])
+@pytest.mark.parametrize("level", [64, 65, 127, 255, 256, 257, 511, 512])
 def test_step_reports_the_first_level_past_the_limit(monkeypatch, lam, level):
     problem, config, table = unstable_case(lam)
     reference = run(problem, config, table).values
@@ -122,7 +123,8 @@ def test_nan_is_found_where_a_check_after_every_level_finds_it(monkeypatch):
         for _ in range(config.steps):
             step(history, problem, config, table)
     assert whole.value.level == stepped.value.level
-    assert whole.value.level % 64 not in (0, 63)  # the NaN appears inside a leaf
+    # the NaN appears inside a leaf
+    assert whole.value.level % solver._LEAF not in (0, solver._LEAF - 1)
     assert np.array_equal(whole.value.history.values, stepped.value.history.values)
 
 

@@ -24,7 +24,11 @@ between the float cells of the two versions and the largest difference
 relative to its row's largest |value| (and whether other cells differ).
 The absolute figure says little of an unstable run, whose values grow past
 1e50; the relative one shows rounding there too.  A row's scale leaves out
-cells written as integers, such as level numbers and step counts.  It
+cells written as integers, such as level numbers and step counts.  In the
+``#`` header and trailer lines, the value of each ``key=<float>`` token
+(``probe_growth``, ``max_error``, ``l2_error``, ``S``, ...) and each number
+standing alone is a float cell too, relative to its own |value|; the other
+words are text.  It
 exits 1 if any file or exit code differs.  It needs only the standard
 library and numpy.
 """
@@ -34,6 +38,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -156,12 +161,17 @@ def compare(old: Path, new: Path) -> str:
     old_lines, new_lines = old.read_text().splitlines(), new.read_text().splitlines()
     worst, relative, other = 0.0, 0.0, len(old_lines) != len(new_lines)
     for old_line, new_line in zip(old_lines, new_lines):
-        old_cells, new_cells = old_line.split(","), new_line.split(",")
+        if old_line.startswith("#"):
+            # words and key=<float> values; a value is its own scale
+            old_cells, new_cells = re.split(r"[\s=]+", old_line), re.split(r"[\s=]+", new_line)
+            scale = 0.0
+        else:
+            old_cells, new_cells = old_line.split(","), new_line.split(",")
+            scale = max(_scale(old_cells), _scale(new_cells))
         other |= len(old_cells) != len(new_cells)
-        scale = max(_scale(old_cells), _scale(new_cells))
         for a, b in zip(old_cells, new_cells):
             x, y = _float(a), _float(b)
-            if x is None or y is None or old_line.startswith("#"):
+            if x is None or y is None:
                 other |= a != b
             elif not (x == y or (math.isnan(x) and math.isnan(y))):
                 diff = abs(x - y) if math.isfinite(x - y) else math.inf
