@@ -12,6 +12,10 @@ n and 0 for even n.
 The series is truncated when the remaining-amplitude bound
 sum_{tail} |b_n| drops below ``tol``; since |E_gamma| <= 1 and |sin| <= 1
 on this domain the bound is valid for every t, including t = 0.
+
+Each block of modes builds its sine table once for every time asked for,
+from two small tables of r < 64 and of the q in use: with n = 64 q + r,
+sin(n pi x) = sin(64 q pi x) cos(r pi x) + cos(64 q pi x) sin(r pi x).
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 _MODE_BLOCK = 256  # modes per block of the sine table in exact_profile
+_SPLIT = 64  # n = _SPLIT q + r in the sine table
+_MAX_MODE = 1 << 53  # float64 holds every integer up to 2**53 exactly
 
 #: Most grid points ``exact_profile`` takes: its sine table of _MODE_BLOCK
 #: rows then stays within 128 MiB.
@@ -54,9 +60,9 @@ def check_profile_size(points: int) -> None:
 class SineSeriesIC:
     """Initial condition as a finite list of sine modes (n, b_n), n ascending.
 
-    Each n is an integer >= 1 (an int, or a float with an integral value), so
-    that every mode vanishes at both ends.  The mode numbers, amplitudes and
-    tail bounds are also kept as read-only arrays, built once.
+    Each n is an integer from 1 to 2**53 (an int, or a float with an integral
+    value), so that every mode vanishes at both ends and is exact as a float64.
+    The mode numbers, amplitudes and tail bounds are kept as read-only arrays.
     """
 
     coefficients: tuple[tuple[int, float], ...]
@@ -68,6 +74,8 @@ class SineSeriesIC:
             integral = isinstance(n, numbers.Integral) or (isinstance(n, float) and n.is_integer())
             if not (integral and n >= 1):
                 raise ValueError(f"mode number {n!r} is not a finite integer >= 1")
+            if n > _MAX_MODE:
+                raise ValueError(f"mode number {n!r} exceeds 2**53, the float64 limit of exact integers")
             if n <= prev:
                 raise ValueError(f"mode numbers must be strictly increasing, got {n!r} after {prev!r}")
             if not math.isfinite(b):
@@ -92,23 +100,24 @@ def parabola_ic(n_modes: int = 2000) -> SineSeriesIC:
     return SineSeriesIC(coeffs, description="x*(1-x)")
 
 
-def _validate(gamma: float, k_gamma: float, t: float, tol: float) -> None:
+def _validate(gamma: float, k_gamma: float, times, tol: float) -> None:
     if not (0.0 < gamma <= 1.0):
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    if not (k_gamma > 0.0):
-        raise ValueError(f"k_gamma must be > 0, got {k_gamma}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not (math.isfinite(k_gamma) and k_gamma > 0.0):
+        raise ValueError(f"k_gamma must be finite and > 0 in the decay argument, got {k_gamma}")
+    for t in times:
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValueError(f"t must be finite and >= 0 in the decay argument, got {t}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be > 0, got {tol}")
 
 
-def _mode_factors(ic: SineSeriesIC, gamma, k_gamma, t, tol):
-    """Retained mode numbers n and amplitudes b_n E_gamma(-k n^2 pi^2 t^gamma)."""
+def _mode_factors(ic: SineSeriesIC, gamma, k_gamma, times, tol):
+    """Retained mode numbers n and amplitudes b_n E_gamma(-k n^2 pi^2 t^gamma), a row per t."""
     kept = int(np.count_nonzero(ic.tail_bounds() >= tol))
     modes = ic._modes[:kept]
-    with np.errstate(over="ignore"):
-        x = k_gamma * (modes * math.pi) ** 2 * t**gamma
+    with np.errstate(over="ignore"):  # t**gamma as a Python float power
+        x = k_gamma * (modes * math.pi) ** 2 * np.array([t**gamma for t in times])[:, None]
     if not np.isfinite(x).all():
         raise ValueError("the decay argument k_gamma (n pi)^2 t^gamma is not finite")
     return modes, ic._amps[:kept] * ml_eval_neg(gamma, x)
@@ -134,33 +143,50 @@ def exact_profile(
     gamma: float,
     k_gamma: float,
     xs,
-    t: float,
+    t,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
-    """:func:`exact_eval` over the grid ``xs``.
+    """:func:`exact_eval` over the grid ``xs``, at a time ``t`` or a 1-D sequence of times.
 
-    The modes are summed in blocks of ``_MODE_BLOCK``, so the sine table
-    takes O(_MODE_BLOCK * len(xs)) memory whatever the mode count.  A grid
-    of more than ``MAX_PROFILE_POINTS`` points is refused.  The absorbing
-    boundaries x = 0 and x = 1 are exact zeros.
+    A sequence gives one row per time.  The modes are summed in blocks of
+    ``_MODE_BLOCK``, each block's sine table built once for every time, so
+    memory is O((_MODE_BLOCK + len(t)) * len(xs)) whatever the mode count,
+    and a row equals a one-time call bit for bit.  A grid of more than
+    ``MAX_PROFILE_POINTS`` points is refused.  The absorbing boundaries
+    x = 0 and x = 1 are exact zeros.
     """
-    _validate(gamma, k_gamma, t, tol)
+    times = [float(v) for v in np.ravel(t)]
+    _validate(gamma, k_gamma, times, tol)
     xs = np.asarray(xs, dtype=float)
     check_profile_size(xs.size)
     if not np.all((xs >= 0.0) & (xs <= 1.0)):  # NaN fails both
         raise ValueError("grid points must be finite and lie in [0, 1]")
-    out = np.zeros_like(xs)
     interior = (xs != 0.0) & (xs != 1.0)
     xi = xs[interior]
-    modes, factors = _mode_factors(ic, gamma, k_gamma, t, tol)
-    acc = np.zeros_like(xi)
+    modes, factors = _mode_factors(ic, gamma, k_gamma, times, tol)
+    q, r = np.divmod(modes.astype(np.int64), _SPLIT)
+    first = np.diff(q, prepend=-1) != 0  # the first mode of each q in use
+    q_index, q_args = np.cumsum(first) - 1, q[first] * (_SPLIT * math.pi)
+    r_args = np.outer(np.arange(_SPLIT) * math.pi, xi)
+    cos_r, sin_r = np.cos(r_args), np.sin(r_args, out=r_args)
+    acc = np.zeros((len(times), xi.size))
+    buffers = np.empty((2, min(_MODE_BLOCK, modes.size), xi.size))
     for start in range(0, modes.size, _MODE_BLOCK):
         block = slice(start, start + _MODE_BLOCK)
-        # an explicit product and row sum, not a BLAS call, so the
-        # summation order never depends on a thread count
-        terms = np.outer(modes[block] * math.pi, xi)
-        np.sin(terms, out=terms)
-        terms *= factors[block, None]
-        acc += terms.sum(axis=0)
-    out[interior] = acc
-    return out
+        iq, rb = q_index[block] - q_index[start], r[block]
+        terms, rest = buffers[:, : rb.size]
+        q_table = np.outer(q_args[q_index[start] :][: iq[-1] + 1], xi)
+        # sin(n pi x) by the split; mode="clip" makes take skip its buffer
+        np.take(np.sin(q_table), iq, axis=0, out=terms, mode="clip")
+        terms *= cos_r[rb]
+        np.take(np.cos(q_table), iq, axis=0, out=rest, mode="clip")
+        rest *= sin_r[rb]
+        terms += rest
+        for f, a in zip(factors, acc):
+            # an explicit product and row sum, not a BLAS call, so the
+            # summation order never depends on a thread count
+            np.multiply(terms, f[block, None], out=rest)
+            a += rest.sum(axis=0)
+    out = np.zeros((len(times),) + xs.shape)
+    out[:, interior] = acc
+    return out if np.ndim(t) else out[0]

@@ -353,16 +353,17 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
         f"lambda={spec.lam!r} family={spec.family.value} dx={spec.dx!r} dt={spec.dt!r} "
         f"S={s!r} steps={spec.steps} startup={spec.startup_explicit_steps} ic={spec.ic}"
     )
-    series = spec.sine_series() if want_error else None
     xs = history.x
 
     paths, summaries = [], []
-    for t in spec.output_times:
-        level = _nearest_level(t, spec.dt, history.top_level)
-        t_level = level * spec.dt
+    levels = [_nearest_level(t, spec.dt, history.top_level) for t in spec.output_times]
+    t_levels = [level * spec.dt for level in levels]
+    if want_error:  # one call: every output time shares the sine table
+        exacts = exact_profile(spec.sine_series(), spec.gamma, spec.k_gamma, xs, t_levels, tol=EXACT_TOL)
+    for i, (level, t_level) in enumerate(zip(levels, t_levels)):
         u = history.level(level)
         if want_error:
-            exact = exact_profile(series, spec.gamma, spec.k_gamma, xs, t_level, tol=EXACT_TOL)
+            exact = exacts[i]
             err = np.abs(u - exact)
             columns = ("x", "u_numeric", "u_exact", "abs_error")
             table = (xs, u, exact, err)

@@ -56,3 +56,11 @@ def test_data_rows_are_relative_to_their_largest_value(tmp_path):
     new = HEADER.format("0.25") + "0.5,4.000000000000001\n"
     diff = 4.000000000000001 - 4.0
     assert report(tmp_path, old, new) == differs(diff, diff / 4.000000000000001)
+
+
+def test_exact_and_converge_output_is_written_as_csv(tmp_path):
+    names = [compare_outputs.stdout_csv(argv) for argv in compare_outputs.commands(tmp_path, tmp_path / "out")]
+    assert sorted(name for name in names if name) == [
+        "converge.csv", "exact_g0.5_t0.3.csv", "exact_g0.5_t1e-4.csv", "exact_g0.9_t0.3.csv",
+        "exact_g0.9_t1e-4.csv",
+    ]

@@ -11,6 +11,7 @@ import pytest
 
 from fracstep import exact_solution
 from fracstep.exact_solution import SineSeriesIC, exact_eval, exact_profile, parabola_ic
+from fracstep.mittag_leffler import ml_eval_neg
 
 
 class TestIC:
@@ -34,6 +35,15 @@ class TestIC:
         # sin(n pi x) of a fractional n does not vanish at x = 1; nan and inf are no modes
         with pytest.raises(ValueError, match=f"mode number {re.escape(repr(n))} is not a finite integer >= 1"):
             SineSeriesIC(((n, 1.0),))
+
+    @pytest.mark.parametrize("n", [2**53 + 1, 2**60, float(2**54), np.int64(2**62)])
+    def test_modes_past_2_53_are_refused(self, n):
+        # float64 would hold 2**53 + 1 as 2**53, the sine of another mode
+        with pytest.raises(ValueError, match=f"mode number {re.escape(repr(n))} exceeds 2\\*\\*53"):
+            SineSeriesIC(((n, 1.0),))
+
+    def test_mode_2_53_is_exact(self):
+        assert SineSeriesIC(((2**53 - 1, 1.0), (2**53, 0.5)))._modes.tolist() == [2.0**53 - 1, 2.0**53]
 
     def test_integral_floats_are_mode_numbers(self):
         ic = SineSeriesIC(((1.0, 1.0), (np.float64(3.0), 0.5), (np.int64(4), 0.25)))
@@ -133,6 +143,59 @@ class TestProfile:
             sys.setswitchinterval(interval)
         assert threaded == serial * 3
 
+    def test_times_share_a_table_bit_for_bit(self):
+        # one call at many times equals one call per time, also from threads
+        ic, xs = parabola_ic(), np.linspace(0.0, 1.0, 101)
+        times = [0.0, 1e-4, 0.05, 1e-4, 0.3]
+        for gamma in (0.2, 0.5, 0.75, 0.95, 1.0):
+            single = np.array([exact_profile(ic, gamma, 1.0, xs, t) for t in times])
+            shared = exact_profile(ic, gamma, 1.0, xs, times)
+            assert shared.shape == (len(times), xs.size)
+            assert shared.tobytes() == single.tobytes()
+            assert exact_profile(ic, gamma, 1.0, xs, np.array(times[1:2])).tobytes() == single[1:2].tobytes()
+        with ThreadPoolExecutor(4) as pool:
+            threaded = list(pool.map(lambda _: exact_profile(ic, 0.5, 1.0, xs, times).tobytes(), range(8)))
+        assert set(threaded) == {exact_profile(ic, 0.5, 1.0, xs, times).tobytes()}
+
+    def test_scalar_and_sequence_shapes(self):
+        ic, xs = parabola_ic(), np.linspace(0.0, 1.0, 11)
+        assert exact_profile(ic, 0.5, 1.0, xs, 0.1).shape == (11,)
+        assert exact_profile(ic, 0.5, 1.0, xs, [0.1]).shape == (1, 11)
+        assert exact_profile(ic, 0.5, 1.0, xs, []).shape == (0, 11)
+        assert exact_profile(ic, 0.5, 1.0, xs, (0.0, 0.1, 0.2))[:, [0, -1]].tolist() == [[0.0, 0.0]] * 3
+
+    @pytest.mark.parametrize("points", [11, 21, 101])
+    def test_split_table_matches_one_sine_per_cell(self, points):
+        # the reference sums b_n E_gamma(-k (n pi)^2 t^gamma) sin(n pi x) with
+        # one np.sin per (mode, point), in the same blocks of modes
+        ic, xs, times = parabola_ic(), np.linspace(0.0, 1.0, points), [0.0, 1e-4, 0.05]
+        kept = int(np.count_nonzero(ic.tail_bounds() >= exact_solution.DEFAULT_TOL))
+        modes, amps = ic._modes[:kept], ic._amps[:kept]
+        table = np.sin(np.outer(modes * math.pi, xs))
+        table[:, [0, -1]] = 0.0
+        profiles = exact_profile(ic, 0.5, 1.0, xs, times)
+        for t, profile in zip(times, profiles):
+            factors = amps * ml_eval_neg(0.5, (modes * math.pi) ** 2 * t**0.5)
+            direct = np.zeros_like(xs)
+            for start in range(0, kept, exact_solution._MODE_BLOCK):
+                block = slice(start, start + exact_solution._MODE_BLOCK)
+                direct += (table[block] * factors[block, None]).sum(axis=0)
+            assert np.max(np.abs(profile - direct)) <= 1e-15 * np.max(np.abs(direct))
+
+    def test_q_table_holds_only_the_q_in_use(self):
+        # n = 10**9 is q = 15,625,000: a table of every q up to it would take
+        # gigabytes, one row per q in use a few bytes
+        ic, xs = SineSeriesIC(((1, 0.5), (10**9, 1.0))), np.linspace(0.0, 1.0, 5)
+        tracemalloc.start()
+        try:
+            profile = exact_profile(ic, 1.0, 1.0, xs, [0.0, 1e-20])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        expected = 0.5 * np.sin(math.pi * xs[1:-1]) + np.sin(10**9 * math.pi * xs[1:-1])
+        assert profile[0, 1:-1] == pytest.approx(expected, abs=1e-6)
+
     def test_mode_blocks_change_nothing_but_rounding(self, monkeypatch):
         xs = np.linspace(0.0, 1.0, 57)
         whole = exact_profile(parabola_ic(), 0.6, 1.0, xs, 1e-3)
@@ -165,6 +228,25 @@ class TestValidation:
             exact_eval(ic, 0.5, 0.0, 0.5, 0.5)
         with pytest.raises(ValueError):
             exact_eval(ic, 0.5, 1.0, 0.5, 0.5, tol=0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1e-300, [0.1, math.nan], (0.0, math.inf)])
+    @pytest.mark.parametrize(
+        "ic, tol",
+        # no mode retained, and a series of zeros: no decay argument is left to catch the time
+        [(parabola_ic(4), 1e300), (SineSeriesIC(((1, 0.0),)), 1e-10), (parabola_ic(4), 1e-10)],
+    )
+    def test_times_must_be_finite_and_non_negative(self, t, ic, tol):
+        bad = next(v for v in np.ravel(t) if not v >= 0.0 or math.isinf(v))
+        with pytest.raises(ValueError, match=f"t must be finite and >= 0 .*, got {bad}$"):
+            exact_profile(ic, 0.5, 1.0, [0.0, 0.5, 1.0], t, tol=tol)
+
+    @pytest.mark.parametrize("k_gamma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_k_gamma_must_be_finite_and_positive(self, recwarn, k_gamma):
+        # k_gamma = inf at t = 0 would compute inf * 0
+        for ic in (parabola_ic(4), SineSeriesIC(((1, 0.0),))):
+            with pytest.raises(ValueError, match=f"k_gamma must be finite and > 0 .*, got {k_gamma}$"):
+                exact_profile(ic, 0.5, k_gamma, [0.0, 0.5, 1.0], 0.0)
+        assert not recwarn.list
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_grid_points_are_refused(self, bad):

@@ -8,6 +8,7 @@ import pytest
 
 from fracstep import harness
 from fracstep.coeffs import FormulaFamily
+from fracstep.exact_solution import exact_profile
 from fracstep.harness import (
     ExperimentSpec,
     _write_csv,
@@ -98,7 +99,29 @@ class TestConfigFormat:
             make_spec(ic="cosine:2")
 
 
+    def test_sine_ic_past_2_53_is_refused(self):
+        with pytest.raises(ValueError, match="9007199254740993 exceeds 2\\*\\*53"):
+            make_spec(ic="sine:9007199254740993")
+
+
 class TestRunExperiment:
+    def test_exact_profiles_come_from_one_call(self, tmp_path, monkeypatch):
+        # every output time shares one exact_profile call, row for row as one call per time
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[4])
+            return exact_profile(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "exact_profile", counted)
+        spec = make_spec(steps=10, output_times=(0.1, 0.0, 0.05, 0.1), name="times")
+        result = run_experiment(spec, tmp_path)
+        assert calls == [[10 * spec.dt, 0.0, 5 * spec.dt, 10 * spec.dt]]
+        for path, t in zip(result.paths, calls[0]):
+            u_exact = [float(line.split(",")[2]) for line in path.read_text().splitlines()[2:-1]]
+            one = exact_profile(spec.sine_series(), 0.5, 1.0, result.history.x, t, tol=harness.EXACT_TOL)
+            assert u_exact == one.tolist()
+
     def test_zero_ic_gives_zero_profile_and_error(self, tmp_path):
         result = run_experiment(make_spec(ic="zero", name="null"), tmp_path)
         assert result.status == "completed"

@@ -17,7 +17,11 @@ per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
 * ``stability probe`` for each family at gamma 1/2 and lambda 0, 1/2, 0.8
   and 1, with S on both sides of the bound (0.5 and 5 where it does not
   bind), and one probe that overflows early.  Their standard output is
-  written as one row per probe of ``stability_probes.csv``.
+  written as one row per probe of ``stability_probes.csv``;
+* ``exact`` at gamma 0.5 and 0.9, t 1e-4 and 0.3, on 101 nodes, and a
+  ``converge`` (refine_dt, 2 levels) of a small BDF2 run.  The standard
+  output of each is written as a CSV file, ``exact_g<gamma>_t<t>.csv`` and
+  ``converge.csv``, with the estimated orders as ``#`` lines.
 
 For each file it prints ``identical``, or the largest absolute difference
 between the float cells of the two versions and the largest difference
@@ -50,6 +54,10 @@ CN_CONFIG = (
     "dx = 0.01\ns = 1.0\nsteps = 1500\nic = poly:x*(1-x)\noutput_times = "
     + ", ".join(repr(level * CN_DT) for level in (250, 500, 1000, 1500))
     + "\noutputs = profile_csv, error_vs_exact, history_csv, stability_report\n"
+)
+CONVERGE_CONFIG = (
+    "[experiment]\nname = conv\ngamma = 0.5\nlambda = 0.5\nfamily = bdf2\ndx = 0.05\ns = 1.0\n"
+    "steps = 100\n"
 )
 UNSTABLE_CONFIG = (
     "[experiment]\nname = blowup\ngamma = 0.5\nlambda = 1.0\nfamily = bdf1\ndx = 0.05\n"
@@ -115,13 +123,26 @@ def commands(configs: Path, out: Path) -> list[list[str]]:
          "--lambda-grid", "0:1:64", "--out", str(out / f"phase_{family}.csv")]
         for family in FAMILIES
     ]
+    argvs += [
+        ["exact", "--gamma", gamma, "--kgamma", "1", "--t", t, "--nx", "100"]
+        for gamma in ("0.5", "0.9") for t in ("1e-4", "0.3")
+    ]
+    argvs.append(["converge", "--config", str(configs / "conv.cfg"), "--mode", "refine_dt", "--levels", "2"])
     return argvs + probes()
+
+
+def stdout_csv(argv: list[str]) -> str | None:
+    """The CSV file that holds a command's standard output, or None if it writes its own files."""
+    if argv[0] == "exact":
+        return f"exact_g{argv[2]}_t{argv[6]}.csv"
+    return "converge.csv" if argv[0] == "converge" else None
 
 
 def write_set(tree: Path, configs: Path, out: Path) -> list[int]:
     """Write the set with ``tree``'s fracstep; the exit code of each command.
 
-    The probes' standard output goes to ``out/stability_probes.csv``.
+    The probes' standard output goes to ``out/stability_probes.csv``, and
+    that of the other commands without files of their own to ``stdout_csv``.
     """
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1")
     argvs = commands(configs, out)
@@ -137,6 +158,9 @@ def write_set(tree: Path, configs: Path, out: Path) -> list[int]:
         if argv[:2] == ["stability", "probe"]:
             fields = dict(line.split("=", 1) for line in stdout.splitlines())
             rows.append(",".join([argv[3], argv[5], argv[7], str(code)] + [fields[k] for k in PROBE_FIELDS]))
+        elif name := stdout_csv(argv):  # key=value lines become "#" lines, whose values compare as floats
+            lines = stdout.splitlines(keepends=True)
+            (out / name).write_text("".join("# " + line if "=" in line else line for line in lines))
     (out / "stability_probes.csv").write_text("\n".join(rows) + "\n")
     return [code for code, _ in results]
 
@@ -193,6 +217,7 @@ def main(argv: list[str]) -> int:
         tmp = Path(tmp)
         (tmp / "cn.cfg").write_text(CN_CONFIG)
         (tmp / "blowup.cfg").write_text(UNSTABLE_CONFIG)
+        (tmp / "conv.cfg").write_text(CONVERGE_CONFIG)
         old_codes = write_set(old_tree, tmp, tmp / "old")
         new_codes = write_set(new_tree, tmp, tmp / "new")
         failed = False
