@@ -69,13 +69,13 @@ EXACT_TOL = 1e-10
 OUTPUT_FLAGS = ("profile_csv", "history_csv", "error_vs_exact", "stability_report")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
-    """One solver experiment: a PDE instance plus a scheme and outputs."""
+    """One solver experiment: a PDE instance plus a scheme and outputs; a field per config key."""
 
-    name: str
+    name: str = "experiment"
     gamma: float
-    k_gamma: float
+    k_gamma: float = 1.0
     lam: float
     family: FormulaFamily
     dx: float
@@ -87,14 +87,16 @@ class ExperimentSpec:
     outputs: tuple[str, ...] = ("profile_csv",)
 
     def __post_init__(self):
+        self.problem()  # checks gamma, k_gamma and ic
+        self.scheme()  # checks lam, dx, dt, steps and startup_explicit_steps
+        if "/" in self.name or os.sep in self.name:
+            raise ValueError(f"name {self.name!r} holds a path separator; it starts each output file's name")
         for flag in self.outputs:
             if flag not in OUTPUT_FLAGS:
-                raise ValueError(f"unknown output flag {flag!r}")
-        t_end = self.steps * self.dt
+                raise ValueError(f"outputs holds an unknown flag {flag!r}; the flags are {', '.join(OUTPUT_FLAGS)}")
         for t in self.output_times:
-            if not 0.0 <= t <= t_end + 0.5 * self.dt:
-                raise ValueError(f"output time {t} outside [0, t_end={t_end}]")
-        _parse_ic(self.ic)  # validate early
+            if not 0.0 <= t <= self.t_end + 0.5 * self.dt:
+                raise ValueError(f"output time {t} outside [0, t_end={self.t_end}]")
 
     @property
     def t_end(self) -> float:
@@ -145,75 +147,80 @@ def _parse_ic(ic: str):
     raise ValueError(f"unsupported ic {ic!r}; expected 'poly:x*(1-x)', 'sine:<n>' or 'zero'")
 
 
+def _items(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
+# The config keys, in the order format_experiment writes them: (key, ExperimentSpec
+# field, parser of the value's text).  A key left out takes the field's default.
+_KEYS = (
+    ("name", "name", str),
+    ("gamma", "gamma", float),
+    ("kgamma", "k_gamma", float),
+    ("lambda", "lam", float),
+    ("family", "family", FormulaFamily.parse),
+    ("dx", "dx", float),
+    ("dt", "dt", float),
+    ("steps", "steps", int),
+    ("startup_explicit_steps", "startup_explicit_steps", int),
+    ("ic", "ic", lambda text: _parse_ic(text) and text),  # _parse_ic raises for a bad ic
+    ("output_times", "output_times", lambda text: tuple(map(float, _items(text)))),
+    ("outputs", "outputs", _items),
+)
+_REQUIRED = ("gamma", "lambda", "family", "dx")  # and one of dt and s, one of steps and t_end
+_STAND_INS = (("s", "s", float), ("t_end", "t_end", float))  # parsed into dt and steps
+_CONFIG_KEYS = [key for key, *_ in _KEYS + _STAND_INS]
+
+
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse the flat ``[experiment]`` config format.
 
     Required keys: gamma, lambda, family, dx, one of {s, dt}, one of
     {steps, t_end}.  Optional: name, kgamma (default 1), ic,
-    startup_explicit_steps, output_times (comma separated), outputs
-    (comma separated flags).
+    startup_explicit_steps, output_times (comma separated; default t_end),
+    outputs (comma separated flags).  A text not in this format, a section
+    other than [experiment], an unknown key and a key given twice are
+    refused, and each error in a key's value names the key.  Output times
+    that round to one level write it once (see ``run_experiment``).
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    cp.read_string(text)
-    if "experiment" not in cp:
-        raise ValueError("config must contain an [experiment] section")
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:  # a key given twice, no section header, ...
+        raise ValueError(f"config: {exc}".replace("\n", " ")) from None
+    if cp.sections() != ["experiment"]:  # keys under another header would go unread
+        raise ValueError(f"config must hold one section, [experiment]; it holds {cp.sections()}")
     sec = cp["experiment"]
-
-    def need(key: str) -> str:
-        if key not in sec:
+    if unknown := [key for key in sec if key not in _CONFIG_KEYS]:
+        raise ValueError(f"unknown config key {', '.join(unknown)}; the keys are {', '.join(_CONFIG_KEYS)}")
+    fields = {}
+    for key, field, parse in _KEYS + _STAND_INS:
+        if key in sec:
+            try:
+                fields[field] = parse(sec[key])
+            except (ValueError, configparser.InterpolationError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+        elif key in _REQUIRED:
             raise ValueError(f"config is missing required key {key!r}")
-        return sec[key]
+    for key, other in (("dt", "s"), ("steps", "t_end")):
+        if key in sec and other in sec:
+            raise ValueError(f"give either {key} or {other}, not both")
+        if key not in sec and other not in sec:
+            raise ValueError(f"config needs {key} or {other}")
 
-    gamma = float(need("gamma"))
-    k_gamma = float(sec.get("kgamma", "1.0"))
-    lam = float(need("lambda"))
-    family = FormulaFamily.parse(need("family"))
-    dx = float(need("dx"))
-
-    if "dt" in sec and "s" in sec:
-        raise ValueError("give either dt or s, not both")
-    if "dt" in sec:
-        dt = float(sec["dt"])
-    elif "s" in sec:
-        dt = dt_for_mesh_ratio(float(sec["s"]), dx, gamma, k_gamma)
-    else:
-        raise ValueError("config needs dt or s")
-
-    if "steps" in sec and "t_end" in sec:
-        raise ValueError("give either steps or t_end, not both")
+    if "s" in fields:
+        k_gamma = fields.get("k_gamma", ExperimentSpec.k_gamma)
+        fields["dt"] = dt_for_mesh_ratio(fields.pop("s"), fields["dx"], fields["gamma"], k_gamma)
+    dt = fields["dt"]
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
-    if "steps" in sec:
-        steps = int(sec["steps"])
-    elif "t_end" in sec:
-        steps = round(end_time(float(sec["t_end"])) / dt)
-        if steps < 1:
-            raise ValueError(f"t_end {sec['t_end']} is below one time step (dt={dt})")
-    else:
-        raise ValueError("config needs steps or t_end")
-
-    output_times = tuple(
-        float(tok) for tok in sec.get("output_times", "").split(",") if tok.strip()
-    )
-    if not output_times:
-        output_times = (steps * dt,)
-    outputs = tuple(
-        tok.strip() for tok in sec.get("outputs", "profile_csv").split(",") if tok.strip()
-    )
-    return ExperimentSpec(
-        name=sec.get("name", "experiment"),
-        gamma=gamma,
-        k_gamma=k_gamma,
-        lam=lam,
-        family=family,
-        dx=dx,
-        dt=dt,
-        steps=steps,
-        startup_explicit_steps=int(sec.get("startup_explicit_steps", "0")),
-        ic=sec.get("ic", "poly:x*(1-x)"),
-        output_times=output_times,
-        outputs=outputs,
-    )
+    if "t_end" in fields:
+        t_end = end_time(fields.pop("t_end"))
+        fields["steps"] = round(t_end / dt)
+        if fields["steps"] < 1:
+            raise ValueError(f"t_end {t_end} is below one time step (dt={dt})")
+    fields["output_times"] = fields.get("output_times") or (fields["steps"] * dt,)
+    return ExperimentSpec(**fields)
 
 
 def parse_experiment_file(path) -> ExperimentSpec:
@@ -222,21 +229,12 @@ def parse_experiment_file(path) -> ExperimentSpec:
 
 def format_experiment(spec: ExperimentSpec) -> str:
     """Serialize a spec back to the config format (round-trips)."""
-    lines = [
-        "[experiment]",
-        f"name = {spec.name}",
-        f"gamma = {spec.gamma!r}",
-        f"kgamma = {spec.k_gamma!r}",
-        f"lambda = {spec.lam!r}",
-        f"family = {spec.family.value}",
-        f"dx = {spec.dx!r}",
-        f"dt = {spec.dt!r}",
-        f"steps = {spec.steps}",
-        f"startup_explicit_steps = {spec.startup_explicit_steps}",
-        f"ic = {spec.ic}",
-        "output_times = " + ", ".join(repr(t) for t in spec.output_times),
-        "outputs = " + ", ".join(spec.outputs),
-    ]
+    lines = ["[experiment]"]
+    for key, field, _ in _KEYS:
+        value = getattr(spec, field)
+        if isinstance(value, tuple):
+            value = ", ".join(map(str, value))  # str of a float is its repr
+        lines.append(f"{key} = {value.value if isinstance(value, FormulaFamily) else value}")
     return "\n".join(lines) + "\n"
 
 
@@ -321,19 +319,13 @@ class ExperimentResult:
     history: SolutionHistory | None
 
 
-def _nearest_level(t: float, dt: float, top: int) -> int:
-    m = round(t / dt)
-    if abs(m * dt - t) > 0.5 * dt + 1e-12:
-        raise ValueError(f"output time {t} is not within half a step of the grid")
-    return min(max(m, 0), top)
-
-
 def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = None) -> ExperimentResult:
     """Execute the experiment and emit the requested CSV files.
 
     An overflow signal from the solver is recorded as ``UNSTABLE at step
     <m>`` in the summary of whatever levels were reached; the result
-    status distinguishes it from successful completion.
+    status distinguishes it from successful completion.  Each output level
+    is written once, however many output times round to it.
     """
     want_error = "error_vs_exact" in spec.outputs
     if want_error:  # the exact profile's grid, checked before the run; it is the unit interval
@@ -356,7 +348,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
     xs = history.x
 
     paths, summaries = [], []
-    levels = [_nearest_level(t, spec.dt, history.top_level) for t in spec.output_times]
+    # ExperimentSpec keeps each output time in range; an unstable run may stop short of it
+    levels = list(dict.fromkeys(min(round(t / spec.dt), history.top_level) for t in spec.output_times))
     t_levels = [level * spec.dt for level in levels]
     if want_error:  # one call: every output time shares the sine table
         exacts = exact_profile(spec.sine_series(), spec.gamma, spec.k_gamma, xs, t_levels, tol=EXACT_TOL)
@@ -504,8 +497,6 @@ def startup_comparison(base: ExperimentSpec, startup_steps_grid) -> list[tuple[i
     rows = []
     for count in startup_steps_grid:
         count = int(count)
-        if count < 0:
-            raise ValueError("startup step counts must be >= 0")
         if count > 0 and s > explicit_cross:
             raise ValueError(
                 f"explicit startup violates the explicit bound (S={s:.4g} > {explicit_cross:.4g})"
@@ -570,7 +561,6 @@ def figure_specs(fig_id: str, t_end: float | None = None) -> list[ExperimentSpec
             ExperimentSpec(
                 name=f"{fig_id}_{label}" if label else fig_id,
                 gamma=gamma,
-                k_gamma=1.0,
                 lam=lam,
                 family=FormulaFamily.BDF1,
                 dx=dx,

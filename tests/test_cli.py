@@ -309,6 +309,47 @@ class TestBadTimes:
         assert not out.exists()
 
 
+class TestBadConfig:
+    """A config not in the format, with a key given twice, an unknown key or section,
+    or a value out of range exits 1 with one error line, before anything runs or is
+    written."""
+
+    @pytest.mark.parametrize("command", ["solve", "converge"])
+    @pytest.mark.parametrize(
+        "text, words",
+        [(STABLE_CONFIG + "s = 0.5\n", "option 's' in section 'experiment' already exists"),
+         (STABLE_CONFIG.replace("[experiment]", ""), "File contains no section headers"),
+         (STABLE_CONFIG + "startup_explicit_step = 3\n", "unknown config key startup_explicit_step;"),
+         (STABLE_CONFIG + "[experiments]\nstartup_explicit_steps = 3\n", "['experiment', 'experiments']")],
+        ids=["key_twice", "no_section", "unknown_key", "second_section"],
+    )
+    def test_error_line(self, capsys, tmp_path, command, text, words):
+        config = tmp_path / "exp.cfg"
+        config.write_text(text)
+        out = tmp_path / "out"
+        argv = ["--config", str(config)] + ["--out-dir", str(out)] * (command == "solve")
+        code, stdout, err = run_cli(capsys, command, *argv)
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith("error: ") and words in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("lambda = 2", "lam must lie in [0, 1], got 2.0"), ("dx = -0.1", "dx must be finite and > 0"),
+         ("name = a/b", "name 'a/b' holds a path separator")],
+    )
+    def test_value_out_of_range(self, capsys, tmp_path, line, message):
+        # refused when the config is read, before the output directory is made
+        key = line.split()[0]
+        config = tmp_path / "exp.cfg"
+        config.write_text("\n".join(line if old.startswith(f"{key} =") else old for old in STABLE_CONFIG.splitlines()))
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "solve", "--config", str(config), "--out-dir", str(out))
+        assert code == EXIT_USAGE and stdout == ""
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+
 class TestNumericFlags:
     """Negative numbers in every form argparse can meet are values, and a
     number out of a command's domain exits 1 naming its flags, with no warning."""

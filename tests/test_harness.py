@@ -104,6 +104,48 @@ class TestConfigFormat:
             make_spec(ic="sine:9007199254740993")
 
 
+# a config with every key of the table in use, and bad values for each key
+GOOD_KEYS = {
+    "name": "keys", "gamma": "0.5", "kgamma": "2.0", "lambda": "0.5", "family": "bdf2", "dx": "0.1",
+    "dt": "0.001", "steps": "10", "startup_explicit_steps": "2", "ic": "sine:2",
+    "output_times": "0.005, 0.01", "outputs": "profile_csv, error_vs_exact",
+}
+BAD_VALUES = {
+    "name": ["a/b"], "gamma": ["abc"], "kgamma": ["abc"], "lambda": ["abc"], "family": ["bdf9"],
+    "dx": ["abc"], "dt": ["abc"], "steps": ["5.0", "-1"], "startup_explicit_steps": ["x", "-1"],
+    "ic": ["sine:x"], "output_times": ["a"], "outputs": ["bogus"], "s": ["abc"], "t_end": ["abc"],
+}
+
+
+def config_text(keys: dict) -> str:
+    return "[experiment]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+class TestConfigKeys:
+    """The key table: an error in a key's value names the key, and unknown keys are refused."""
+
+    def test_every_key_round_trips(self):
+        spec = parse_experiment(config_text(GOOD_KEYS))
+        assert (spec.k_gamma, spec.startup_explicit_steps, spec.ic) == (2.0, 2, "sine:2")
+        assert format_experiment(spec) == config_text(GOOD_KEYS)
+
+    @pytest.mark.parametrize("key", harness._CONFIG_KEYS)
+    def test_a_bad_value_names_its_key(self, key):
+        keys = dict(GOOD_KEYS)
+        for stand_in, replaced in (("s", "dt"), ("t_end", "steps")):
+            if key == stand_in:
+                del keys[replaced]
+        for bad in BAD_VALUES[key]:
+            keys[key] = bad
+            with pytest.raises(ValueError, match=f"^(config key '{key}': |{key} )"):
+                parse_experiment(config_text(keys))
+
+    def test_unknown_keys_are_refused(self):
+        text = config_text(GOOD_KEYS) + "startup_explicit_step = 3\nkgama = 2\n"
+        with pytest.raises(ValueError, match="^unknown config key startup_explicit_step, kgama; the keys are name,"):
+            parse_experiment(text)
+
+
 class TestRunExperiment:
     def test_exact_profiles_come_from_one_call(self, tmp_path, monkeypatch):
         # every output time shares one exact_profile call, row for row as one call per time
@@ -116,11 +158,23 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "exact_profile", counted)
         spec = make_spec(steps=10, output_times=(0.1, 0.0, 0.05, 0.1), name="times")
         result = run_experiment(spec, tmp_path)
-        assert calls == [[10 * spec.dt, 0.0, 5 * spec.dt, 10 * spec.dt]]
+        assert calls == [[10 * spec.dt, 0.0, 5 * spec.dt]]
         for path, t in zip(result.paths, calls[0]):
             u_exact = [float(line.split(",")[2]) for line in path.read_text().splitlines()[2:-1]]
             one = exact_profile(spec.sine_series(), 0.5, 1.0, result.history.x, t, tol=harness.EXACT_TOL)
             assert u_exact == one.tolist()
+
+    def test_a_repeated_output_time_is_written_once(self, tmp_path):
+        spec = make_spec(steps=10, output_times=(0.05, 0.1, 0.05), name="twice")
+        result = run_experiment(spec, tmp_path)
+        assert [path.name for path in result.paths] == ["twice_t5.csv", "twice_t10.csv"]
+        assert [t for t, *_ in result.summaries] == [5 * spec.dt, 10 * spec.dt]
+
+    def test_times_that_round_to_one_level_are_written_once(self, tmp_path):
+        spec = make_spec(steps=10, output_times=(0.0496, 0.1, 0.0504), name="near")
+        result = run_experiment(spec, tmp_path)
+        assert [path.name for path in result.paths] == ["near_t5.csv", "near_t10.csv"]
+        assert len(result.summaries) == 2
 
     def test_zero_ic_gives_zero_profile_and_error(self, tmp_path):
         result = run_experiment(make_spec(ic="zero", name="null"), tmp_path)

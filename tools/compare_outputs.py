@@ -13,6 +13,10 @@ per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
 * ``solve`` of the cn-solve benchmark config (BDF3, lambda 1/2, 101 nodes,
   1,500 steps): four profiles, the history and the stability report;
 * ``solve`` of an unstable explicit run (S = 0.7, 200 steps) with its history;
+* ``solve`` of a config that gives every key in its non-default form: dt in
+  place of s, t_end in place of steps, kgamma 2, three explicit startup
+  steps, ``ic = sine:2`` and all four outputs (NG2, lambda 3/4, S = 0.19,
+  stable), so that its headers carry every label;
 * ``stability phase`` on a 64 x 64 grid for each family;
 * ``stability probe`` for each family at gamma 1/2 and lambda 0, 1/2, 0.8
   and 1, with S on both sides of the bound (0.5 and 5 where it does not
@@ -62,6 +66,12 @@ CONVERGE_CONFIG = (
 UNSTABLE_CONFIG = (
     "[experiment]\nname = blowup\ngamma = 0.5\nlambda = 1.0\nfamily = bdf1\ndx = 0.05\n"
     "s = 0.7\nsteps = 200\noutputs = profile_csv, history_csv\n"
+)
+# every key away from its default; S = kgamma dt^gamma / dx^2 = 0.19, below the explicit bound 0.34
+FULL_CONFIG = (
+    "[experiment]\nname = full\ngamma = 0.75\nkgamma = 2.0\nlambda = 0.75\nfamily = ng2\ndx = 0.05\n"
+    "dt = 1.5e-05\nt_end = 0.0015\nstartup_explicit_steps = 3\nic = sine:2\noutput_times = 0.00075, 0.0015\n"
+    "outputs = profile_csv, error_vs_exact, history_csv, stability_report\n"
 )
 FAMILIES = ("bdf1", "bdf2", "bdf3", "ng2")
 # the polynomial under the power at z = -1 of each family's generating function
@@ -116,7 +126,7 @@ def commands(configs: Path, out: Path) -> list[list[str]]:
     ]
     argvs += [
         ["solve", "--config", str(configs / f"{name}.cfg"), "--out-dir", str(out / name)]
-        for name in ("cn", "blowup")
+        for name in ("cn", "blowup", "full")
     ]
     argvs += [
         ["stability", "phase", "--family", family, "--gamma-grid", "0.05:1:64",
@@ -218,6 +228,7 @@ def main(argv: list[str]) -> int:
         (tmp / "cn.cfg").write_text(CN_CONFIG)
         (tmp / "blowup.cfg").write_text(UNSTABLE_CONFIG)
         (tmp / "conv.cfg").write_text(CONVERGE_CONFIG)
+        (tmp / "full.cfg").write_text(FULL_CONFIG)
         old_codes = write_set(old_tree, tmp, tmp / "old")
         new_codes = write_set(new_tree, tmp, tmp / "new")
         failed = False
