@@ -39,6 +39,7 @@ from fracstep.solver import (
     ProblemSpec,
     SchemeConfig,
     SolutionHistory,
+    _node_count,
     check_history_size,
     dt_for_mesh_ratio,
     mesh_ratio,
@@ -87,8 +88,7 @@ class ExperimentSpec:
     outputs: tuple[str, ...] = ("profile_csv",)
 
     def __post_init__(self):
-        self.problem()  # checks gamma, k_gamma and ic
-        self.scheme()  # checks lam, dx, dt, steps and startup_explicit_steps
+        _node_count(self.problem(), self.scheme())  # checks their keys, and that dx divides [0, 1]
         if "/" in self.name or os.sep in self.name:
             raise ValueError(f"name {self.name!r} holds a path separator; it starts each output file's name")
         for flag in self.outputs:
@@ -238,10 +238,11 @@ def format_experiment(spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The cells formatted at a time, in one repr_cells call.  On a 2-core Xeon VM a
-# 1,501 x 102 history is written in 67 ms at 2,048 and 88 ms at 4,096 (best of 25
-# interleaved rounds), with tracemalloc peaks of 0.8 and 1.5 MB; 8,192 peaks at 3.1 MB.
-_CHUNK_CELLS = 2048
+# The cells formatted at a time, one repr_cells call (about 0.1 ms at any size).  At 32 B a cell its
+# largest buffers stay within glibc's 128 KiB mmap threshold, above which each is faulted in anew
+# per call.  On a 2-core Xeon VM after the cn-solve run, the 1,501 x 102 history is written in 32.2,
+# 26.3 and 25.0 ms at 2,048, 4,096 and 8,192 (best of 15; tracemalloc 0.33, 0.64 and 1.27 MiB).
+_CHUNK_CELLS = 4096
 
 
 def _write_csv(path: Path, header: str, columns, table, trailer: str | None = None) -> Path:

@@ -8,21 +8,23 @@ round to a double is scaled by a 126-bit upper approximation g of a power
 of ten, and the shortest decimal in it (the closest, ties to even) is
 read off the scaled interval's centre and ends.  Every 64 x 126-bit
 product is taken in 32-bit limbs, so each step is a numpy integer
-operation.  Integers below 2^53, and zero, are their own digits.
+operation.  Integers are formatted the same way; zero is given no digits.
 
 The digits are laid out in ``repr``'s two forms: positional when the
 decimal point position ``decpt`` (value = 0.d1d2... x 10^decpt) lies in
 (-4, 16], with ``.0`` after an integer, and ``d.ddde+XX`` otherwise.
-Each cell is a fixed layout of MAX_CELL bytes with NUL holes where a
-character is absent, so no byte is moved per element; dropping the NULs
-leaves exactly ``repr``.  Non-finite and subnormal values are formatted
-by ``float.__repr__`` one at a time; for the smallest subnormals
-(5e-324, 1e-323) Schubfach's two-digit rule and ``repr`` differ.
+Each cell is MAX_CELL = 32 bytes with NUL holes where a character is
+absent; dropping the NULs leaves exactly ``repr``.  The sign, the first
+digit and the exponent have fixed bytes; the point is made room for by
+moving the digits after it up a byte, one 8-bit shift of the whole chunk
+under a mask.  The mask and the characters ORed in (``0.000``, the
+digits' ``0``, the point) are rows of small tables chosen by decpt and
+the count of significant digits.  Non-finite and subnormal values are
+formatted by ``float.__repr__`` one at a time; for the smallest
+subnormals (5e-324, 1e-323) Schubfach's two-digit rule and ``repr`` differ.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -31,25 +33,46 @@ __all__ = ["repr_cells", "MAX_CELL"]
 _U = np.uint64
 _M32, _M63 = _U(0xFFFFFFFF), _U((1 << 63) - 1)
 _MANTISSA, _HIDDEN = _U((1 << 52) - 1), _U(1 << 52)
+_NORMAL_SPAN = _U(0x7FF0000000000000 - (1 << 52))  # bits - 2^52 of the normal doubles
 _K_MIN, _K_MAX = -324, 292  # floor(q log10 2) over the exponents q of doubles
 _P10 = 10 ** np.arange(18, dtype=np.uint64)
-_QUARTER_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
+_PAD = np.array([1] + [10 ** (17 - n) for n in range(1, 18)] + [1], dtype=np.uint64)
+_ROUND_UP = np.array([0, 0, 0, 1, 0, 0, 1, 1], dtype=np.uint64)  # by vb & 7: ties to even
 
-# A cell is six little-endian words.  Byte 0 holds the sign, 1..5 "0." and up to
-# three zeros before the digits of 0 < |x| < 1, 7 the first digit; 8..39 a point
-# slot and a digit for each of the other 16, so the point lands before digit j
-# without moving a digit; 40..44 "e", the exponent's sign and its three digits.
-# Bytes 6 and 45..47 are always NUL.
-MAX_CELL = 48
-_FIRST_DIGITS = np.array([[1], [5], [9], [13]])  # of words 1..4
-# bytes 1..5 of word 0 for decpt = -3, -2, -1, 0, and for none
-_SMALL_PREFIX = np.array(
-    [int.from_bytes(b"\0" + text, "little") for text in (b"0.000", b"0.00", b"0.0", b"0.", b"")],
-    dtype=np.uint64,
-)
+# A cell is four little-endian words.  Byte 0 holds the sign, 1..5 "0." and up to
+# three zeros before the digits of 0 < |x| < 1, 7 the first digit, 8..23 the other
+# 16 and 25..29 "e", the exponent's sign and its digits.  A point after digit j
+# (1..16) goes into byte 7 + j and the digits after it move up a byte, the last
+# into byte 24.  Bytes 6, 30 and 31 are always NUL.
+MAX_CELL = 32
 
 
-@functools.cache
+def _layout_tables() -> tuple[np.ndarray, ...]:
+    """By decpt - _K_MIN: the exponent word and the layout class x 17.  By layout
+    class x 17 + the count of digits after the first up to the last nonzero one:
+    the head mask (the bytes before the point, and the exponent's) and the
+    characters ORed in.  Classes 0..15 are positional with decpt 1..16, 16 is the
+    exponent form and 17..20 are decpt -3..0; zero (-324) is laid out as decpt 1."""
+    decpts = np.arange(_K_MIN, 311)  # zero's and every decpt of a normal double
+    whole, small = (decpts >= 1) & (decpts <= 16), (decpts >= -3) & (decpts <= 0)
+    cls = np.select([whole, small], [decpts - 1, decpts + 20], 16)
+    cls[0] = 0
+    exponent = [
+        int.from_bytes(f"\0e{p - 1:+03d}".encode(), "little") if c == 16 else 0
+        for p, c in zip(decpts.tolist(), cls.tolist())
+    ]
+    c, last = np.divmod(np.arange(21 * 17)[:, None], 17)
+    point = np.select([c < 16, c == 16], [c, 0], MAX_CELL)  # among digits 1..16
+    written = np.maximum(last + (point < last), np.where(c < 16, c + 2, 0))  # an integer's ".0"
+    pos = np.arange(MAX_CELL) - 8  # of each byte among digits 1..16
+    head = np.where((pos < point) | (pos > 16), 0xFF, 0).astype(np.uint8)
+    chars = np.where(pos < written, np.where(pos == point, ord("."), ord("0")), 0) * (pos >= -1)
+    prefixes = [b""] * 17 + [b"0.000", b"0.00", b"0.0", b"0."]  # by class
+    chars[:, 1:6] = np.array([list(p.ljust(5, b"\0")) for p in prefixes])[c[:, 0]]
+    return (np.array(exponent, dtype=np.uint64), (cls * 17).astype(np.int64),
+            head.view("<u8"), chars.astype(np.uint8).view("<u8"))
+
+
 def _pow10_words() -> tuple[np.ndarray, np.ndarray]:
     """g(k) = floor(10^-k 2^-r) + 1 in [2^125, 2^126), r = floor(-k log2 10) - 125, for
     k in [_K_MIN, _K_MAX], as its low and high 64-bit words."""
@@ -65,14 +88,38 @@ def _pow10_words() -> tuple[np.ndarray, np.ndarray]:
     return np.array(low, dtype=np.uint64), np.array(high, dtype=np.uint64)
 
 
+# Built at import, low in the heap: made in a first call, they would keep the heap from shrinking.
+_EXPONENT, _LAYOUT, _HEAD_MASKS, _CHARS = _layout_tables()
+_POW10_LOW, _POW10_HIGH = _pow10_words()
+
+
 def _shifted(gl, gh, t):
     """g 2^t as its bits 0..63, 64..126 and from 127 up, for 2 <= t <= 6."""
-    return gl << t, ((gh << t) | (gl >> (_U(64) - t))) & _M63, gh >> (_U(63) - t)
+    return gl << t, ((gh << t) | (gl >> (64 - t))) & _M63, gh >> (63 - t)
+
+
+def _product(gl, gh, cp):
+    """P = g cp, cp < 2^61, in 32-bit limbs: floor(P / 2^127), bits 64..126, bits 0..63.
+    Row a is g c0 and row b is g c1 plus a's digits, each with its carry."""
+    c0, c1 = cp & _M32, cp >> 32
+    g0, g1, g2, g3 = gl & _M32, gl >> 32, gh & _M32, gh >> 32
+    a = g0 * c0
+    low = a & _M32
+    a = g1 * c0 + (a >> 32)
+    b = (a & _M32) + g0 * c1
+    low |= b << 32
+    a = g2 * c0 + (a >> 32)
+    b = (a & _M32) + g1 * c1 + (b >> 32)
+    mid = b & _M32
+    a = g3 * c0 + (a >> 32)
+    b = (a & _M32) + g2 * c1 + (b >> 32)
+    mid |= (b & 0x7FFFFFFF) << 32
+    return ((a >> 32) + g3 * c1 + (b >> 32)) << 1 | (b >> 31) & 1, mid, low
 
 
 def _schubfach(bits):
     """The shortest decimal d 10^k that rounds to each positive normal double (the
-    closest such, ties to even); d may end in zeros.
+    closest such, ties to even), as d and k - _K_MIN; d may end in zeros.
 
     vb, vbl and vbr are 4 x 10^-k times the double and the ends of its rounding
     interval, rounded to odd: floor(P / 2^127), with the low bit set when bits 64..126
@@ -80,78 +127,46 @@ def _schubfach(bits):
     10^-k 2^-r, so they stay out of that sticky bit (Giulietti, section 9).  The ends
     are P -/+ g 2^(h+1), or P - g 2^h below a power of two, where the gap halves.
     """
-    be = (bits >> _U(52)).astype(np.int64)
-    f = bits & _MANTISSA
-    c = f | _HIDDEN
-    q = be - 1075
-    closer_below = (f == 0) & (be > 1)
-    k = (q * 661971961083 - np.where(closer_below, 274743187321, 0)) >> 41
-    h = (q + ((-k * 913124641741) >> 38) + 2).astype(np.uint64)
-    table_low, table_high = _pow10_words()
-    gl, gh = table_low.take(k - _K_MIN), table_high.take(k - _K_MIN)
-
-    # P in 32-bit limbs: g = g3 g2 g1 g0, 4c 2^h = c1 c0
-    cp = c << (h + _U(2))
-    c0, c1 = cp & _M32, cp >> _U(32)
-    g0, g1, g2, g3 = gl & _M32, gl >> _U(32), gh & _M32, gh >> _U(32)
-    s = _U(32)
-    a0 = g0 * c0
-    a1 = g1 * c0 + (a0 >> s)
-    a2 = g2 * c0 + (a1 >> s)
-    a3 = g3 * c0 + (a2 >> s)
-    b1 = (a1 & _M32) + g0 * c1
-    b2 = (a2 & _M32) + g1 * c1 + (b1 >> s)
-    b3 = (a3 & _M32) + g2 * c1 + (b2 >> s)
-    top = ((a3 >> s) + g3 * c1 + (b3 >> s)) << _U(1) | (b3 >> _U(31)) & _U(1)
-    mid = (b3 & _U(0x7FFFFFFF)) << s | (b2 & _M32)  # bits 64..126
-    low = (b1 << s) | (a0 & _M32)  # bits 0..63
+    be = (bits >> 52).view(np.int64)
+    closer_below = ((bits & _MANTISSA) == 0) & (be > 1)
+    # k = floor(q log10 2), less log10(4/3) below a power of two, in 2^-41 units: q = be - 1075
+    k = (be * 661971961083 - np.where(closer_below, 711894601351546, 711619858164225)) >> 41
+    t = (be + ((k * -913124641741) >> 38) - 1072).view(np.uint64)  # h + 1
+    del be
+    k -= _K_MIN
+    gl, gh = _POW10_LOW.take(k), _POW10_HIGH.take(k)
+    top, mid, low = _product(gl, gh, ((bits & _MANTISSA) | _HIDDEN) << (t + 1))
     vb = top | (mid != 0)
-    odd = c & _U(1)  # an odd c leaves the interval's ends out
+    odd = bits & 1  # an odd c leaves the interval's ends out
 
-    dl, dm, dq = _shifted(gl, gh, h + _U(1))
+    dl, dm, dq = _shifted(gl, gh, t)
     m = mid + dm + (low + dl < low)
-    vbr = ((top + dq + (m >> _U(63))) | ((m & _M63) != 0)) - odd
-    dl, dm, dq = _shifted(gl, gh, h + _U(1) - closer_below)
+    vbr = ((top + dq + (m >> 63)) | ((m & _M63) != 0)) - odd
+    del dl, dm, dq
+    dl, dm, dq = _shifted(gl, gh, t - closer_below)
     m = mid - dm - (low < dl)
-    vbl = ((top - dq - (m >> _U(63))) | ((m & _M63) != 0)) + odd
+    vbl = ((top - dq - (m >> 63)) | ((m & _M63) != 0)) + odd
+    del gl, gh, t, top, mid, low, odd, dl, dm, dq, m  # spent: a chunk's peak is what is live at once
 
     # one digit fewer: u' = 10 floor(s / 10) or w' = u' + 10, if just one is inside;
     # else s or s + 1, if just one is inside; else the closer, ties to even
-    s = vb >> _U(2)
-    sp = s // _U(10) * _U(10)
-    up_in, wp_in = vbl <= sp << _U(2), (sp + _U(10)) << _U(2) <= vbr
-    u_in, w_in = vbl <= s << _U(2), (s + _U(1)) << _U(2) <= vbr
-    frac = vb & _U(3)
-    up = (frac > 2) | (frac == 2) & (s & _U(1) == 1)
-    return np.where(up_in != wp_in, sp + _U(10) * wp_in, s + np.where(u_in != w_in, w_in, up)), k
+    s = vb >> 2
+    sp = s // 10 * 10
+    up_in, wp_in = vbl <= sp << 2, (sp + 10) << 2 <= vbr
+    u_in, w_in = vbl <= s << 2, (s + 1) << 2 <= vbr
+    nearest = s + np.where(u_in == w_in, _ROUND_UP.take(vb & 7), w_in)
+    return np.where(up_in != wp_in, sp + _U(10) * wp_in, nearest), k
 
 
 def _swar8(x):
     """The eight decimal digits of each x < 10^8, one per byte of a little-endian
     word, most significant first."""
-    hi = x // _U(10000)
-    v = hi | (x - hi * _U(10000)) << _U(32)
-    q = (v * _U(10486)) >> _U(20) & _U(0x0000007F0000007F)  # v // 100 in each half
-    v = q | (v - q * _U(100)) << _U(16)
-    q = (v * _U(103)) >> _U(10) & _U(0x000F000F000F000F)  # v // 10 in each quarter
-    return q | (v - q * _U(10)) << _U(8)
-
-
-def _spread(x):
-    """The four low bytes of each x moved to the odd bytes of a word."""
-    x = (x | x << _U(16)) & _U(0x0000FFFF0000FFFF)
-    return ((x | x << _U(8)) & _U(0x00FF00FF00FF00FF)) << _U(8)
-
-
-def _last_nonzero_byte(v):
-    """The index of the highest nonzero byte of each v whose bytes are <= 9; -1 for 0.
-    (Rounding to double cannot carry the top set bit into the next byte.)"""
-    return (np.frexp(v.astype(np.float64))[1] - 1) >> 3
-
-
-def _low_bytes(n):
-    """A word with its n low bytes set, all eight for n >= 8 (n >= 0)."""
-    return (_U(1) << (n.astype(np.uint64) << _U(3))) - _U(1)
+    hi = x // 10000
+    v = hi | (x - hi * 10000) << 32
+    q = (v * 10486) >> 20 & 0x0000007F0000007F  # v // 100 in each half
+    v = q | (v - q * 100) << 16
+    q = (v * 103) >> 10 & 0x000F000F000F000F  # v // 10 in each quarter
+    return q | (v - q * 10) << 8
 
 
 def repr_cells(values) -> np.ndarray:
@@ -163,56 +178,39 @@ def repr_cells(values) -> np.ndarray:
     x = np.asarray(values, dtype=np.float64)
     shape, x = x.shape, x.ravel()
     bits = x.view(np.uint64)
-    neg = bits >> _U(63)
     bits = bits & _M63
-    be = bits >> _U(52)
-    f = bits & _MANTISSA
-    fallback = (be == _U(2047)) | ((be == _U(0)) & (f != _U(0)))
+    zero = bits == 0
+    fallback = (bits - _HIDDEN >= _NORMAL_SPAN) ^ zero  # subnormal or not finite
+    d, idx = _schubfach(bits)
+    d[zero] = 0
+    ndig = np.searchsorted(_P10, d, side="right")
+    idx += ndig  # decpt - _K_MIN; 0 for zero
+    d *= _PAD.take(ndig)  # 17 digits, zero-filled on the right
+    top = d // 10**16
+    d -= top * 10**16
+    digits = np.empty((len(x), 2), dtype=np.uint64)  # digits 1..8 and 9..16
+    np.floor_divide(d, 10**8, out=digits[:, 0])
+    np.subtract(d, digits[:, 0] * 10**8, out=digits[:, 1])
+    digits = _swar8(digits).astype("<u8", copy=False)  # copied below as bytes
+    # the count of digits after the first up to the last nonzero one, by the top set bit
+    last = (np.frexp(digits[:, 1] * 2.0**64 + digits[:, 0])[1] + 7) >> 3
 
-    # c 2^q with -52 <= q <= 0 and 2^-q dividing c is an integer below 2^53; so is zero
-    shift = _U(1075) - be  # -q, wrapping to >= 64 (a zero shift) where q > 0
-    d = (f | _HIDDEN) >> shift
-    exact = (bits == _U(0)) | ((be - _U(1023) <= _U(52)) & ((f & ((_U(1) << shift) - _U(1))) == 0))
-    k = np.zeros(len(x), dtype=np.int64)
-    rest = ~(exact | fallback)
-    if rest.any():
-        d[rest], k[rest] = _schubfach(bits[rest])
-
-    ndig = np.maximum(np.searchsorted(_P10, d, side="right"), 1)
-    decpt = k + ndig
-    d = d * _P10[17 - ndig]  # 17 digits, zero-filled on the right
-    top = d // _U(10**16)
-    d -= top * _U(10**16)
-    halves = np.empty((2, len(x)), dtype=np.uint64)  # digits 1..8 and 9..16
-    halves[0] = d // _U(10**8)
-    halves[1] = d - halves[0] * _U(10**8)
-    halves = _swar8(halves)
-    last = _last_nonzero_byte(halves)
-    sig = np.where(halves[1] != 0, 10 + last[1], 2 + last[0])  # significant digits
-
-    positional = (decpt > -4) & (decpt <= 16)
-    whole = positional & (decpt > 0)
-    small = positional & ~whole
-    keep = np.where(whole, np.maximum(sig, decpt + 1), sig)  # digits written
-    point = np.where(whole, decpt, np.where(positional | (sig == 1), 0, 1))  # 0: no point
-    words = np.empty((len(x), 6), dtype="<u8")
-    prefix = _SMALL_PREFIX.take(np.where(small, decpt + 3, 4))
-    words[:, 0] = neg * _U(ord("-")) | prefix | (top + _U(0x30)) << _U(56)
-    # words 1..4 take digits 1..4, 5..8, 9..12 and 13..16
-    quarters = ((halves[:, None] >> _QUARTER_SHIFTS) & _M32).reshape(4, len(x))
-    digits = _spread(quarters) | _U(0x3000300030003000)
-    digits &= _low_bytes(2 * np.maximum(keep - _FIRST_DIGITS, 0))
-    words[:, 1:5] = (digits | _U(ord(".")) << ((point - _FIRST_DIGITS).astype(np.uint64) << _U(4))).T
-    words[:, 5] = 0
-    sci = np.flatnonzero(~positional)
-    e = np.abs(decpt[sci] - 1).astype(np.uint64)
-    words[sci, 5] = (
-        _U(ord("e"))
-        | np.where(decpt[sci] < 1, _U(ord("-")), _U(ord("+"))) << _U(8)
-        | (e >= 100) * (e // _U(100) + _U(0x30)) << _U(16)
-        | (e // _U(10) % _U(10) + _U(0x30)) << _U(24)
-        | (e % _U(10) + _U(0x30)) << _U(32)
-    )
+    words = np.empty((len(x), 4), dtype="<u8")
+    np.bitwise_or(top << 56, (x.view(np.uint64) >> 63) * ord("-"), out=words[:, 0])
+    words.view(np.uint8)[:, 8:24].view(np.complex128)[:, 0] = digits.view(np.complex128)[:, 0]
+    words[:, 3] = _EXPONENT.take(idx)
+    row = _LAYOUT.take(idx) + last
+    del d, ndig, top, digits, idx, last  # spent before the (n, 4) arrays
+    head = _HEAD_MASKS.take(row, axis=0)
+    head &= words
+    words ^= head  # the bytes after the point, moved up one (the chunk's last byte is NUL)
+    flat = words.reshape(-1)
+    carry = flat >> 56
+    flat <<= 8
+    flat[1:] |= carry[:-1]
+    words |= head
+    _CHARS.take(row, axis=0, out=head)
+    words |= head
     out = words.view(np.uint8)
 
     for i in np.flatnonzero(fallback):

@@ -336,7 +336,8 @@ class TestBadConfig:
     @pytest.mark.parametrize(
         "line, message",
         [("lambda = 2", "lam must lie in [0, 1], got 2.0"), ("dx = -0.1", "dx must be finite and > 0"),
-         ("name = a/b", "name 'a/b' holds a path separator")],
+         ("name = a/b", "name 'a/b' holds a path separator"),
+         ("dx = 0.3", "dx=0.3 does not evenly divide domain_length=1.0")],
     )
     def test_value_out_of_range(self, capsys, tmp_path, line, message):
         # refused when the config is read, before the output directory is made

@@ -453,6 +453,33 @@ class TestCsvRows:
             cells = (labels[i], a[i], levels[i], 0.1, *block[i], labels[i], c[i])
             assert line == ",".join(per_cell_fmt(v) for v in cells)
 
+    def test_a_row_wider_than_a_chunk_matches_the_per_cell_format(self, tmp_path):
+        # more float columns than cells in a chunk: one row is formatted at a time
+        rng = np.random.default_rng(13)
+        width = harness._CHUNK_CELLS + 37
+        block = rng.standard_normal((3, width)) * 10.0 ** rng.integers(-320, 300, (3, width))
+        block[0, :8] = (math.nan, -math.inf, -0.0, 0.0, 5e-324, -1.7976931348623157e308, 1e16, 1e-5)
+        columns = ("level",) + tuple(f"u{j}" for j in range(width))
+        path = _write_csv(tmp_path / "wide.csv", "wide", columns, (np.arange(3), block), "end")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 + 3 + 1 and lines[-1] == "# end"
+        for i, line in enumerate(lines[2:-1]):
+            assert line == ",".join(per_cell_fmt(v) for v in (i, *block[i]))
+
+    def test_rows_an_exact_multiple_of_the_step_match_the_per_cell_format(self, tmp_path):
+        # three whole chunks of rows and no partial one
+        columns = ("level", "label", "a", "b", "c", "d", "e", "f", "g")
+        step = harness._CHUNK_CELLS // len(columns)
+        n = 3 * step
+        rng = np.random.default_rng(17)
+        block = rng.standard_normal((n, 7)) * 10.0 ** rng.integers(-12, 20, (n, 7))
+        labels = [f"row{i}" for i in range(n)]
+        path = _write_csv(tmp_path / "whole.csv", "whole", columns, (np.arange(n), labels, block), "end")
+        lines = path.read_text().splitlines()
+        assert len(lines) == 2 + n + 1 and lines[-1] == "# end"
+        for i, line in enumerate(lines[2:-1]):
+            assert line == ",".join(per_cell_fmt(v) for v in (i, labels[i], *block[i]))
+
     # (spec overrides, whether the last level is in exponent form)
     HISTORIES = (
         (dict(lam=0.5, steps=70), False),

@@ -66,3 +66,18 @@ def test_shape_and_empty_input():
     assert repr_cells(np.zeros((3, 4))).shape == (3, 4, MAX_CELL)
     assert repr_cells(np.zeros(0)).shape == (0, MAX_CELL)
     assert repr_cells([0.5]).tobytes().replace(b"\0", b"") == b"0.5"
+
+
+def test_widest_reprs_leave_the_last_byte_free():
+    # 24 bytes, the most a repr takes, and 17-digit negatives at decpt -3 and decpt 16
+    widest = np.array([-2.2250738585072014e-308, -1.7976931348623157e308, -1.2345678901234567e-100])
+    runs = [np.array([x]).view(np.int64) + np.arange(-20, 21) for x in (-1.2345678901234567e-4, -1234567890123456.7)]
+    small, large = (run.view(np.float64) for run in runs)
+    assert all(repr(v).startswith("-0.0001") for v in small.tolist())
+    assert sum(len(repr(v)) == 23 for v in small.tolist()) >= 20
+    assert all(len(repr(v).split(".")[0]) == 17 and len(repr(v)) == 19 for v in large.tolist())
+    x = np.concatenate([widest, small, large])
+    assert max(len(repr(v)) for v in x.tolist()) == 24 and MAX_CELL >= 25
+    with np.errstate(over="ignore"):  # -1.7976931348623157e+308 steps to -inf
+        away = np.nextafter(x, -np.inf)
+    assert_matches_repr(np.concatenate([x, np.nextafter(x, 0.0), away]))
