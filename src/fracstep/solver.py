@@ -38,22 +38,22 @@ modes, the far sums and ``run``'s nodes are arrays of one row per level.
 Level 0 is transformed in long double, because an unstable run amplifies
 the rounding of its fastest-growing mode.
 
-The stepper itself keeps only modes.  Overflow is checked once per block,
-before its levels enter the far sums, and first in mode space: by the
-inverse DST-I, max|U(r)| <= max|ends| + max_k |zeta_k(r)|.  Only a block
-whose bound reaches the limit (less a margin for rounding; capped, so
-that inf modes fail it) takes its nodes, l + the inverse transform of
-zeta^(r), and checks them.  ``run`` steps one problem in at most two
-ranges (the explicit startup, then the rest) and ``step`` one level of a
-cached block; after each range its levels are written as U^(0) + the
-inverse transform of zeta^(r) - zeta^(0), in chunks of levels.
-``run_stacked`` steps stability probes in lockstep and keeps no nodes:
-it returns l + the inverse transform of the last level's modes.  It steps
-only the live modes, those nonzero at level 0 in some problem of the
-stack: the update is diagonal in the sine basis, so a mode that starts at
-exactly 0 stays exactly 0, and dropping it leaves the others' recurrences
-as they are.  The checkerboard probe is symmetric about the centre, so
-about half of its modes, the even ones, are not live.
+One driver steps a stack of problems and keeps only their modes: ``run``
+is a stack of one in at most two ranges (the explicit startup, then the
+rest), ``step`` advances its history's stack by one level, and
+``run_stacked`` steps stability probes in lockstep.  A range begins only
+where lam or S changes.  Only the live modes are stepped, those nonzero at
+level 0 in some problem: the update is diagonal in the sine basis, so a
+mode that starts at exactly 0 stays exactly 0 (the checkerboard probe's
+even modes, for one).  Overflow is checked once per block, before its
+levels enter the far sums, and first in mode space: by the inverse DST-I,
+max|U(r)| <= max|ends| + max_k |zeta_k(r)|.  Only a block whose bound
+reaches the limit (less a margin for rounding; capped, so that inf modes
+fail it) takes its nodes, l + the inverse transform of zeta^(r), and
+checks them.  A problem that overflows is masked, and the stack stops
+once all are.  ``run`` and ``step`` write their levels as U^(0) + the
+inverse transform of zeta^(r) - zeta^(0), in chunks of levels; a stack
+returns l + the inverse transform of its last level's modes.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ class SolutionHistory:
     """Full time history U_j^(m), levels 0..M by nodes 0..N.
 
     Row 0 is the sampled initial condition; every later row carries the
-    Dirichlet data at its endpoints.  Rows are append-only.  The stepper
-    keeps the sine modes of the levels and the far history sums of the
-    memory convolution in a private cache beside the rows.
+    Dirichlet data at its endpoints.  Rows are append-only.  ``step``
+    keeps the history's stack of one, its modes and the far sums of the
+    memory convolution, beside the rows.
     """
 
     def __init__(self, first_row: np.ndarray, dx: float, dt: float, capacity: int = 8):
@@ -208,7 +208,6 @@ class SolutionHistory:
         self.dx, self.dt = float(dx), float(dt)
         # one problem of a stack: levels x 1 x nodes
         self._values = np.empty((max(capacity, 1) + 1, 1, first_row.size))
-        self._memory: _HistorySums | None = None
         self._top = -1
         self._append(first_row)
 
@@ -251,6 +250,7 @@ class SolutionHistory:
         self._reserve()
         self._top += 1
         self._values[self._top] = row
+        self._memory: _HistorySums | None = None  # step's stack holds no level appended here
 
 
 def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: int) -> float:
@@ -308,21 +308,23 @@ def _unmodes(zeta: np.ndarray) -> np.ndarray:
 
 
 class _HistorySums:
-    """The modes of B stacked problems and the far parts of their Q(r) and P(r).
+    """A stack of B problems: their modes and the far parts of their Q(r) and P(r).
 
-    The far part of P(m+1) is that of R(m) = w_0 zeta(m) + P(m+1).  Each
-    problem has its own table; all share the capacity K.  ``modes[r]`` and
-    ``far[r]`` are (B, len(live)): the modes ``live`` (default all N - 2)
-    are stepped, the others are 0 at every level.  When the level count L
-    is a multiple of the leaf size 256, the levels [L - b, L) are added to
-    the rows [L + 1, L + b] by one FFT product, with b = 256 2^v and 2^v
-    the largest power of two dividing L/256, so a row r in (L', L' + 256]
-    holds every level below L' once the flushes up to L' are done.
+    Problem b starts from the node row ``rows[b]`` with the Dirichlet data
+    ``ends[b]``; each has its own table, and all share the capacity K.
+    ``modes[r]`` and ``far[r]`` are (B, len(live)), the live modes only.
+    ``overflow[b]`` is problem b's first level past the limit, 0 while it
+    runs.  The far part of P(m+1) is that of R(m) = w_0 zeta(m) + P(m+1).
+    When the level count L is a multiple of the leaf size 256, the levels
+    [L - b, L) are added to the rows [L + 1, L + b] by one FFT product,
+    with b = 256 2^v and 2^v the largest power of two dividing L/256, so a
+    row r in (L', L' + 256] holds every level below L' once the flushes up
+    to L' are done.
     """
 
-    def __init__(self, tables, n_nodes: int, live=None):
-        self.tables = tables
-        self.live = np.arange(n_nodes - 2) if live is None else live
+    def __init__(self, tables, rows: np.ndarray, ends: np.ndarray):
+        n_nodes = rows.shape[1]
+        self.tables, self.ends = tables, ends
         self.n_modes = n_nodes - 2
         self.capacity = tables[0].capacity
         # w_0 .. w_K of each problem, zero past the table
@@ -331,27 +333,45 @@ class _HistorySums:
         # near[b, i, t] = w_{i+t}, a view: level m0 - t in Q(m0 + i) and R(m0 + i - 1)
         shape = (len(tables), _BLOCK + 1, self.w.shape[1] - _BLOCK)
         self.near = np.ndarray(shape, buffer=self.w, strides=self.w.strides + (8,))
+        # level 0 in long double: an unstable run amplifies the rounding of its fastest mode
+        zeta0 = _modes(rows[:, 1:-1].astype(np.longdouble) - _line(ends, n_nodes)[:, 1:-1])
+        self.live = np.flatnonzero(zeta0.any(axis=0))
         # zero pages are mapped on first write, so rows never reached cost nothing
         self.modes = np.zeros((self.capacity + 1, len(tables), len(self.live)))
+        self.modes[0] = zeta0[:, self.live]
         self.far = np.zeros((self.capacity + 1 + _BLOCK,) + self.modes.shape[1:])
         # the eigenvalues of D on the interior modes
         sigma = -4.0 * np.sin(np.arange(1, n_nodes - 1) * (0.5 * np.pi / (n_nodes - 1))) ** 2
         self.sigma = sigma[self.live]
-        self.known = 0  # the modes of the levels below this are held
+        self.overflow = np.zeros(len(tables), dtype=int)
         self.flushed = 0  # the flushes at level counts up to this are done
-        self.key = None
+        self.lam = self.s = None  # those of the range begun
         self._spectra: dict[int, np.ndarray] = {}
 
-    def nodes(self, zeta: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """``_nodes`` of levels (..., B, len(live)) of the stepped modes, the others 0."""
+    def full(self, zeta: np.ndarray) -> np.ndarray:
+        """All N - 2 modes of levels (..., len(live)) of the stepped modes, the others 0."""
         full = np.zeros(zeta.shape[:-1] + (self.n_modes,))
         full[..., self.live] = zeta
-        return _nodes(full, ends)
+        return full
 
-    def begin(self, origin: int, key, implicit, explicit) -> None:
-        """Start a range at ``origin``: g and the block inverse H (B, len(live), 32, 32)."""
-        self.origin, self.key, self.solved = origin, key, (-1, None)  # solved: m0, its increments
-        if implicit is None:  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
+    def nodes(self, zeta: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """The nodes (..., B, N) of levels (..., B, len(live)): the line through the ends + v."""
+        n = self.n_modes + 2
+        rows = np.empty(zeta.shape[:-1] + (n,))
+        rows[..., 1:-1] = _line(ends, n)[:, 1:-1] + _unmodes(self.full(zeta))
+        rows[..., :: n - 1] = ends
+        return rows
+
+    def begin(self, origin: int, lam, s) -> None:
+        """Start a range at ``origin`` with lam and S, shared or per problem (B, 1).
+
+        Sets g and the block inverse H (B, len(live), 32, 32); a masked
+        problem weighs both sums by 0.
+        """
+        self.origin, self.lam, self.s = origin, lam, s
+        s = s * (self.overflow[:, None] == 0)
+        implicit, explicit = (1.0 - lam) * s, lam * s
+        if not implicit.any():  # g = sigma / (1 - (1 - lam) S w_0 sigma), times each part's S
             self.g = self.sigma * explicit, None
         else:
             g = self.sigma / (1.0 - implicit * self.w[:, :1] * self.sigma)
@@ -359,7 +379,7 @@ class _HistorySums:
         # K_i = a w_i + c p_i with p_0 = w_0 + w_1, p_i = w_{i+1}
         w = self.w[:, None, : _BLOCK + 1]
         k = self.g[0][..., None] * w[..., :-1]
-        if implicit is not None:
+        if self.g[1] is not None:
             k += self.g[1][..., None] * w[..., 1:]
             k[..., 0] += self.g[1] * self.w[:, :1]
         # sum_{l<i} K_l: zeta(m0) in row i once the unknowns are zeta(m0 + 1 + i) - zeta(m0)
@@ -423,31 +443,17 @@ def _line(ends: np.ndarray, n: int) -> np.ndarray:
     return ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n)
 
 
-def _level_modes(rows: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The modes (..., B, N - 2) of node rows (..., B, N) less their line, in long double."""
-    return _modes(rows[..., 1:-1].astype(np.longdouble) - _line(ends, rows.shape[-1])[:, 1:-1])
-
-
-def _nodes(zeta: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The nodes (..., B, N) of levels from their modes: the line through the ends + v."""
-    n = zeta.shape[-1] + 2
-    rows = np.empty(zeta.shape[:-1] + (n,))
-    rows[..., 1:-1] = _line(ends, n)[:, 1:-1] + _unmodes(zeta)
-    rows[..., :: n - 1] = ends
-    return rows
-
-
-def _advance(lo, hi, memory, ends):
-    """Step the modes of the stacked problems from level lo to level hi.
+def _advance(lo, hi, memory):
+    """Step the modes of the stack from level lo to level hi in the range begun.
 
     Blocks start at the range's origin and at multiples of _BLOCK; one that
-    starts before lo keeps only its rows past lo.  The Dirichlet data
-    ``ends`` are shared or per problem (B, 2).  Returns None when every new
-    level is within the overflow limit, else (the level reached, each
+    starts before lo keeps only its rows past lo.  Returns None when every
+    new level is within the overflow limit, else (the level reached, each
     problem's first level past the limit or 0).
     """
     modes = memory.modes
-    memory.known = hi + 1  # once this range is done; a caller cuts it at an overflow
+    # a masked problem is checked with zero ends, as its modes are zero
+    ends = np.where(memory.overflow[:, None] > 0, 0.0, memory.ends)
     # max|U(r)| <= max|ends| + max_k |zeta_k(r)|, as |sin| <= 1 in the inverse DST-I
     bound = min(OVERFLOW_LIMIT, _BOUND_CAP) * _BOUND_SHARE - np.abs(ends).max()
     m0 = max(memory.origin, lo - lo % _BLOCK)
@@ -456,11 +462,9 @@ def _advance(lo, hi, memory, ends):
         while m0 < hi:
             while memory.flushed + _LEAF <= m0:
                 memory.flush()
-            if memory.solved[0] != m0:
-                memory.solved = m0, _solve_block(memory, m0)
             first, end = max(lo, m0), min(m0 + _BLOCK - m0 % _BLOCK, hi)
             block = modes[first + 1 : end + 1]
-            np.add(memory.solved[1][first - m0 : end - m0], modes[m0], out=block)
+            np.add(_solve_block(memory, m0)[first - m0 : end - m0], modes[m0], out=block)
             # the exact check, on the nodes, before a flush takes the levels in; a NaN
             # fails the comparisons too; the modes not stepped are 0
             if not (block.max(initial=0.0) <= bound and block.min(initial=0.0) >= -bound):
@@ -472,31 +476,40 @@ def _advance(lo, hi, memory, ends):
     return None
 
 
-def _advance_history(history, problem, memory, hi, lam, s) -> None:
-    """Advance one problem's history to level hi with one lam; raise on overflow.
+def _drive(memory, lo, hi, lam, s) -> None:
+    """Step the stack from level lo to level hi with lam and S, shared or per problem (B, 1).
 
-    The range goes on, with its block origin, while lam, S and the ends
-    hold.  Its levels are written as U(r) = U(0) + the inverse transform of
-    zeta(r) - zeta(0), in chunks of levels.
+    A range begins only where lam or S changes.  A problem that leaves the
+    representable range is masked: its modes are zero from its first level
+    past the limit, which ``memory.overflow`` records, and its checks see
+    zero ends.  Once all are masked the stack stops.
     """
-    lo, values, modes = history._top, history._values, memory.modes
-    key = (lam, s, problem.left_value, problem.right_value)
-    if memory.key != key or memory.known != lo + 1:
-        memory.begin(lo, key, None if lam == 1.0 else (1.0 - lam) * s, lam * s)
-    ends = np.array([[problem.left_value, problem.right_value]])
-    if memory.known <= lo:  # level 0, or levels appended outside the stepper
-        modes[memory.known : lo + 1] = _level_modes(values[memory.known : lo + 1], ends)
-    found = _advance(lo, hi, memory, ends)
-    top = hi if found is None else int(found[1][0]) - 1
+    if lo >= hi or memory.overflow.all():
+        return
+    if not (np.array_equal(lam, memory.lam) and np.array_equal(s, memory.s)):
+        memory.begin(lo, lam, s)
+    while (found := _advance(lo, hi, memory)) is not None:
+        lo, first = found
+        for b in np.flatnonzero(first):
+            memory.modes[first[b] : lo + 1, b] = 0.0
+            memory.overflow[b] = first[b]
+        if memory.overflow.all():
+            return
+        memory.begin(lo, lam, s)
+
+
+def _write(history, memory, hi) -> None:
+    """Write a stack of one's levels past the history's top up to hi, or up to its overflow and raise it."""
+    values, modes, first = history._values, memory.modes, int(memory.overflow[0])
+    top = first - 1 if first else hi
     chunk = max(1, _NODE_VALUES // history.n_nodes)
-    for a in range(lo + 1, top + 1, chunk):
+    for a in range(history._top + 1, top + 1, chunk):
         rows = values[a : min(a + chunk, top + 1), 0]
-        rows[:, 1:-1] = values[0, 0, 1:-1] + _unmodes(modes[a : a + len(rows), 0] - modes[0, 0])
-        rows[:, :: history.n_nodes - 1] = ends
+        rows[:, 1:-1] = values[0, 0, 1:-1] + _unmodes(memory.full(modes[a : a + len(rows), 0] - modes[0, 0]))
+        rows[:, :: history.n_nodes - 1] = memory.ends
     history._top = top
-    if found is not None:
-        memory.known = top + 1
-        raise OverflowDetected(top + 1, history)
+    if first:
+        raise OverflowDetected(first, history)
 
 
 def step(
@@ -509,9 +522,14 @@ def step(
     """Advance the history by one level and return the new row.
 
     ``lam`` overrides config.lam for this step (used by the hybrid
-    startup).  The level is ``run``'s bit for bit, from the same block.  A
-    table whose levels pass ``MAX_HISTORY_CELLS`` cells is refused.  Raises
-    :class:`OverflowDetected` when the new row leaves the representable range.
+    startup).  The first step makes the history's stack of one, from its
+    level 0, the table and the problem's Dirichlet data; each step then
+    advances the stack by one level, ``run``'s bit for bit.  A table or
+    Dirichlet data other than the first step's, a history holding levels
+    that ``step`` did not make, and a table whose levels pass
+    ``MAX_HISTORY_CELLS`` cells are refused with a ValueError, the history
+    unchanged.  Raises :class:`OverflowDetected` when the new row leaves
+    the representable range.
     """
     m = history.top_level
     if table.capacity < m + 1:
@@ -522,14 +540,20 @@ def step(
     lam = config.lam if lam is None else lam
     if not (0.0 <= lam <= 1.0):  # else the update's 1 - (1 - lam) S w_0 sigma can be 0
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    # the modes and sums are rebuilt for another table, and caught up after
-    # levels appended without a step; both replay the same flushes
+    ends = np.array([[problem.left_value, problem.right_value]])
     memory = history._memory
-    if memory is None or memory.tables[0] is not table or memory.capacity != table.capacity:
+    if memory is None:
+        if m:
+            raise ValueError(f"step did not make the history's levels 1..{m}")
         check_history_size(table.capacity + 1, history.n_nodes)
-        memory = history._memory = _HistorySums((table,), history.n_nodes)
+        memory = history._memory = _HistorySums((table,), history._values[0], ends)
+    elif memory.tables[0] is not table:
+        raise ValueError("step takes only the table of its first step")
+    elif not np.array_equal(memory.ends, ends):
+        raise ValueError(f"step takes only the Dirichlet data of its first step, {memory.ends[0].tolist()}")
     history._reserve()
-    _advance_history(history, problem, memory, m + 1, lam, mesh_ratio(problem, config))
+    _drive(memory, m, m + 1, lam, mesh_ratio(problem, config))
+    _write(history, memory, m + 1)
     return history._values[m + 1, 0].copy()
 
 
@@ -585,12 +609,12 @@ def run(
     row0 = _sample_ic(problem, config, nodes)
     history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps)
     # not kept on the history: a finished run holds only its nodes
-    memory = _HistorySums((table,), nodes)
+    memory = _HistorySums((table,), row0[None], np.array([[problem.left_value, problem.right_value]]))
     s = mesh_ratio(problem, config)
     startup = min(config.startup_explicit_steps, config.steps)
-    for hi, lam in ((startup, 1.0), (config.steps, config.lam)):
-        if hi > history.top_level:  # a range that steps nothing is not begun
-            _advance_history(history, problem, memory, hi, lam, s)
+    _drive(memory, 0, startup, 1.0, s)
+    _drive(memory, startup, config.steps, config.lam, s)
+    _write(history, memory, config.steps)
     return history
 
 
@@ -600,17 +624,11 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     Problem b starts from first_rows[b], whose ends are its Dirichlet
     data, with its own table (all of one capacity >= steps), S = s[b] and
     lam[b].  A problem that leaves the representable range is masked
-    instead of ending the run: from that level on its modes are zero, it
-    is left out of the overflow checks, and once all are masked the run
-    stops.  Only the live modes are stepped: those nonzero at level 0 in
-    some problem.  The others would stay exactly 0, as the stepper is
-    diagonal in the sine basis, so the levels are those of stepping every
-    mode.  Only their rounding can move, where BLAS blocks
-    a product of the narrower width differently: a 33-node probe gives the
-    same bits.  Nodes are formed only for a block that fails the
-    mode bound and for the last level, which is returned (B, N, masked
-    interiors zero) with each problem's overflow level (0 if none).  A stack
-    of more than ``MAX_HISTORY_CELLS`` cells is refused.
+    instead of ending the run, and once all are masked the run stops.
+    Nodes are formed only for a block that fails the mode bound and for
+    the last level, which is returned (B, N, masked interiors zero) with
+    each problem's overflow level (0 if none).  A stack of more than
+    ``MAX_HISTORY_CELLS`` cells is refused.
     """
     first_rows = np.asarray(first_rows, dtype=float)
     s, lam = (np.array(x, dtype=float).reshape(-1, 1) for x in (s, lam))
@@ -633,28 +651,8 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
         raise ValueError(f"tables need one capacity >= steps = {steps}")
     ends = first_rows[:, :: n - 1]
-    checked = ends.copy()  # the ends checked: a masked problem's are 0, as are its modes
-    zeta0 = _level_modes(first_rows, ends)
-    memory = _HistorySums(tables, n, np.flatnonzero(zeta0.any(axis=0)))
-    implicit, explicit = (1.0 - lam) * s, lam * s
-    implicit = implicit if implicit.any() else None
-    overflow, level = np.zeros(n_problems, dtype=int), 0
-    memory.begin(0, None, implicit, explicit)
-    memory.modes[0] = zeta0[:, memory.live]
-    while (found := _advance(level, steps, memory, checked)) is not None:
-        level, first = found
-        # a masked problem keeps zero modes: it weighs both sums by 0
-        for b in np.flatnonzero(first):
-            memory.modes[first[b] : level + 1, b] = 0.0
-        masked = first > 0
-        overflow[masked] = first[masked]
-        checked[masked] = 0.0
-        explicit[masked] = 0.0
-        if implicit is not None:
-            implicit[masked] = 0.0
-        if overflow.all():
-            break
-        memory.begin(level, None, implicit, explicit)
-    last = memory.nodes(memory.modes[level if overflow.all() else steps], ends)
-    last[overflow > 0, 1:-1] = 0.0
-    return last, overflow
+    memory = _HistorySums(tables, first_rows, ends)
+    _drive(memory, 0, steps, lam, s)
+    last = memory.nodes(memory.modes[steps], ends)
+    last[memory.overflow > 0, 1:-1] = 0.0
+    return last, memory.overflow

@@ -64,8 +64,10 @@ def test_run_stacked_reports_the_first_level_past_the_limit_at_a_block_edge(monk
 def test_block_inverse_is_a_contiguous_lower_triangular_toeplitz_array():
     # matmul hands only a contiguous inverse to BLAS, and runs about twice as fast
     tables = [build_table(FormulaFamily.BDF2, 0.5, 100), build_table(FormulaFamily.NG2, 0.3, 100)]
-    memory = solver._HistorySums(tables, 12)
-    memory.begin(0, None, np.array([[0.1], [0.2]]), np.array([[0.3], [0.25]]))
+    # a random first row makes all 10 modes live
+    rows = np.random.default_rng(3).standard_normal((2, 12))
+    memory = solver._HistorySums(tables, rows, rows[:, ::11])
+    memory.begin(0, np.array([[0.75], [0.25 / 0.45]]), np.array([[0.4], [0.45]]))
     inverse = memory.inverse
     assert inverse.shape == (2, 10, solver._BLOCK, solver._BLOCK) and inverse.flags.c_contiguous
     i, l = np.indices((solver._BLOCK, solver._BLOCK))

@@ -87,7 +87,9 @@ def check_flush(tables, nodes, b, end):
     within 1e-15 times that of the sum it stands for, taken in long double.
     No row outside [end + 1, end + rows] may be touched.
     """
-    memory = _HistorySums(tables, nodes)
+    rows = np.random.default_rng(8).standard_normal((len(tables), nodes))  # every mode live
+    memory = _HistorySums(tables, rows, rows[:, :: nodes - 1])
+    assert memory.modes.shape[2] == nodes - 2
     memory.modes[:] = np.random.default_rng(7).standard_normal(memory.modes.shape)
     memory.flushed = end - solver._LEAF
     memory.flush()

@@ -18,15 +18,20 @@ lam <= 1/2 the locus never meets the positive real axis: every S is
 stable.  w is evaluated here from its closed form on the unit circle,
 independently of ``coeffs.eval_generating_function``, which is real-only.
 fig2's empirical circles, bisected with the default probe grid and its
-400 steps, sit above S_x and within 1% of it.
+400 steps, sit above S_x and within 1% of it.  Past the bound, f has a
+root z0 in (-1, 0), and the fastest live mode of the unstable fig4, fig6
+and fig7 runs grows by 1/|z0| per level.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fracstep.coeffs import FormulaFamily, eval_generating_function
+from fracstep.harness import figure_specs
+from fracstep.solver import mesh_ratio, run
 from fracstep.stability import find_empirical_thresholds, stability_bound
 
 GAMMAS = np.linspace(0.05, 1.0, 20)[:, None]
@@ -101,3 +106,32 @@ def test_fig2_circles_sit_just_above_the_bound():
     )
     for circle, s_cross in zip(circles, bounds):
         assert s_cross < circle <= 1.01 * s_cross
+
+
+@pytest.mark.parametrize("fig_id, rate", [("fig4", 1.053549), ("fig6", 1.158568), ("fig7", 1.158568)])
+def test_unstable_figure_runs_grow_by_the_root_inside_the_disc(fig_id, rate):
+    # fig4 (lam = 1, S = 0.37) and fig6/fig7 (lam = 0.8, S = 0.7) are BDF1 runs from
+    # x(1 - x) on 21 nodes, past the bound; run here to 400 levels
+    spec = replace(figure_specs(fig_id)[0], steps=400, output_times=())
+    problem, config = spec.problem(), spec.scheme()
+    levels = run(problem, config).values
+    n = levels.shape[1]
+    # the fastest mode, with the largest mu, is k = N - 2; it is odd, so x(1 - x) holds it
+    k = n - 2
+    mu = 4.0 * mesh_ratio(problem, config) * np.sin(0.5 * np.pi * k / (n - 1)) ** 2
+    alpha, lam = 1.0 - problem.gamma, config.lam
+
+    def f(z):  # on the real axis, with w(z) = (1 - z)^alpha for BDF1
+        return 1.0 - z + mu * (1.0 - z) ** alpha * ((1.0 - lam) + lam * z)
+
+    lo, hi = -1.0, 0.0
+    assert f(lo) < 0.0 < f(hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    z0 = 0.5 * (lo + hi)
+    assert round(1.0 / abs(z0), 6) == rate
+    # the amplitude of mode k in each level (the Dirichlet data are 0), and its
+    # growth per level over the last 60 of the 400
+    amplitude = np.abs(levels[:, 1:-1] @ np.sin(np.pi * k * np.arange(1, n - 1) / (n - 1)))
+    assert abs((amplitude[400] / amplitude[340]) ** (1.0 / 60.0) - 1.0 / abs(z0)) <= 1e-6

@@ -5,8 +5,12 @@ it convolves the second differences of the whole history with the
 weights, twice when 0 < lam < 1, and solves the tridiagonal system
 densely.  ``fracstep.solver`` carries the sums from level to level with
 blocked FFT products instead; both must agree to rounding.  Runs of
-1,100 steps reach flushes of 256, 512 and 1,024 levels.
+1,100 steps reach flushes of 256, 512 and 1,024 levels.  ``step``
+continues only the stack its first step made: a second table, other
+Dirichlet data and levels appended outside it are refused.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -157,32 +161,46 @@ def test_level_by_level_stepping_equals_run_bit_for_bit():
     assert np.array_equal(history.values, expected.values)
 
 
-def test_switching_tables_mid_run_matches_direct_summation():
+def stepped_history(levels):
+    """The boundary problem, a 40-step config and its table, and a history of
+    ``levels`` levels past the IC, each made by ``step``."""
     problem = boundary_problem(0.5)
-    config = make_config(0.5, 0.8, 0.2, 0.1, LONG_STEPS, FormulaFamily.BDF3)
-    first = build_table(config.family, 0.5, config.steps + 1)
-    second = build_table(config.family, 0.5, config.steps + 40)
-    row0 = [problem.initial_condition(x) for x in np.arange(11) * config.dx]
-    history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps + 1)
-    for m in range(config.steps):
-        step(history, problem, config, second if 300 <= m < 700 else first)
-    expected, _ = reference(problem, config, [history.level(0)])
-    assert_close(history.values, expected)
-
-
-def test_levels_appended_outside_step_are_caught_up():
-    problem = boundary_problem(0.5)
-    config = make_config(0.5, 0.5, 0.2, 0.1, 200)
-    table = build_table(config.family, 0.5, 300)
-    rng = np.random.default_rng(5)
-    history = SolutionHistory(np.linspace(0.25, -0.5, 11), config.dx, config.dt)
-    step(history, problem, config, table)
-    for _ in range(69):  # levels the cached sums have not seen
-        history._append(np.concatenate(([0.25], rng.uniform(-1.0, 1.0, 9), [-0.5])))
-    given = history.values.copy()
-    for _ in range(config.steps):
+    config = make_config(0.5, 0.5, 0.2, 0.1, 40)
+    table = build_table(config.family, 0.5, config.steps + 1)
+    history = SolutionHistory(run(problem, config).level(0), config.dx, config.dt)
+    for _ in range(levels):
         step(history, problem, config, table)
-    expected, _ = direct_levels(
-        given, table.weights, mesh_ratio(problem, config), 0.5, config.steps
-    )
-    assert_close(history.values, expected)
+    return problem, config, table, history
+
+
+def test_step_refuses_a_second_table():
+    problem, config, table, history = stepped_history(20)
+    with pytest.raises(ValueError, match="step takes only the table of its first step"):
+        step(history, problem, config, build_table(config.family, 0.5, config.steps + 1))
+    assert history.top_level == 20
+    # the stack goes on as if nothing had been asked
+    for _ in range(20):
+        step(history, problem, config, table)
+    assert np.array_equal(history.values, run(problem, config).values)
+
+
+def test_step_refuses_other_dirichlet_data():
+    problem, config, table, history = stepped_history(20)
+    for other in (replace(problem, left_value=0.3), replace(problem, right_value=0.0)):
+        with pytest.raises(ValueError, match=r"Dirichlet data of its first step, \[0.25, -0.5\]"):
+            step(history, other, config, table)
+        assert history.top_level == 20
+    for _ in range(20):
+        step(history, problem, config, table)
+    assert np.array_equal(history.values, run(problem, config).values)
+
+
+def test_step_refuses_a_history_extended_outside_it():
+    problem, config, table, history = stepped_history(5)
+    # levels appended after some steps, and before the first
+    fresh = SolutionHistory(history.level(0), config.dx, config.dt)
+    for extended, top in ((history, 6), (fresh, 1)):
+        extended._append(history.level(5))
+        with pytest.raises(ValueError, match=rf"step did not make the history's levels 1..{top}"):
+            step(extended, problem, config, table)
+        assert extended.top_level == top

@@ -201,12 +201,20 @@ def test_a_fig2_like_batch_holds_no_node_history():
     assert peak < 3.49e6
 
 
-def test_all_overflowing_batch_stops_at_the_last_overflow():
+def test_all_overflowing_batch_stops_at_the_last_overflow(monkeypatch):
     cases = [(0.5, 1.0, 5.0), (0.7, 1.0, 3.0)]
+    starts = []
+    solve_block = solver._solve_block
+
+    def recorded(memory, m0):
+        starts.append(m0)
+        return solve_block(memory, m0)
+
+    monkeypatch.setattr(solver, "_solve_block", recorded)
     stack, _ = stacked_levels(FormulaFamily.BDF1, cases)
     assert stack.overflow.min() > 0
     # the last block solved is the one that holds the last overflow
-    m0 = stack.memory.solved[0]
+    m0 = starts[-1]
     assert m0 < stack.overflow.max() <= m0 + solver._BLOCK
     assert not np.any(stack.last)
 

@@ -210,6 +210,63 @@ class TestHybridStartup:
         assert begun == origins
 
 
+class TestStack:
+    """``run`` steps a stack of one: its ends are the problem's Dirichlet data and
+    it steps only the live modes, those nonzero at level 0."""
+
+    @pytest.mark.parametrize("left, right", [(0.0, 0.0), (0.25, -0.5)])
+    def test_levels_past_the_first_end_exactly_on_the_dirichlet_data(self, left, right):
+        # sin(2 pi x) samples its right end at about -2.4e-16, inside the endpoint tolerance
+        problem = ProblemSpec(
+            gamma=0.5,
+            k_gamma=1.0,
+            initial_condition=lambda x: left + (right - left) * x + math.sin(2.0 * math.pi * x),
+            left_value=left,
+            right_value=right,
+        )
+        # 300 levels of 21 nodes are written in two chunks
+        history = run(problem, make_config(0.5, 0.5, 0.3, 0.05, 300, startup=3))
+        assert history.level(0)[-1] != right
+        assert np.all(history.values[1:, 0] == left) and np.all(history.values[1:, -1] == right)
+
+    def stepped_modes(self, problem, config):
+        """The live modes of the stack that ``run`` made, and the count of modes it held."""
+        held = []
+
+        class Held(solver._HistorySums):
+            def __init__(self, *args):
+                super().__init__(*args)
+                held.append(self)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_HistorySums", Held)
+            run(problem, config)
+        (memory,) = held
+        return memory.live.tolist(), memory.modes.shape[2]
+
+    def test_a_centred_spike_steps_its_odd_modes(self):
+        # the spike is symmetric about the centre, and its even modes come out exactly 0;
+        # x(1 - x) sampled at j / 10 is not exactly symmetric, and steps all 9
+        problem = make_problem(0.5, ic=lambda x: 1.0 if round(10 * x) == 5 else 0.0)
+        live, stepped = self.stepped_modes(problem, make_config(0.5, 0.5, 0.3, 0.1, 40))
+        assert live == [0, 2, 4, 6, 8] and stepped == 5
+        live, stepped = self.stepped_modes(make_problem(0.5), make_config(0.5, 0.5, 0.3, 0.1, 40))
+        assert live == list(range(9)) and stepped == 9
+
+    def test_an_asymmetric_ic_steps_every_mode(self):
+        bump = np.random.default_rng(11).uniform(-1.0, 1.0, 11)
+        bump[[0, -1]] = 0.0
+        problem = ProblemSpec(
+            gamma=0.5,
+            k_gamma=1.0,
+            initial_condition=lambda x: 0.25 - 0.75 * x + bump[round(10 * x)],
+            left_value=0.25,
+            right_value=-0.5,
+        )
+        live, stepped = self.stepped_modes(problem, make_config(0.5, 0.5, 0.3, 0.1, 40))
+        assert live == list(range(9)) and stepped == 9
+
+
 class TestErrorHandling:
     def test_inconsistent_ic_is_rejected(self):
         problem = ProblemSpec(gamma=0.5, k_gamma=1.0, initial_condition=lambda x: x + 1.0)
