@@ -34,9 +34,8 @@ every row.  Blocks start at a range start or a multiple of 32; levels
 since the start of the leaf of 256 holding m0 are summed directly, and
 older ones arrive in blocks of b = 256, 512, ... levels as FFT products
 (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6 (1985)).  The
-modes, the far sums and ``run``'s nodes are arrays of one row per level.
-Level 0 is transformed in long double, because an unstable run amplifies
-the rounding of its fastest-growing mode.
+modes and far sums hold one row per level.  Level 0 is transformed in long
+double, as an unstable run amplifies the rounding of its fastest-growing mode.
 
 One driver steps a stack of problems and keeps only their modes: ``run``
 is a stack of one in at most two ranges (the explicit startup, then the
@@ -51,9 +50,9 @@ max|U(r)| <= max|ends| + max_k |zeta_k(r)|.  Only a block whose bound
 reaches the limit (less a margin for rounding; capped, so that inf modes
 fail it) takes its nodes, l + the inverse transform of zeta^(r), and
 checks them.  A problem that overflows is masked, and the stack stops
-once all are.  ``run`` and ``step`` write their levels as U^(0) + the
-inverse transform of zeta^(r) - zeta^(0), in chunks of levels; a stack
-returns l + the inverse transform of its last level's modes.
+once all are.  A history keeps its stack's modes and forms level r's nodes,
+U^(0) + the inverse transform of zeta^(r) - zeta^(0), only where they are
+read; a stack returns l + the inverse transform of its last level's modes.
 """
 
 from __future__ import annotations
@@ -84,8 +83,8 @@ OVERFLOW_LIMIT = 1e150
 _CONSISTENCY_TOL = 1e-12
 
 #: Largest history (levels x problems x nodes) that ``run``, ``run_stacked``
-#: and ``SolutionHistory`` accept: 128 MiB in each of the stepper's three
-#: arrays.  Paper-scale fig3 needs 45,915 x 11, a 1,500-step CN solve 1,501 x 101.
+#: and ``step`` accept: 128 MiB in the modes, the far sums and a history's
+#: ``values``.  Paper-scale fig3 needs 45,915 x 11, a 1,500-step CN solve 1,501 x 101.
 MAX_HISTORY_CELLS = 1 << 24
 
 
@@ -138,6 +137,9 @@ class ProblemSpec:
             raise ValueError(f"k_gamma must be finite and > 0, got {self.k_gamma}")
         if not (0.0 < self.domain_length < np.inf):
             raise ValueError(f"domain_length must be finite and > 0, got {self.domain_length}")
+        for name in ("left_value", "right_value"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -193,27 +195,24 @@ class SolutionHistory:
     """Full time history U_j^(m), levels 0..M by nodes 0..N.
 
     Row 0 is the sampled initial condition; every later row carries the
-    Dirichlet data at its endpoints.  Rows are append-only.  ``step``
-    keeps the history's stack of one, its modes and the far sums of the
-    memory convolution, beside the rows.
+    Dirichlet data at its endpoints.  Only row 0 and the modes of the stack
+    that made the levels, ``run``'s or ``step``'s, are kept: ``values`` and
+    ``level`` form fresh node arrays.
     """
 
-    def __init__(self, first_row: np.ndarray, dx: float, dt: float, capacity: int = 8):
-        first_row = np.asarray(first_row, dtype=float)
+    def __init__(self, first_row: np.ndarray, dx: float, dt: float):
+        first_row = np.array(first_row, dtype=float)
         if first_row.ndim != 1 or first_row.size < 3:
             raise ValueError("a history row needs at least 3 nodes")
         if not np.all(np.isfinite(first_row)):
             raise ValueError("initial condition contains non-finite values")
-        check_history_size(max(capacity, 1) + 1, first_row.size)
         self.dx, self.dt = float(dx), float(dt)
-        # one problem of a stack: levels x 1 x nodes
-        self._values = np.empty((max(capacity, 1) + 1, 1, first_row.size))
-        self._top = -1
-        self._append(first_row)
+        self._first, self._top = first_row, 0
+        self._memory: _HistorySums | None = None  # the stack that makes levels 1..top
 
     @property
     def n_nodes(self) -> int:
-        return self._values.shape[2]
+        return self._first.size
 
     @property
     def top_level(self) -> int:
@@ -222,10 +221,8 @@ class SolutionHistory:
 
     @property
     def values(self) -> np.ndarray:
-        """Read-only (levels+1, nodes) view of the computed history."""
-        view = self._values[: self._top + 1, 0]
-        view.flags.writeable = False
-        return view
+        """The (levels+1, nodes) node rows of the computed history."""
+        return self._rows(0, self._top + 1)
 
     @property
     def x(self) -> np.ndarray:
@@ -234,43 +231,41 @@ class SolutionHistory:
     def level(self, m: int) -> np.ndarray:
         if not (0 <= m <= self._top):
             raise IndexError(f"level {m} not computed (top is {self._top})")
-        view = self._values[m, 0]
-        view.flags.writeable = False
-        return view
+        return self._rows(m, m + 1)[0]
 
-    def _reserve(self) -> None:
-        if self._top + 2 > self._values.shape[0]:
-            check_history_size(self._top + 2, self.n_nodes)
-            grow = min(self._values.shape[0] * 2, MAX_HISTORY_CELLS // self.n_nodes)
-            values = np.empty((grow, 1, self.n_nodes))
-            values[: self._top + 1] = self._values[: self._top + 1]
-            self._values = values
-
-    def _append(self, row: np.ndarray) -> None:
-        self._reserve()
-        self._top += 1
-        self._values[self._top] = row
-        self._memory: _HistorySums | None = None  # step's stack holds no level appended here
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """The node rows of levels lo..hi-1, row 0 as sampled and the others from their modes."""
+        rows, memory, n = np.empty((hi - lo, self.n_nodes)), self._memory, self.n_nodes
+        if lo == 0:
+            rows[0] = self._first
+        chunk = max(1, _NODE_VALUES // n)
+        for a in range(max(lo, 1), hi, chunk):
+            part = rows[a - lo : min(a + chunk, hi) - lo]
+            zeta = memory.modes[a : a + len(part), 0] - memory.modes[0, 0]
+            part[:, 1:-1] = self._first[1:-1] + _unmodes(memory.full(zeta))
+            part[:, :: n - 1] = memory.ends
+        return rows
 
 
-def memory_term(history: SolutionHistory, table: CoefficientTable, m: int, j: int) -> float:
+def memory_term(values: np.ndarray, table: CoefficientTable, m: int, j: int) -> float:
     """Discrete fractional-derivative convolution of the second difference.
 
     Returns sum_{k=0..m} w_k [U_{j-1}^(m-k) - 2 U_j^(m-k) + U_{j+1}^(m-k)]
-    for interior node j, without the 1/h^(1-gamma) prefactor (it is
+    for interior node j of the node rows ``values`` (levels, nodes), a
+    history's ``values`` say, without the 1/h^(1-gamma) prefactor (it is
     absorbed into the mesh ratio S).  By linearity this is the second
     difference of the convolved values sum_k w_k U^(m-k).
     """
-    if not (1 <= j <= history.n_nodes - 2):
+    if not (1 <= j <= values.shape[1] - 2):
         raise IndexError(f"node {j} is not interior")
-    if not (0 <= m <= history.top_level):
+    if not (0 <= m < len(values)):
         raise IndexError(f"level {m} not computed")
     if table.capacity < m:
         raise RuntimeError(
             f"coefficient table capacity {table.capacity} < level {m}; "
             "the stepper must pre-extend tables"
         )
-    left, mid, right = table.array(m)[::-1] @ history.values[: m + 1, j - 1 : j + 2]
+    left, mid, right = table.array(m)[::-1] @ values[: m + 1, j - 1 : j + 2]
     return float(left - 2.0 * mid + right)
 
 
@@ -280,8 +275,7 @@ _LEAF = 256
 _BLOCK = 32
 # column chunks keep each FFT buffer near this many doubles
 _FFT_DOUBLES = 1 << 14
-# nodes are taken in chunks of about this many values, so that the chunk's
-# transform buffers do not raise a run's peak memory
+# node rows are formed in chunks of about this many values, to keep the transform buffers small
 _NODE_VALUES = 1 << 12
 # the mode bound passes below this share of the limit: the nodes' rounding drift from
 # their modes stays far below 1e-6 of the largest node within the history budget
@@ -498,16 +492,10 @@ def _drive(memory, lo, hi, lam, s) -> None:
         memory.begin(lo, lam, s)
 
 
-def _write(history, memory, hi) -> None:
-    """Write a stack of one's levels past the history's top up to hi, or up to its overflow and raise it."""
-    values, modes, first = history._values, memory.modes, int(memory.overflow[0])
-    top = first - 1 if first else hi
-    chunk = max(1, _NODE_VALUES // history.n_nodes)
-    for a in range(history._top + 1, top + 1, chunk):
-        rows = values[a : min(a + chunk, top + 1), 0]
-        rows[:, 1:-1] = values[0, 0, 1:-1] + _unmodes(memory.full(modes[a : a + len(rows), 0] - modes[0, 0]))
-        rows[:, :: history.n_nodes - 1] = memory.ends
-    history._top = top
+def _settle(history, hi) -> None:
+    """Set the history's top to hi, or to the level before its stack's overflow and raise it."""
+    first = int(history._memory.overflow[0])
+    history._top = first - 1 if first else hi
     if first:
         raise OverflowDetected(first, history)
 
@@ -525,8 +513,8 @@ def step(
     startup).  The first step makes the history's stack of one, from its
     level 0, the table and the problem's Dirichlet data; each step then
     advances the stack by one level, ``run``'s bit for bit.  A table or
-    Dirichlet data other than the first step's, a history holding levels
-    that ``step`` did not make, and a table whose levels pass
+    Dirichlet data other than the first step's, a history whose levels
+    ``step`` did not make (a ``run``'s), and a table whose levels pass
     ``MAX_HISTORY_CELLS`` cells are refused with a ValueError, the history
     unchanged.  Raises :class:`OverflowDetected` when the new row leaves
     the representable range.
@@ -542,19 +530,18 @@ def step(
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
     ends = np.array([[problem.left_value, problem.right_value]])
     memory = history._memory
-    if memory is None:
+    if memory is None or memory.far is None:  # a new history, or a run's, whose stack was dropped
         if m:
             raise ValueError(f"step did not make the history's levels 1..{m}")
         check_history_size(table.capacity + 1, history.n_nodes)
-        memory = history._memory = _HistorySums((table,), history._values[0], ends)
+        memory = history._memory = _HistorySums((table,), history._first[None], ends)
     elif memory.tables[0] is not table:
         raise ValueError("step takes only the table of its first step")
     elif not np.array_equal(memory.ends, ends):
         raise ValueError(f"step takes only the Dirichlet data of its first step, {memory.ends[0].tolist()}")
-    history._reserve()
     _drive(memory, m, m + 1, lam, mesh_ratio(problem, config))
-    _write(history, memory, m + 1)
-    return history._values[m + 1, 0].copy()
+    _settle(history, m + 1)
+    return history.level(m + 1)
 
 
 def _node_count(problem: ProblemSpec, config: SchemeConfig) -> int:
@@ -591,8 +578,8 @@ def run(
     One with more weights gives the same levels to rounding: the blocked
     FFT products take in the weights the table has.  A history of more
     than ``MAX_HISTORY_CELLS`` cells is refused before anything is built.
-    Raises :class:`OverflowDetected` (carrying the partial history) when
-    the solution blows up.
+    The history keeps only the run's modes.  Raises :class:`OverflowDetected`
+    (carrying the partial history) when the solution blows up.
     """
     nodes = _node_count(problem, config)
     check_history_size(config.steps + 1, nodes)
@@ -606,15 +593,16 @@ def run(
             f"provided table capacity {table.capacity} < steps + 1; "
             "build a larger one or pass table=None"
         )
-    row0 = _sample_ic(problem, config, nodes)
-    history = SolutionHistory(row0, config.dx, config.dt, capacity=config.steps)
-    # not kept on the history: a finished run holds only its nodes
-    memory = _HistorySums((table,), row0[None], np.array([[problem.left_value, problem.right_value]]))
+    history = SolutionHistory(_sample_ic(problem, config, nodes), config.dx, config.dt)
+    ends = np.array([[problem.left_value, problem.right_value]])
+    memory = history._memory = _HistorySums((table,), history._first[None], ends)
     s = mesh_ratio(problem, config)
     startup = min(config.startup_explicit_steps, config.steps)
     _drive(memory, 0, startup, 1.0, s)
     _drive(memory, startup, config.steps, config.lam, s)
-    _write(history, memory, config.steps)
+    # a finished run keeps only its modes, the live modes and the ends
+    memory.far = memory.inverse = memory.w = memory.near = memory._spectra = None
+    _settle(history, config.steps)
     return history
 
 

@@ -6,8 +6,7 @@ Each test puts a range start, a run's end or an overflow at or next to
 a block edge or the edge of a 256-level leaf: level-by-level ``step``
 must equal ``run`` bit for bit, ``run`` must match direct summation, and
 ``run_stacked`` must report the first level past a lowered overflow
-limit.  A history or a table past
-``MAX_HISTORY_CELLS`` is refused by ``step`` too.
+limit.  A table past ``MAX_HISTORY_CELLS`` is refused by ``step`` too.
 """
 
 import numpy as np
@@ -86,14 +85,3 @@ def test_step_refuses_a_table_past_the_budget(monkeypatch):
         step(history, problem, config, table)
     assert history.top_level == 0
 
-
-def test_history_growth_stops_at_the_budget(monkeypatch):
-    monkeypatch.setattr(solver, "MAX_HISTORY_CELLS", 500)
-    history = SolutionHistory(np.zeros(11), dx=0.1, dt=0.01)
-    row = np.zeros(11)
-    for _ in range(500 // 11 - 1):  # 45 levels fit
-        history._append(row)
-    assert history.top_level == 44 and history._values.shape[0] * 11 <= 500
-    with pytest.raises(ValueError, match="46 levels x 1 problems x 11 nodes .* MAX_HISTORY_CELLS"):
-        history._append(row)
-    assert history.top_level == 44

@@ -7,7 +7,7 @@ densely.  ``fracstep.solver`` carries the sums from level to level with
 blocked FFT products instead; both must agree to rounding.  Runs of
 1,100 steps reach flushes of 256, 512 and 1,024 levels.  ``step``
 continues only the stack its first step made: a second table, other
-Dirichlet data and levels appended outside it are refused.
+Dirichlet data and a ``run``'s levels are refused.
 """
 
 from dataclasses import replace
@@ -154,7 +154,6 @@ def test_level_by_level_stepping_equals_run_bit_for_bit():
     config = make_config(0.5, 0.5, 0.3, 0.1, LONG_STEPS, FormulaFamily.NG2, startup=5)
     expected = run(problem, config)
     table = build_table(config.family, 0.5, config.steps + 1)
-    # default capacity: the history grows many times on the way
     history = SolutionHistory(expected.level(0), config.dx, config.dt)
     for m in range(config.steps):
         step(history, problem, config, table, lam=1.0 if m < 5 else None)
@@ -195,12 +194,29 @@ def test_step_refuses_other_dirichlet_data():
     assert np.array_equal(history.values, run(problem, config).values)
 
 
-def test_step_refuses_a_history_extended_outside_it():
-    problem, config, table, history = stepped_history(5)
-    # levels appended after some steps, and before the first
-    fresh = SolutionHistory(history.level(0), config.dx, config.dt)
-    for extended, top in ((history, 6), (fresh, 1)):
-        extended._append(history.level(5))
+def test_step_refuses_a_runs_history():
+    problem, config, table, _ = stepped_history(0)
+    finished = run(problem, config)
+    unstable = ProblemSpec(gamma=0.5, k_gamma=1.0, initial_condition=lambda x: x * (1.0 - x))
+    unstable_config = make_config(0.5, 1.0, 5.0, 0.05, 4000)
+    with pytest.raises(OverflowDetected) as excinfo:
+        run(unstable, unstable_config)
+    overflowed = excinfo.value.history
+    unstable_table = build_table(unstable_config.family, 0.5, unstable_config.steps + 1)
+    for history, (p, c, t) in (
+        (finished, (problem, config, table)),
+        (overflowed, (unstable, unstable_config, unstable_table)),
+    ):
+        top, values = history.top_level, history.values
         with pytest.raises(ValueError, match=rf"step did not make the history's levels 1..{top}"):
-            step(extended, problem, config, table)
-        assert extended.top_level == top
+            step(history, p, c, t)
+        assert history.top_level == top
+        assert np.array_equal(history.values, values)
+
+
+def test_step_starts_from_a_zero_step_runs_level_0():
+    problem, config, table, _ = stepped_history(0)
+    history = run(problem, replace(config, steps=0))
+    for _ in range(config.steps):
+        step(history, problem, config, table)
+    assert np.array_equal(history.values, run(problem, config).values)

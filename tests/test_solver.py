@@ -62,42 +62,45 @@ def classical_wa_oracle(u0, lam, s, steps):
 
 class TestMemoryTerm:
     def test_flat_history_gives_zero(self):
-        row = np.full(9, 3.7)
-        history = SolutionHistory(row, dx=0.125, dt=0.01)
-        history._append(row)
-        history._append(row)
+        values = np.full((3, 9), 3.7)
         table = build_table(FormulaFamily.BDF1, 0.5, 4)
         for j in range(1, 8):
-            assert memory_term(history, table, 2, j) == 0.0
+            assert memory_term(values, table, 2, j) == 0.0
 
     def test_single_level_is_plain_second_difference(self):
-        row = np.array([0.0, 1.0, 4.0, 9.0, 0.0])
-        history = SolutionHistory(row, dx=0.25, dt=0.01)
+        values = np.array([[0.0, 1.0, 4.0, 9.0, 0.0]])
         table = build_table(FormulaFamily.BDF1, 0.5, 2)
-        assert memory_term(history, table, 0, 1) == pytest.approx(0.0 - 2.0 + 4.0)
-        assert memory_term(history, table, 0, 2) == pytest.approx(1.0 - 8.0 + 9.0)
+        assert memory_term(values, table, 0, 1) == pytest.approx(0.0 - 2.0 + 4.0)
+        assert memory_term(values, table, 0, 2) == pytest.approx(1.0 - 8.0 + 9.0)
 
     def test_two_levels_weighted_by_binomials(self):
         # history linear in the level index: U^(m) = (m+1) * base
         base = np.array([0.0, 1.0, 3.0, 2.0, 0.0])
-        history = SolutionHistory(base, dx=0.25, dt=0.01)
-        history._append(2.0 * base)
+        values = np.array([base, 2.0 * base])
         table = build_table(FormulaFamily.BDF1, 0.5, 2)
         d = base[:-2] - 2.0 * base[1:-1] + base[2:]
         for j in range(1, 4):
             expected = 1.0 * (2.0 * d[j - 1]) + (-0.5) * d[j - 1]
-            assert memory_term(history, table, 1, j) == pytest.approx(expected, rel=1e-15)
+            assert memory_term(values, table, 1, j) == pytest.approx(expected, rel=1e-15)
 
     def test_validation(self):
-        history = SolutionHistory(np.zeros(5), dx=0.25, dt=0.01)
         table = build_table(FormulaFamily.BDF1, 0.5, 0)
         with pytest.raises(IndexError):
-            memory_term(history, table, 0, 0)
+            memory_term(np.zeros((1, 5)), table, 0, 0)
         with pytest.raises(IndexError):
-            memory_term(history, table, 1, 1)
-        history._append(np.zeros(5))
-        with pytest.raises(RuntimeError):
-            memory_term(history, table, 1, 1)
+            memory_term(np.zeros((1, 5)), table, 1, 1)
+        with pytest.raises(RuntimeError, match="pre-extend"):
+            memory_term(np.zeros((2, 5)), table, 1, 1)
+
+    def test_takes_a_runs_history_values(self):
+        problem = make_problem(0.5)
+        config = make_config(0.5, 0.5, 0.3, 0.125, 12)
+        history = run(problem, config)
+        table = build_table(FormulaFamily.BDF1, 0.5, 13)
+        values = history.values
+        convolved = table.array(12)[::-1] @ values
+        expected = convolved[2] - 2.0 * convolved[3] + convolved[4]
+        assert memory_term(values, table, 12, 3) == pytest.approx(expected, rel=1e-14)
 
 
 class TestClassicalLimit:
@@ -208,6 +211,43 @@ class TestHybridStartup:
         monkeypatch.setattr(solver._HistorySums, "begin", counted)
         run(make_problem(0.5), make_config(0.5, 0.5, 0.3, 0.125, 10, startup=startup))
         assert begun == origins
+
+
+class TestHistoryReading:
+    """A history keeps its modes and forms node rows where they are read."""
+
+    def test_level_equals_values_bit_for_bit(self):
+        from fracstep.harness import ExperimentSpec
+
+        # 301 levels of 101 nodes are formed in chunks of 40; sin(2 pi x) samples its
+        # right end at about -2.4e-16, which row 0 keeps
+        spec = ExperimentSpec(
+            gamma=0.5, lam=0.5, family=FormulaFamily.BDF1, dx=0.01,
+            dt=dt_for_mesh_ratio(0.3, 0.01, 0.5), steps=300, ic="sine:2",
+        )
+        history = run(spec.problem(), spec.scheme())
+        values = history.values
+        assert values.shape == (301, 101) and values[0, -1] == math.sin(2.0 * math.pi) != 0.0
+        for m in range(301):
+            assert np.array_equal(history.level(m), values[m])
+
+    def test_a_paper_scale_run_peaks_near_its_node_bytes(self):
+        import tracemalloc
+
+        from fracstep.harness import figure_specs
+
+        # fig3 triangles at t = 0.5: 45,915 levels of 11 nodes, 4.04 MB of nodes.  The
+        # traced peak is 2.36x those bytes with nodes formed only when read, and 3.36x
+        # with every level's nodes written at the end of the run; 2.8x leaves 19% margin
+        spec = figure_specs("fig3")[0]
+        tracemalloc.start()
+        try:
+            history = run(spec.problem(), spec.scheme())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert history.top_level == 45914
+        assert peak < 2.8 * 45915 * 11 * 8
 
 
 class TestStack:
@@ -322,6 +362,13 @@ class TestErrorHandling:
         with pytest.raises(ValueError):
             ProblemSpec(gamma=0.5, k_gamma=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["left_value", "right_value"])
+    def test_non_finite_dirichlet_data_is_rejected(self, field, value):
+        # NaN passed run's endpoint check, and the run overflowed at level 1
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            ProblemSpec(gamma=0.5, k_gamma=1.0, **{field: value})
+
     @pytest.mark.parametrize("lam", [1.5, -0.5, math.nan])
     def test_step_rejects_lam_outside_the_unit_interval(self, lam):
         problem = make_problem(0.5)
@@ -361,10 +408,6 @@ class TestHistoryBudget:
         table = build_table(FormulaFamily.BDF1, 0.5, 10)
         with pytest.raises(ValueError, match="x 3 problems x 11 nodes .* MAX_HISTORY_CELLS"):
             run_stacked(rows, [table] * 3, [0.3] * 3, [1.0] * 3, MAX_HISTORY_CELLS // 33 + 1)
-
-    def test_solution_history(self):
-        with pytest.raises(ValueError, match="MAX_HISTORY_CELLS"):
-            SolutionHistory(np.zeros(5), dx=0.25, dt=0.01, capacity=MAX_HISTORY_CELLS // 5)
 
     def test_the_paper_scale_runs_fit_with_room(self):
         from fracstep.harness import figure_specs

@@ -60,8 +60,9 @@ def main(argv=None) -> None:
 
     history = cn_history()
     columns = ("level",) + tuple(f"u{j}" for j in range(history.n_nodes))
-    table = (np.arange(history.top_level + 1), history.values)
-    cells = history.values.ravel()
+    values = history.values  # each read forms every row
+    table = (np.arange(history.top_level + 1), values)
+    cells = values.ravel()
     small = cells[1000 : 1000 + SMALL_CELLS].copy()
     chunk = cells[: harness._CHUNK_CELLS].copy()
 
