@@ -19,7 +19,6 @@ The package is organized around six pieces:
 """
 
 from fracstep.coeffs import (
-    CoefficientTable,
     FormulaFamily,
     build_table,
     eval_generating_function,
@@ -50,7 +49,6 @@ from fracstep.stability import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientTable",
     "FormulaFamily",
     "OverflowDetected",
     "ProblemSpec",

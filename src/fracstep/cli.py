@@ -148,8 +148,7 @@ def _dispatch(args) -> int:
     if args.command == "coeffs":
         if args.count < 1:
             raise ValueError("--count must be >= 1")
-        table = build_table(args.family, args.alpha, args.count - 1)
-        for w in table.weights:
+        for w in build_table(args.family, args.alpha, args.count - 1):
             print(f"{w:.17g}")
         return EXIT_OK
 

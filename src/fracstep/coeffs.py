@@ -16,7 +16,7 @@ one running product (the same multiplications in the same order).  BDF2/BDF3
 are the Taylor coefficients of a polynomial raised to a real power (J.C.P.
 Miller recurrence); NG2 composes the BDF1 stream with the linear
 Newton-Gregory correction W_0 + W_1 (1 - z) in one elementwise expression.
-A table is built once, at its capacity, and is read-only.
+A table is a read-only float64 array w_0 .. w_K, built once at its capacity K.
 """
 
 from __future__ import annotations
@@ -136,68 +136,38 @@ def newton_gregory_omegas(alpha: float, count: int) -> np.ndarray:
     return _series_pow(base, alpha, count)
 
 
-class CoefficientTable:
-    """The weight sequence w_0 .. w_K of one (family, alpha) pair, built once.
-
-    The weights are read-only, so a table can be shared between concurrent
-    solver runs.
-    """
-
-    def __init__(self, family: FormulaFamily, alpha: float, capacity: int = 0):
-        self.family = FormulaFamily(family)
-        self.alpha = a = _check_alpha(alpha)
-        count = int(capacity) + 1
-        if count < 1:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if count > MAX_WEIGHTS:
-            raise ValueError(f"a table of {count} weights exceeds MAX_WEIGHTS = {MAX_WEIGHTS}")
-        if self.family is FormulaFamily.BDF1:
-            w = _bdf1_product(a, count)
-        elif self.family is FormulaFamily.NG2:
-            # Cauchy product of the BDF1 stream with W0 + W1 (1 - z)
-            #   = (W0 + W1) - W1 z, i.e. w_k = (W0 + W1) b_k - W1 b_{k-1}.
-            w0, w1 = newton_gregory_omegas(a, 2)
-            b = _bdf1_product(a, count)
-            w = np.concatenate(([(w0 + w1) * b[0]], (w0 + w1) * b[1:] - w1 * b[:-1]))
-        else:
-            w = _series_pow(self.family.base_poly, a, count)
-        w.flags.writeable = False
-        self._w = w
-
-    @property
-    def capacity(self) -> int:
-        """Largest index k for which w_k is available."""
-        return len(self._w) - 1
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Read-only array of the weights w_0 .. w_capacity."""
-        return self._w
-
-    def array(self, upto: int) -> np.ndarray:
-        """Read-only view of w_0 .. w_upto; raises if the prefix is missing."""
-        if upto > self.capacity:
-            raise RuntimeError(
-                f"coefficient table capacity {self.capacity} < requested {upto}; "
-                "the caller must build a larger table"
-            )
-        return self._w[: upto + 1]
-
-
 def _bdf1_product(a: float, count: int) -> np.ndarray:
     """The running product of the BDF1 ratios 1 - (a + 1)/k from w_0 = 1: one
     multiplication per entry, in the order of the recurrence w_k = (1 - (a + 1)/k) w_{k-1}."""
     return np.cumprod(np.concatenate(([1.0], 1.0 - (a + 1.0) / np.arange(1, count))))
 
 
-def build_table(family: FormulaFamily, alpha: float, capacity: int) -> CoefficientTable:
-    """Build the weight table w_0 .. w_capacity for one formula family.
+def build_table(family: FormulaFamily, alpha: float, capacity: int) -> np.ndarray:
+    """The weights w_0 .. w_capacity of one formula family, a read-only array.
 
     ``alpha`` is the operator exponent; the subdiffusion stepper uses
     alpha = 1 - gamma, so alpha = 0 (classical diffusion) is accepted and
-    yields the identity weights (1, 0, 0, ...).
+    yields the identity weights (1, 0, 0, ...).  Being read-only, one table
+    can be shared between concurrent solver runs.
     """
-    return CoefficientTable(family, alpha, capacity)
+    family, a = FormulaFamily(family), _check_alpha(alpha)
+    count = int(capacity) + 1
+    if count < 1:
+        raise ValueError(f"capacity must be >= 0, got {capacity}")
+    if count > MAX_WEIGHTS:
+        raise ValueError(f"a table of {count} weights exceeds MAX_WEIGHTS = {MAX_WEIGHTS}")
+    if family is FormulaFamily.BDF1:
+        w = _bdf1_product(a, count)
+    elif family is FormulaFamily.NG2:
+        # Cauchy product of the BDF1 stream with W0 + W1 (1 - z)
+        #   = (W0 + W1) - W1 z, i.e. w_k = (W0 + W1) b_k - W1 b_{k-1}.
+        w0, w1 = newton_gregory_omegas(a, 2)
+        b = _bdf1_product(a, count)
+        w = np.concatenate(([(w0 + w1) * b[0]], (w0 + w1) * b[1:] - w1 * b[:-1]))
+    else:
+        w = _series_pow(family.base_poly, a, count)
+    w.flags.writeable = False
+    return w
 
 
 def eval_generating_function(family: FormulaFamily, alpha: float, z: float) -> float:

@@ -88,7 +88,8 @@ class ExperimentSpec:
     outputs: tuple[str, ...] = ("profile_csv",)
 
     def __post_init__(self):
-        _node_count(self.problem(), self.scheme())  # checks their keys, and that dx divides [0, 1]
+        # _node_count checks their keys, and that dx divides [0, 1]
+        check_history_size(self.steps + 1, _node_count(self.problem(), self.scheme()))
         if "/" in self.name or os.sep in self.name:
             raise ValueError(f"name {self.name!r} holds a path separator; it starts each output file's name")
         for flag in self.outputs:
@@ -457,8 +458,7 @@ def convergence_study(
             dx = spec.dx / 2.0
             dt = dt_for_mesh_ratio(s, dx, base.gamma, base.k_gamma)
             spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(t_end / dt)))
-        # every level's size is checked before the first one runs; the grid is the unit interval
-        check_history_size(spec.steps + 1, round(1.0 / spec.dx) + 1)
+        # every level is checked before the first runs, its history by replace; its grid is [0, 1]
         check_profile_size(round(1.0 / spec.dx) + 1)
         specs.append(spec)
 
@@ -594,6 +594,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     """
     if fig_id not in FIGURE_IDS:
         raise ValueError(f"unknown figure id {fig_id!r}; expected one of {FIGURE_IDS}")
+    specs = figure_specs(fig_id, t_end) if fig_id in _FIG_RUNS else ()  # checks their sizes
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -632,7 +633,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     # the cells that lead each row: a figure of several cases names its case in them
     lead = ("case", "gamma", "s", "dx", "t") * (len(cases) > 1) + ("level",) * bool(levels)
     status, rows, profiles = "completed", [], []
-    for (label, *_), spec in zip(cases, figure_specs(fig_id, t_end)):
+    for (label, *_), spec in zip(cases, specs):
         try:
             history = run(spec.problem(), spec.scheme())
         except OverflowDetected as overflow:

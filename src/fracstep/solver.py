@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from fracstep.coeffs import CoefficientTable, FormulaFamily, build_table
+from fracstep.coeffs import FormulaFamily, build_table
 
 __all__ = [
     "ProblemSpec",
@@ -247,12 +247,13 @@ class SolutionHistory:
         return rows
 
 
-def memory_term(values: np.ndarray, table: CoefficientTable, m: int, j: int) -> float:
+def memory_term(values: np.ndarray, table: np.ndarray, m: int, j: int) -> float:
     """Discrete fractional-derivative convolution of the second difference.
 
     Returns sum_{k=0..m} w_k [U_{j-1}^(m-k) - 2 U_j^(m-k) + U_{j+1}^(m-k)]
     for interior node j of the node rows ``values`` (levels, nodes), a
-    history's ``values`` say, without the 1/h^(1-gamma) prefactor (it is
+    history's ``values`` say, with the weights ``table`` (w_0 .. w_K, K >= m,
+    from ``build_table``), without the 1/h^(1-gamma) prefactor (it is
     absorbed into the mesh ratio S).  By linearity this is the second
     difference of the convolved values sum_k w_k U^(m-k).
     """
@@ -260,12 +261,12 @@ def memory_term(values: np.ndarray, table: CoefficientTable, m: int, j: int) -> 
         raise IndexError(f"node {j} is not interior")
     if not (0 <= m < len(values)):
         raise IndexError(f"level {m} not computed")
-    if table.capacity < m:
+    if len(table) <= m:
         raise RuntimeError(
-            f"coefficient table capacity {table.capacity} < level {m}; "
+            f"coefficient table capacity {len(table) - 1} < level {m}; "
             "the stepper must pre-extend tables"
         )
-    left, mid, right = table.array(m)[::-1] @ values[: m + 1, j - 1 : j + 2]
+    left, mid, right = table[m::-1] @ values[: m + 1, j - 1 : j + 2]
     return float(left - 2.0 * mid + right)
 
 
@@ -305,7 +306,7 @@ class _HistorySums:
     """A stack of B problems: their modes and the far parts of their Q(r) and P(r).
 
     Problem b starts from the node row ``rows[b]`` with the Dirichlet data
-    ``ends[b]``; each has its own table, and all share the capacity K.
+    ``ends[b]``; each has its own table of weights w_0 .. w_K, one K for all.
     ``modes[r]`` and ``far[r]`` are (B, len(live)), the live modes only.
     ``overflow[b]`` is problem b's first level past the limit, 0 while it
     runs.  The far part of P(m+1) is that of R(m) = w_0 zeta(m) + P(m+1).
@@ -320,10 +321,10 @@ class _HistorySums:
         n_nodes = rows.shape[1]
         self.tables, self.ends = tables, ends
         self.n_modes = n_nodes - 2
-        self.capacity = tables[0].capacity
+        self.capacity = len(tables[0]) - 1
         # w_0 .. w_K of each problem, zero past the table
         self.w = np.zeros((len(tables), max(self.capacity + 1, _LEAF + _BLOCK + 1)))
-        self.w[:, : self.capacity + 1] = [t.array(self.capacity) for t in tables]
+        self.w[:, : self.capacity + 1] = tables
         # near[b, i, t] = w_{i+t}, a view: level m0 - t in Q(m0 + i) and R(m0 + i - 1)
         shape = (len(tables), _BLOCK + 1, self.w.shape[1] - _BLOCK)
         self.near = np.ndarray(shape, buffer=self.w, strides=self.w.strides + (8,))
@@ -504,15 +505,17 @@ def step(
     history: SolutionHistory,
     problem: ProblemSpec,
     config: SchemeConfig,
-    table: CoefficientTable,
+    table: np.ndarray,
     lam: float | None = None,
 ) -> np.ndarray:
     """Advance the history by one level and return the new row.
 
-    ``lam`` overrides config.lam for this step (used by the hybrid
-    startup).  The first step makes the history's stack of one, from its
-    level 0, the table and the problem's Dirichlet data; each step then
-    advances the stack by one level, ``run``'s bit for bit.  A table or
+    ``table`` holds the weights w_0 .. w_K from ``build_table``, K past the
+    history's top level.  ``lam`` overrides config.lam for this step (used
+    by the hybrid startup).  The first step makes the history's stack of
+    one, from its level 0, the table and the problem's Dirichlet data; each
+    step then advances the stack by one level, ``run``'s bit for bit.  A
+    table other than the first step's array (even one equal to it) or
     Dirichlet data other than the first step's, a history whose levels
     ``step`` did not make (a ``run``'s), and a table whose levels pass
     ``MAX_HISTORY_CELLS`` cells are refused with a ValueError, the history
@@ -520,9 +523,9 @@ def step(
     the representable range.
     """
     m = history.top_level
-    if table.capacity < m + 1:
+    if len(table) <= m + 1:
         raise RuntimeError(
-            f"coefficient table capacity {table.capacity} < {m + 1}; "
+            f"coefficient table capacity {len(table) - 1} < {m + 1}; "
             "the stepper must pre-extend tables"
         )
     lam = config.lam if lam is None else lam
@@ -533,7 +536,7 @@ def step(
     if memory is None or memory.far is None:  # a new history, or a run's, whose stack was dropped
         if m:
             raise ValueError(f"step did not make the history's levels 1..{m}")
-        check_history_size(table.capacity + 1, history.n_nodes)
+        check_history_size(len(table), history.n_nodes)
         memory = history._memory = _HistorySums((table,), history._first[None], ends)
     elif memory.tables[0] is not table:
         raise ValueError("step takes only the table of its first step")
@@ -565,34 +568,20 @@ def _sample_ic(problem: ProblemSpec, config: SchemeConfig, nodes: int) -> np.nda
     return row
 
 
-def run(
-    problem: ProblemSpec,
-    config: SchemeConfig,
-    table: CoefficientTable | None = None,
-) -> SolutionHistory:
+def run(problem: ProblemSpec, config: SchemeConfig) -> SolutionHistory:
     """Run the full scheme: sample the IC, then take config.steps steps.
 
     When config.startup_explicit_steps = s > 0 the first s steps use
-    lam = 1 (explicit) and the remainder use config.lam.  A table passed
-    in must already hold weights up to steps + 1; it is shared read-only.
-    One with more weights gives the same levels to rounding: the blocked
-    FFT products take in the weights the table has.  A history of more
-    than ``MAX_HISTORY_CELLS`` cells is refused before anything is built.
+    lam = 1 (explicit) and the remainder use config.lam.  The weights are
+    built for config.family at alpha = 1 - gamma, w_0 .. w_{steps + 1}.
+    A history of more than ``MAX_HISTORY_CELLS`` cells is refused before
+    anything is built.
     The history keeps only the run's modes.  Raises :class:`OverflowDetected`
     (carrying the partial history) when the solution blows up.
     """
     nodes = _node_count(problem, config)
     check_history_size(config.steps + 1, nodes)
-    alpha = 1.0 - problem.gamma
-    if table is None:
-        table = build_table(config.family, alpha, config.steps + 1)
-    elif table.family is not config.family or table.alpha != alpha:
-        raise ValueError("provided table does not match (family, 1 - gamma)")
-    elif table.capacity < config.steps + 1:
-        raise ValueError(
-            f"provided table capacity {table.capacity} < steps + 1; "
-            "build a larger one or pass table=None"
-        )
+    table = build_table(config.family, 1.0 - problem.gamma, config.steps + 1)
     history = SolutionHistory(_sample_ic(problem, config, nodes), config.dx, config.dt)
     ends = np.array([[problem.left_value, problem.right_value]])
     memory = history._memory = _HistorySums((table,), history._first[None], ends)
@@ -610,9 +599,10 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
     """Step B problems that share the node count in lockstep, as one stack.
 
     Problem b starts from first_rows[b], whose ends are its Dirichlet
-    data, with its own table (all of one capacity >= steps), S = s[b] and
-    lam[b].  A problem that leaves the representable range is masked
-    instead of ending the run, and once all are masked the run stops.
+    data, with its own weights tables[b] (w_0 .. w_K from ``build_table``,
+    one K >= steps for all), S = s[b] and lam[b].  A problem that leaves
+    the representable range is masked instead of ending the run, and once
+    all are masked the run stops.
     Nodes are formed only for a block that fails the mode bound and for
     the last level, which is returned (B, N, masked interiors zero) with
     each problem's overflow level (0 if none).  A stack of more than
@@ -636,7 +626,7 @@ def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.
         raise ValueError(f"steps must be >= 0, got {steps}")
     n_problems, n = first_rows.shape
     check_history_size(steps + 1, n, n_problems)
-    if {t.capacity for t in tables} != {tables[0].capacity} or tables[0].capacity < steps:
+    if {len(t) for t in tables} != {len(tables[0])} or len(tables[0]) <= steps:
         raise ValueError(f"tables need one capacity >= steps = {steps}")
     ends = first_rows[:, :: n - 1]
     memory = _HistorySums(tables, first_rows, ends)

@@ -130,14 +130,14 @@ def test_criterion_5_unconditional_stability():
 def test_criterion_6_coefficient_identities():
     worst_rec = 0.0
     for alpha in (0.25, 0.5, 0.75):
-        weights = build_table(FormulaFamily.BDF1, alpha, 50).weights
+        weights = build_table(FormulaFamily.BDF1, alpha, 50)
         for k in range(51):
             expected = binomial_weight(alpha, k)
             worst_rec = max(worst_rec, abs(weights[k] - expected) / abs(expected))
     worst_sum = 0.0
     for family in FormulaFamily:
         for alpha in (0.25, 0.5, 0.75):
-            w = build_table(family, alpha, 200).weights
+            w = build_table(family, alpha, 200)
             accelerated = euler_accelerated_sum(w * (-1.0) ** np.arange(201))
             closed = eval_generating_function(family, alpha, -1.0)
             worst_sum = max(worst_sum, abs(accelerated - closed))

@@ -20,7 +20,8 @@ independently of ``coeffs.eval_generating_function``, which is real-only.
 fig2's empirical circles, bisected with the default probe grid and its
 400 steps, sit above S_x and within 1% of it.  Past the bound, f has a
 root z0 in (-1, 0), and the fastest live mode of the unstable fig4, fig6
-and fig7 runs grows by 1/|z0| per level.
+and fig7 runs grows by 1/|z0| per level.  The probe's verdicts follow the
+root test for its grid's fastest live mode, away from that mode's threshold.
 """
 
 import functools
@@ -32,7 +33,7 @@ import pytest
 from fracstep.coeffs import FormulaFamily, eval_generating_function
 from fracstep.harness import figure_specs
 from fracstep.solver import mesh_ratio, run
-from fracstep.stability import find_empirical_thresholds, stability_bound
+from fracstep.stability import find_empirical_thresholds, probe_batch, stability_bound
 
 GAMMAS = np.linspace(0.05, 1.0, 20)[:, None]
 THETA = np.linspace(0.0, np.pi, 8193)[1:]  # (0, pi]; the locus starts at 0
@@ -55,6 +56,16 @@ def w_on_circle(family, alpha):
     if family is FormulaFamily.NG2:
         w *= 1.0 + 0.5 * alpha * (1.0 - Z)
     return w
+
+
+def root_in_disc(f):
+    """A root z0 of f in (-1, 0), where f(-1) < 0 < f(0), by 64 bisections."""
+    lo, hi = -1.0, 0.0
+    assert f(lo) < 0.0 < f(hi)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
 
 
 def locus(family, lam):
@@ -124,14 +135,38 @@ def test_unstable_figure_runs_grow_by_the_root_inside_the_disc(fig_id, rate):
     def f(z):  # on the real axis, with w(z) = (1 - z)^alpha for BDF1
         return 1.0 - z + mu * (1.0 - z) ** alpha * ((1.0 - lam) + lam * z)
 
-    lo, hi = -1.0, 0.0
-    assert f(lo) < 0.0 < f(hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
-    z0 = 0.5 * (lo + hi)
+    z0 = root_in_disc(f)
     assert round(1.0 / abs(z0), 6) == rate
     # the amplitude of mode k in each level (the Dirichlet data are 0), and its
     # growth per level over the last 60 of the 400
     amplitude = np.abs(levels[:, 1:-1] @ np.sin(np.pi * k * np.arange(1, n - 1) / (n - 1)))
     assert abs((amplitude[400] / amplitude[340]) ** (1.0 / 60.0) - 1.0 / abs(z0)) <= 1e-6
+
+
+@pytest.mark.parametrize("family", list(FormulaFamily))
+def test_probe_verdicts_follow_the_root_test_of_the_fastest_mode(family):
+    # the probe grid's 33 nodes: the checkerboard's fastest live mode is k = 31, whose
+    # mu = 4 S sin^2(31 pi / 64) reaches mu(pi) at S = S_x / sin^2(31 pi / 64)
+    lift = np.sin(0.5 * np.pi * 31 / 32) ** 2
+    cases, expected = [], []
+    for lam in (0.6, 0.8, 1.0):
+        for gamma in (0.2, 0.5, 0.8, 1.0):
+            alpha, threshold = 1.0 - gamma, stability_bound(family, gamma, lam) / lift
+            for share in (0.5, 0.9, 1.05, 1.2, 2.0):
+                mu, s = 4.0 * share * threshold * lift, share * threshold
+
+                def f(z):  # on the real axis
+                    return 1.0 - z + mu * eval_generating_function(family, alpha, z) * ((1.0 - lam) + lam * z)
+
+                if share <= 0.9:
+                    verdict = "stable"
+                elif 1.0 / abs(root_in_disc(f)) >= 1.02:
+                    verdict = "unstable"
+                else:
+                    continue  # too close to the threshold for 400 steps to tell
+                cases.append((gamma, lam, s))
+                expected.append(verdict)
+    # 1.05 times the threshold is too close at lam = 0.6 (1/|z0| about 1.015)
+    assert expected.count("stable") == 24 and expected.count("unstable") == 32
+    verdicts = [report.empirical_verdict for report in probe_batch(family, cases)]
+    assert verdicts == expected

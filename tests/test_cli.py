@@ -409,6 +409,18 @@ class TestOversizedRuns:
         config.write_text(STABLE_CONFIG.replace("t_end = 0.005", "steps = 200000000"))
         self.check(self.run_capped("solve", "--config", str(config), "--out-dir", str(tmp_path)))
 
+    def test_solve_makes_no_out_dir(self, tmp_path):
+        # 200,001 levels x 101 nodes: refused when the config is read, before --out-dir is made
+        config, out = tmp_path / "exp.cfg", tmp_path / "new"
+        config.write_text(STABLE_CONFIG.replace("dx = 0.1", "dx = 0.01").replace("t_end = 0.005", "steps = 200000"))
+        self.check(self.run_capped("solve", "--config", str(config), "--out-dir", str(out)))
+        assert not out.exists()
+
+    def test_figure_makes_no_out_dir(self, tmp_path):
+        out = tmp_path / "new"
+        self.check(self.run_capped("figure", "--id", "fig3", "--t-end", "20", "--out-dir", str(out)))
+        assert not out.exists()
+
     def test_stability_probe(self):
         self.check(
             self.run_capped(

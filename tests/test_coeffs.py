@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fracstep.coeffs import (
-    CoefficientTable,
     FormulaFamily,
     build_table,
     eval_generating_function,
@@ -45,31 +44,31 @@ def euler_accelerated_sum(terms, levels: int = 30) -> float:
 class TestBdf1:
     def test_first_weight_is_one(self):
         for a in ALPHA_GRID:
-            assert build_table(FormulaFamily.BDF1, a, 0).weights[0] == 1.0
+            assert build_table(FormulaFamily.BDF1, a, 0)[0] == 1.0
 
     def test_classical_alpha_1(self):
-        w = build_table(FormulaFamily.BDF1, 1.0, 4).weights
+        w = build_table(FormulaFamily.BDF1, 1.0, 4)
         assert w.tolist() == [1.0, -1.0, 0.0, 0.0, 0.0]
 
     def test_alpha_half_exact(self):
         # recurrence factors are exact dyadic rationals for alpha = 1/2
-        w = build_table(FormulaFamily.BDF1, 0.5, 3).weights
+        w = build_table(FormulaFamily.BDF1, 0.5, 3)
         assert w.tolist() == [1.0, -0.5, -0.125, -0.0625]
 
     def test_identity_weights_at_alpha_zero(self):
-        w = build_table(FormulaFamily.BDF1, 0.0, 5).weights
+        w = build_table(FormulaFamily.BDF1, 0.0, 5)
         assert w.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_recurrence_matches_binomial_closed_form(self, alpha):
-        w = build_table(FormulaFamily.BDF1, alpha, 50).weights
+        w = build_table(FormulaFamily.BDF1, alpha, 50)
         for k in range(51):
             expected = binomial_weight(alpha, k)
             assert w[k] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_sign_pattern_and_partial_sums(self, alpha):
-        w = build_table(FormulaFamily.BDF1, alpha, 400).weights
+        w = build_table(FormulaFamily.BDF1, alpha, 400)
         assert w[0] == 1.0
         assert np.all(w[1:] < 0.0)
         partial = np.cumsum(w)
@@ -109,7 +108,7 @@ class TestNewtonGregory:
 class TestOtherFamilies:
     def test_bdf2_leading_weight(self):
         table = build_table(FormulaFamily.BDF2, 0.5, 0)
-        assert table.weights[0] == pytest.approx(math.sqrt(1.5), rel=1e-15)
+        assert table[0] == pytest.approx(math.sqrt(1.5), rel=1e-15)
 
     def test_family_orders(self):
         assert [f.order for f in ALL_FAMILIES] == [1, 2, 3, 2]
@@ -123,7 +122,7 @@ class TestOtherFamilies:
         exact = 6.0 / math.gamma(4.0 - alpha)
         errors = []
         for n in (32, 64, 128, 256, 512):
-            weights = build_table(family, alpha, n).weights[: n + 1]
+            weights = build_table(family, alpha, n)[: n + 1]
             value = n**alpha * np.dot(weights, (1.0 - np.arange(n + 1) / n) ** 3)
             errors.append(abs(value - exact))
         rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
@@ -132,8 +131,8 @@ class TestOtherFamilies:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_ng2_is_cauchy_product_of_bdf1_and_bracket(self, alpha):
         k_max = 60
-        ng = build_table(FormulaFamily.NG2, alpha, k_max).weights
-        b = build_table(FormulaFamily.BDF1, alpha, k_max).weights
+        ng = build_table(FormulaFamily.NG2, alpha, k_max)
+        b = build_table(FormulaFamily.BDF1, alpha, k_max)
         w0, w1 = newton_gregory_omegas(alpha, 2)
         # bracket W0 + W1 (1 - z) = (W0 + W1) - W1 z
         expected = (w0 + w1) * b
@@ -143,10 +142,10 @@ class TestOtherFamilies:
     def test_classical_alpha_one_polynomial_truncation(self):
         # alpha = 1 reproduces the base polynomial itself: weights vanish
         # beyond the polynomial degree
-        w = build_table(FormulaFamily.BDF2, 1.0, 8).weights
+        w = build_table(FormulaFamily.BDF2, 1.0, 8)
         assert w[:3] == pytest.approx([1.5, -2.0, 0.5], abs=1e-15)
         assert np.max(np.abs(w[3:])) < 1e-14
-        w = build_table(FormulaFamily.BDF1, 1.0, 8).weights
+        w = build_table(FormulaFamily.BDF1, 1.0, 8)
         assert np.max(np.abs(w[2:])) < 1e-14
 
 
@@ -155,7 +154,7 @@ class TestGeneratingFunction:
     @pytest.mark.parametrize("alpha", ALPHA_GRID)
     def test_series_consistency_at_half(self, family, alpha):
         # sum w_k z^k at z = 0.5 must converge to the closed form
-        w = build_table(family, alpha, 200).weights
+        w = build_table(family, alpha, 200)
         z_pow = 0.5 ** np.arange(201)
         partial = float(w @ z_pow)
         assert partial == pytest.approx(
@@ -165,7 +164,7 @@ class TestGeneratingFunction:
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     def test_euler_accelerated_sum_at_minus_one(self, family, alpha):
-        w = build_table(family, alpha, 200).weights
+        w = build_table(family, alpha, 200)
         accelerated = euler_accelerated_sum(w * (-1.0) ** np.arange(201))
         closed = eval_generating_function(family, alpha, -1.0)
         assert accelerated == pytest.approx(closed, abs=1e-6)
@@ -192,12 +191,13 @@ class TestTable:
     def test_weights_view_is_read_only(self):
         table = build_table(FormulaFamily.BDF1, 0.5, 4)
         with pytest.raises(ValueError):
-            table.weights[0] = 2.0
+            table[0] = 2.0
 
-    def test_array_requires_prefix(self):
-        table = build_table(FormulaFamily.BDF1, 0.5, 4)
-        with pytest.raises(RuntimeError):
-            table.array(10)
+    def test_is_a_float64_array_of_capacity_plus_one_weights(self):
+        for family in ALL_FAMILIES:
+            table = build_table(family, 0.5, 7)
+            assert type(table) is np.ndarray and table.dtype == np.float64
+            assert table.shape == (8,)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -224,7 +224,7 @@ class TestVectorisedRecurrences:
     @pytest.mark.parametrize("alpha", [1e-3, 0.25, 0.5, 0.99])
     def test_bdf1_and_ng2_equal_the_scalar_recurrence_bit_for_bit(self, alpha):
         b = scalar_bdf1(alpha, self.COUNT)
-        assert build_table(FormulaFamily.BDF1, alpha, self.COUNT - 1).weights.tolist() == b
+        assert build_table(FormulaFamily.BDF1, alpha, self.COUNT - 1).tolist() == b
         w0, w1 = newton_gregory_omegas(alpha, 2)
         ng2 = [(w0 + w1) * b[0]] + [(w0 + w1) * b[k] - w1 * b[k - 1] for k in range(1, self.COUNT)]
-        assert build_table(FormulaFamily.NG2, alpha, self.COUNT - 1).weights.tolist() == ng2
+        assert build_table(FormulaFamily.NG2, alpha, self.COUNT - 1).tolist() == ng2

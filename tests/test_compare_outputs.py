@@ -61,6 +61,7 @@ def test_data_rows_are_relative_to_their_largest_value(tmp_path):
 def test_exact_and_converge_output_is_written_as_csv(tmp_path):
     names = [compare_outputs.stdout_csv(argv) for argv in compare_outputs.commands(tmp_path, tmp_path / "out")]
     assert sorted(name for name in names if name) == [
+        "coeffs_bdf1.csv", "coeffs_bdf2.csv", "coeffs_bdf3.csv", "coeffs_ng2.csv",
         "converge.csv", "exact_g0.5_t0.3.csv", "exact_g0.5_t1e-4.csv", "exact_g0.9_t0.3.csv",
         "exact_g0.9_t1e-4.csv",
     ]

@@ -75,7 +75,7 @@ def assert_levels_close(values, expected):
 
 
 def reference(problem, config, history):
-    weights = build_table(config.family, 1.0 - problem.gamma, config.steps + 1).weights
+    weights = build_table(config.family, 1.0 - problem.gamma, config.steps + 1)
     s = mesh_ratio(problem, config)
     return long_double_levels(history.level(0), weights, config.lam, s, config.steps)
 

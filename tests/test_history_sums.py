@@ -82,7 +82,7 @@ def boundary_problem(gamma):
 
 
 def reference(problem, config, rows):
-    weights = build_table(config.family, 1.0 - problem.gamma, config.steps + 1).weights
+    weights = build_table(config.family, 1.0 - problem.gamma, config.steps + 1)
     return direct_levels(
         rows, weights, mesh_ratio(problem, config), config.lam, config.steps,
         config.startup_explicit_steps,

@@ -69,28 +69,28 @@ def check_overflow(excinfo, level, reference):
 @pytest.mark.parametrize("lam", [1.0, 0.8])
 @pytest.mark.parametrize("level", LEVELS + [LAST])
 def test_run_reports_the_first_level_past_the_limit(monkeypatch, lam, level):
-    problem, config, table = unstable_case(lam)
-    reference = run(problem, config, table).values
+    problem, config, _ = unstable_case(lam)
+    reference = run(problem, config).values
     limit = limit_first_passed_at(np.abs(reference).max(axis=1), level)
     monkeypatch.setattr(solver, "OVERFLOW_LIMIT", limit)
     steps = LAST if level == LAST else STEPS
     with pytest.raises(OverflowDetected) as excinfo:
-        run(problem, SchemeConfig(lam=lam, dx=config.dx, dt=config.dt, steps=steps), table)
+        run(problem, SchemeConfig(lam=lam, dx=config.dx, dt=config.dt, steps=steps))
     check_overflow(excinfo, level, reference)
 
 
 def test_hybrid_startup_reports_the_first_level_past_the_limit(monkeypatch):
-    problem, config, table = unstable_case(0.8)
+    problem, config, _ = unstable_case(0.8)
     hybrid = SchemeConfig(
         lam=0.8, dx=config.dx, dt=config.dt, steps=STEPS, startup_explicit_steps=100
     )
-    reference = run(problem, hybrid, table).values
+    reference = run(problem, hybrid).values
     # the explicit range ends at level 100, the lam = 0.8 range's first new maximum is 102
     for level in (64, 100, 102, 128):
         limit = limit_first_passed_at(np.abs(reference).max(axis=1), level)
         monkeypatch.setattr(solver, "OVERFLOW_LIMIT", limit)
         with pytest.raises(OverflowDetected) as excinfo:
-            run(problem, hybrid, table)
+            run(problem, hybrid)
         check_overflow(excinfo, level, reference)
 
 
@@ -98,7 +98,7 @@ def test_hybrid_startup_reports_the_first_level_past_the_limit(monkeypatch):
 @pytest.mark.parametrize("level", [64, 65, 127, 255, 256, 257, 511, 512])
 def test_step_reports_the_first_level_past_the_limit(monkeypatch, lam, level):
     problem, config, table = unstable_case(lam)
-    reference = run(problem, config, table).values
+    reference = run(problem, config).values
     limit = limit_first_passed_at(np.abs(reference).max(axis=1), level)
     monkeypatch.setattr(solver, "OVERFLOW_LIMIT", limit)
     history = SolutionHistory(reference[0], config.dx, config.dt)
@@ -116,7 +116,7 @@ def test_nan_is_found_where_a_check_after_every_level_finds_it(monkeypatch):
     table = build_table(FormulaFamily.BDF1, 0.5, 401)
     monkeypatch.setattr(solver, "OVERFLOW_LIMIT", np.inf)
     with pytest.raises(OverflowDetected) as whole:
-        run(problem, config, table)
+        run(problem, config)
     history = SolutionHistory(whole.value.history.level(0), config.dx, config.dt)
     # a step computes only its own level, so from inf it warns like any numpy code
     with pytest.raises(OverflowDetected) as stepped, np.errstate(over="ignore", invalid="ignore"):

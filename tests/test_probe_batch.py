@@ -87,7 +87,7 @@ def test_batch_levels_match_direct_summation(family):
     levels = stack.levels
     assert levels.shape == (STEPS + 1, len(cases), NODES + 1)
     for b, ((_, lam, s), table) in enumerate(zip(cases, tables)):
-        expected, level = direct_levels([checkerboard()], table.weights, s, lam, STEPS)
+        expected, level = direct_levels([checkerboard()], table, s, lam, STEPS)
         assert stack.overflow[b] == (level or 0)
         if level is None:
             assert_close(levels[:, b], expected)
@@ -154,13 +154,13 @@ def test_masked_problem_keeps_only_its_dirichlet_data():
     s_cross = stability_bound(FormulaFamily.BDF1, 0.5, 0.8)
     s, lam = [0.5 * s_cross, 50.0 * s_cross], [0.8, 0.8]
     stack = held_run_stacked(np.tile(row, (2, 1)), [table, table], s, lam, STEPS)
-    expected, level = direct_levels([row], table.weights, s[1], lam[1], STEPS)
+    expected, level = direct_levels([row], table, s[1], lam[1], STEPS)
     assert stack.overflow.tolist() == [0, level]
     assert_close(stack.levels[:level, 1], expected)
     assert not np.any(stack.modes[level:, 1])
     assert not np.any(stack.last[1, 1:-1])
     assert np.all(stack.last[1, [0, -1]] == [0.25, -0.5])
-    expected, _ = direct_levels([row], table.weights, s[0], lam[0], STEPS)
+    expected, _ = direct_levels([row], table, s[0], lam[0], STEPS)
     assert_close(stack.levels[:, 0], expected)
     assert_close(stack.last[0], expected[-1])
 
@@ -174,7 +174,7 @@ def test_last_level_equals_the_last_level_of_run(family):
     s = [2.0, 1.0] + [0.9 * stability_bound(family, g, lam) for g, lam in zip(gammas[2:], lams[2:])]
     configs = [make_config(g, lam, x, 1.0 / NODES, STEPS, family) for g, lam, x in zip(gammas, lams, s)]
     tables = [build_table(family, 1.0 - g, STEPS + 1) for g in gammas]
-    alone = [run(p, c, t).values for p, c, t in zip(problems, configs, tables)]
+    alone = [run(p, c).values for p, c in zip(problems, configs)]
     ratios = [mesh_ratio(p, c) for p, c in zip(problems, configs)]
     first_rows = [values[0] for values in alone]
     last, overflow = run_stacked(first_rows, tables, ratios, lams, STEPS)

@@ -98,7 +98,7 @@ class TestMemoryTerm:
         history = run(problem, config)
         table = build_table(FormulaFamily.BDF1, 0.5, 13)
         values = history.values
-        convolved = table.array(12)[::-1] @ values
+        convolved = table[12::-1] @ values
         expected = convolved[2] - 2.0 * convolved[3] + convolved[4]
         assert memory_term(values, table, 12, 3) == pytest.approx(expected, rel=1e-14)
 
@@ -158,8 +158,7 @@ class TestSchemeProperties:
         gamma, s, dx, steps = 0.5, 0.4, 0.1, 25
         problem, config = make_problem(gamma), make_config(gamma, lam, s, dx, steps)
         history = run(problem, config)
-        table = build_table(config.family, 1.0 - gamma, steps + 1)
-        w = table.array(steps + 1)
+        w = build_table(config.family, 1.0 - gamma, steps + 1)
         values = history.values
         d2 = np.array([values[m, :-2] - 2 * values[m, 1:-1] + values[m, 2:] for m in range(steps + 1)])
         for m in range(steps):
@@ -336,22 +335,6 @@ class TestErrorHandling:
         with pytest.raises(RuntimeError, match="pre-extend"):
             step(history, problem, config, short_table)
 
-    def test_run_validates_a_provided_table(self):
-        problem = make_problem(0.5)
-        config = make_config(0.5, 1.0, 0.3, 0.25, 5)
-        with pytest.raises(ValueError, match="capacity"):
-            run(problem, config, table=build_table(FormulaFamily.BDF1, 0.5, 2))
-        with pytest.raises(ValueError, match="match"):
-            run(problem, config, table=build_table(FormulaFamily.BDF2, 0.5, 10))
-
-    def test_shared_table_reproduces_private_table_run(self):
-        problem = make_problem(0.5)
-        config = make_config(0.5, 0.5, 0.3, 0.125, 12)
-        shared = build_table(FormulaFamily.BDF1, 0.5, 13)
-        a = run(problem, config, table=shared)
-        b = run(problem, config)
-        assert np.array_equal(a.values, b.values)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SchemeConfig(lam=1.5, dx=0.1, dt=0.01)
@@ -396,12 +379,11 @@ class TestHistoryBudget:
     """Histories past MAX_HISTORY_CELLS are refused before anything is allocated."""
 
     def test_run(self):
-        # the budget is checked before the table: without the check this
-        # short table fails fast instead of a 10^9-weight table being built
+        # the budget is checked before the table: without the check the
+        # 10^9-weight table would be refused by MAX_WEIGHTS instead
         config = make_config(0.5, 1.0, 0.3, 0.1, 10**9)
-        table = build_table(FormulaFamily.BDF1, 0.5, 10)
         with pytest.raises(ValueError, match=f"{10**9 + 1} levels .* exceeds MAX_HISTORY_CELLS"):
-            run(make_problem(0.5), config, table)
+            run(make_problem(0.5), config)
 
     def test_run_stacked(self):
         rows = np.zeros((3, 11))

@@ -22,10 +22,12 @@ per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
   and 1, with S on both sides of the bound (0.5 and 5 where it does not
   bind), and one probe that overflows early.  Their standard output is
   written as one row per probe of ``stability_probes.csv``;
-* ``exact`` at gamma 0.5 and 0.9, t 1e-4 and 0.3, on 101 nodes, and a
-  ``converge`` (refine_dt, 2 levels) of a small BDF2 run.  The standard
-  output of each is written as a CSV file, ``exact_g<gamma>_t<t>.csv`` and
-  ``converge.csv``, with the estimated orders as ``#`` lines.
+* ``exact`` at gamma 0.5 and 0.9, t 1e-4 and 0.3, on 101 nodes, a
+  ``converge`` (refine_dt, 2 levels) of a small BDF2 run, and ``coeffs``
+  (``--count 200`` at alpha 0.5) for each family.  The standard output of
+  each is written as a CSV file, ``exact_g<gamma>_t<t>.csv``,
+  ``converge.csv`` and ``coeffs_<family>.csv``, with the estimated orders
+  as ``#`` lines.
 
 For each file it prints ``identical``, or the largest absolute difference
 between the float cells of the two versions and the largest difference
@@ -138,6 +140,7 @@ def commands(configs: Path, out: Path) -> list[list[str]]:
         for gamma in ("0.5", "0.9") for t in ("1e-4", "0.3")
     ]
     argvs.append(["converge", "--config", str(configs / "conv.cfg"), "--mode", "refine_dt", "--levels", "2"])
+    argvs += [["coeffs", "--family", family, "--alpha", "0.5", "--count", "200"] for family in FAMILIES]
     return argvs + probes()
 
 
@@ -145,6 +148,8 @@ def stdout_csv(argv: list[str]) -> str | None:
     """The CSV file that holds a command's standard output, or None if it writes its own files."""
     if argv[0] == "exact":
         return f"exact_g{argv[2]}_t{argv[6]}.csv"
+    if argv[0] == "coeffs":
+        return f"coeffs_{argv[2]}.csv"
     return "converge.csv" if argv[0] == "converge" else None
 
 
