@@ -36,23 +36,23 @@ MAX_WEIGHTS = 1 << 24
 
 
 class FormulaFamily(str, enum.Enum):
-    """Supported discretization formula families."""
+    """Supported discretization formula families.
 
-    BDF1 = "bdf1"
-    BDF2 = "bdf2"
-    BDF3 = "bdf3"
-    NG2 = "ng2"
+    Each member carries ``order``, the order p in h of the discrete operator on
+    smooth functions (tested on t^3; not the scheme's order in dt, which the
+    t^gamma start lowers), and ``base_poly``, the coefficients (constant term
+    first) of the polynomial under the power.
+    """
 
-    @property
-    def order(self) -> int:
-        """Order p in h of the discrete operator on smooth functions (tested on
-        t^3); not the scheme's order in dt, which the t^gamma start lowers."""
-        return _ORDERS[self]
+    BDF1 = "bdf1", 1, (1.0, -1.0)
+    BDF2 = "bdf2", 2, (1.5, -2.0, 0.5)
+    BDF3 = "bdf3", 3, (11.0 / 6.0, -3.0, 1.5, -1.0 / 3.0)
+    NG2 = "ng2", 2, (1.0, -1.0)
 
-    @property
-    def base_poly(self) -> tuple[float, ...]:
-        """Coefficients (constant term first) of the polynomial under the power."""
-        return _BASE_POLYS[self]
+    def __new__(cls, value: str, order: int, base_poly: tuple[float, ...]):
+        member = str.__new__(cls, value)
+        member._value_, member.order, member.base_poly = value, order, base_poly
+        return member
 
     def base_value(self, z: float) -> float:
         """The polynomial under the power at z, by Horner's rule."""
@@ -68,21 +68,6 @@ class FormulaFamily(str, enum.Enum):
         except ValueError:
             valid = ", ".join(f.value for f in cls)
             raise ValueError(f"unknown formula family {text!r}; expected one of {valid}")
-
-
-_ORDERS = {
-    FormulaFamily.BDF1: 1,
-    FormulaFamily.BDF2: 2,
-    FormulaFamily.BDF3: 3,
-    FormulaFamily.NG2: 2,
-}
-
-_BASE_POLYS = {
-    FormulaFamily.BDF1: (1.0, -1.0),
-    FormulaFamily.BDF2: (1.5, -2.0, 0.5),
-    FormulaFamily.BDF3: (11.0 / 6.0, -3.0, 1.5, -1.0 / 3.0),
-    FormulaFamily.NG2: (1.0, -1.0),
-}
 
 
 def _check_alpha(alpha: float) -> float:

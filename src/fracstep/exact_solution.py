@@ -43,8 +43,9 @@ _MODE_BLOCK = 256  # modes per block of the sine table in exact_profile
 _SPLIT = 64  # n = _SPLIT q + r in the sine table
 _MAX_MODE = 1 << 53  # float64 holds every integer up to 2**53 exactly
 
-#: Most grid points ``exact_profile`` takes: its sine table of _MODE_BLOCK
-#: rows then stays within 128 MiB.
+#: Most grid points ``exact_profile`` takes.  A call's traced peak stays within 4 _MODE_BLOCK + 2 _SPLIT
+#: + len(t) + 4 float64 a point, plus len(t) + 8 a mode: 9.3 KB a point, 580 MiB at this limit.  On the
+#: parabola's series, whose blocks need few q rows, it is 7.3 KB a point, 453 MiB at the limit.
 MAX_PROFILE_POINTS = 1 << 16
 
 
@@ -150,7 +151,7 @@ def exact_profile(
 
     A sequence gives one row per time.  The modes are summed in blocks of
     ``_MODE_BLOCK``, each block's sine table built once for every time, so
-    memory is O((_MODE_BLOCK + len(t)) * len(xs)) whatever the mode count,
+    memory is O((_MODE_BLOCK + len(t)) * len(xs) + len(t) * modes),
     and a row equals a one-time call bit for bit.  A grid of more than
     ``MAX_PROFILE_POINTS`` points is refused.  The absorbing boundaries
     x = 0 and x = 1 are exact zeros.

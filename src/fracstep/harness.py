@@ -4,11 +4,11 @@ Experiments are described by flat ``key = value`` text files with a single
 ``[experiment]`` section (see :func:`parse_experiment`); the runner writes
 CSV profiles, optional error columns against the analytical benchmark,
 and full history dumps.  ``reproduce_figure`` regenerates the package's
-bundled demonstration datasets as CSV files: fig1's and fig2's bound
-curves from the ``phase_diagram`` sweep, fig2's circles from lockstep
-probe bisections, and the profile figures fig3..fig7 from one preset
-table, ``_FIG_RUNS``; a profile figure of one run carries the
-checkerboard-probe stability verdict at its parameters in its header.
+bundled demonstration datasets as CSV files from three preset tables: the
+bound sweeps of fig1 and fig2 (``_FIG_BOUNDS``), the profiles of fig3..fig7
+(``_FIG_RUNS``) and the diagrams' marked cases (``_FIG_MARKERS``); fig2's
+circles come from lockstep probe bisections.  A profile figure of one run
+carries the checkerboard-probe stability verdict at its parameters in its header.
 
 All file output is atomic (temp file + rename), written in chunks of
 rows, and every float is written as its shortest round-trip decimal,
@@ -321,6 +321,14 @@ class ExperimentResult:
     history: SolutionHistory | None
 
 
+def _run(spec: ExperimentSpec) -> tuple[SolutionHistory, int | None]:
+    """A spec's history, whole or up to its overflow, and the overflow level or None."""
+    try:
+        return run(spec.problem(), spec.scheme()), None
+    except OverflowDetected as overflow:
+        return overflow.history, overflow.level
+
+
 def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = None) -> ExperimentResult:
     """Execute the experiment and emit the requested CSV files.
 
@@ -334,12 +342,8 @@ def run_experiment(spec: ExperimentSpec, out_dir, dump_history: str | None = Non
         check_profile_size(round(1.0 / spec.dx) + 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    status, unstable_level = "completed", None
-    try:
-        history = run(spec.problem(), spec.scheme())
-    except OverflowDetected as overflow:
-        history = overflow.history
-        status, unstable_level = "unstable", overflow.level
+    history, unstable_level = _run(spec)
+    status = "completed" if unstable_level is None else "unstable"
 
     s = mesh_ratio(spec.problem(), spec.scheme())
     spec_desc = (
@@ -413,19 +417,20 @@ class ConvergenceReport:
     estimated_order_dx: float
 
 
-def _max_error_at_end(spec: ExperimentSpec) -> float:
-    history = run(spec.problem(), spec.scheme())
-    return float(np.max(np.abs(history.level(history.top_level) - spec.exact_at_end(history.x))))
-
-
-def _require_stable(spec: ExperimentSpec, level: int) -> None:
+def _max_error_at_end(spec: ExperimentSpec, what: str) -> float:
+    """The max-norm error at t_end; a ValueError naming ``what`` if the spec is past its
+    stability bound (checked before the run) or its run overflows."""
     s = mesh_ratio(spec.problem(), spec.scheme())
     s_cross = stability_bound(spec.family, spec.gamma, spec.lam)
     if s > s_cross:
         raise ValueError(
-            f"refinement level {level} is outside the stable region "
+            f"{what} is outside the stable region "
             f"(S={s:.4g} > S_x={s_cross:.4g})"
         )
+    history, overflow = _run(spec)
+    if overflow is not None:
+        raise ValueError(f"{what} went unstable at step {overflow}")
+    return float(np.max(np.abs(history.level(history.top_level) - spec.exact_at_end(history.x))))
 
 
 def convergence_study(
@@ -437,15 +442,14 @@ def convergence_study(
     ``refine_dx`` (dt fixed), or ``refine_both`` (dx halved, dt adjusted
     to hold the mesh ratio S fixed).  The error is the max-norm distance
     to the analytical benchmark at the final time of each run.  Each
-    level must be stable; instability aborts with an error naming the
-    level.
+    level must be stable; a level past its stability bound, or one whose
+    run overflows, aborts with an error naming the level.
     """
     if mode not in ("refine_dt", "refine_dx", "refine_both"):
         raise ValueError(f"unknown refinement mode {mode!r}")
     if refinements < 1:
         raise ValueError("need at least one refinement")
 
-    t_end = base.steps * base.dt
     s = mesh_ratio(base.problem(), base.scheme())
     specs = [base]
     for _ in range(refinements):
@@ -457,21 +461,14 @@ def convergence_study(
         else:  # refine_both: keep S fixed
             dx = spec.dx / 2.0
             dt = dt_for_mesh_ratio(s, dx, base.gamma, base.k_gamma)
-            spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(t_end / dt)))
+            spec = replace(spec, dx=dx, dt=dt, steps=max(1, round(base.t_end / dt)))
         # every level is checked before the first runs, its history by replace; its grid is [0, 1]
         check_profile_size(round(1.0 / spec.dx) + 1)
         specs.append(spec)
 
     levels = []
     for i, spec in enumerate(specs):
-        _require_stable(spec, i)
-        try:
-            err = _max_error_at_end(spec)
-        except OverflowDetected as overflow:
-            raise ValueError(
-                f"refinement level {i} went unstable at step {overflow.level}"
-            ) from overflow
-        levels.append((spec.dt, spec.dx, err))
+        levels.append((spec.dt, spec.dx, _max_error_at_end(spec, f"refinement level {i}")))
 
     def fitted_order(index: int) -> float:
         rates = [
@@ -489,7 +486,8 @@ def startup_comparison(base: ExperimentSpec, startup_steps_grid) -> list[tuple[i
 
     The base experiment must use lam = 1/2 (the startup trick targets the
     Crank-Nicholson scheme); any positive startup count must itself be
-    stable under the explicit bound at the experiment's mesh ratio.
+    stable under the explicit bound at the experiment's mesh ratio.  A run
+    that overflows is refused with a ValueError naming its startup count.
     """
     if base.lam != 0.5:
         raise ValueError("startup comparison requires lam = 1/2")
@@ -503,7 +501,7 @@ def startup_comparison(base: ExperimentSpec, startup_steps_grid) -> list[tuple[i
                 f"explicit startup violates the explicit bound (S={s:.4g} > {explicit_cross:.4g})"
             )
         spec = replace(base, startup_explicit_steps=count)
-        rows.append((count, _max_error_at_end(spec)))
+        rows.append((count, _max_error_at_end(spec, f"the run with {count} startup steps")))
     return rows
 
 
@@ -526,6 +524,15 @@ _FIG_RUNS = {
     "fig5": (((None, 0.5, 0.8, 0.55, 1.0 / 20.0, 500),), (), True),
     "fig6": (((None, 0.5, 0.8, 0.7, 1.0 / 20.0, 50),), (), False),
     "fig7": (((None, 0.5, 0.8, 0.7, 1.0 / 20.0, 100),), (), False),
+}
+
+# the bound sweeps, a phase_diagram per family: file, header, families, the gamma and lambda
+# grids as np.linspace's (start, stop, count), and the columns written (of family, gamma, lambda, inv_s_cross)
+_FIG_BOUNDS = {
+    "fig1": ("fig1.csv", "stability bound line: family=bdf1 gamma=0.5, inv_s_cross = 2(2*lambda-1)*w(-1,1-gamma)",
+             (FormulaFamily.BDF1,), (0.5, 0.5, 1), (0.0, 1.0, 101), ("gamma", "lambda", "inv_s_cross")),
+    "fig2": ("fig2_bounds.csv", "explicit-method stability bounds: inv_s_cross = 2*w(-1,1-gamma), lambda=1",
+             tuple(FormulaFamily), (0.05, 1.0, 39), (1.0, 1.0, 1), ("family", "gamma", "inv_s_cross")),
 }
 
 # the marked cases of the bound diagrams: header, columns, rows
@@ -598,21 +605,14 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if fig_id == "fig1":
-        header = (
-            "stability bound line: family=bdf1 gamma=0.5, "
-            "inv_s_cross = 2(2*lambda-1)*w(-1,1-gamma)"
-        )
-        line = phase_diagram(FormulaFamily.BDF1, [0.5], np.linspace(0.0, 1.0, 101))
-        columns = ("gamma", "lambda", "inv_s_cross")
-        paths = [_write_csv(out_dir / "fig1.csv", header, columns, [line])]
+    paths = []
+    if fig_id in _FIG_BOUNDS:
+        name, header, families, gammas, lams, columns = _FIG_BOUNDS[fig_id]
+        sweep = [phase_diagram(f, np.linspace(*gammas), np.linspace(*lams)) for f in families]
+        cells = dict(zip(("gamma", "lambda", "inv_s_cross"), np.concatenate(sweep).T))
+        cells["family"] = [f.value for f, rows in zip(families, sweep) for _ in rows]
+        paths.append(_write_csv(out_dir / name, header, columns, [cells[c] for c in columns]))
     if fig_id == "fig2":
-        header = "explicit-method stability bounds: inv_s_cross = 2*w(-1,1-gamma), lambda=1"
-        gammas = np.linspace(0.05, 1.0, 39)
-        bounds = np.concatenate([phase_diagram(f, gammas, [1.0]) for f in FormulaFamily])
-        families = [family.value for family in FormulaFamily for _ in gammas]
-        columns = ("family", "gamma", "inv_s_cross")
-        paths = [_write_csv(out_dir / "fig2_bounds.csv", header, columns, (families, bounds[:, ::2]))]
         gammas = [round(0.1 * k, 1) for k in range(1, 11)]
         bounds = [stability_bound(FormulaFamily.BDF1, g, 1.0) for g in gammas]
         # the ten bisections run in lockstep: one stacked probe run per round
@@ -632,12 +632,10 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
     cases, levels, with_exact = _FIG_RUNS[fig_id]
     # the cells that lead each row: a figure of several cases names its case in them
     lead = ("case", "gamma", "s", "dx", "t") * (len(cases) > 1) + ("level",) * bool(levels)
-    status, rows, profiles = "completed", [], []
+    unstable, rows, profiles = False, [], []
     for (label, *_), spec in zip(cases, specs):
-        try:
-            history = run(spec.problem(), spec.scheme())
-        except OverflowDetected as overflow:
-            history, status = overflow.history, "unstable"
+        history, overflow = _run(spec)
+        unstable |= overflow is not None
         s = mesh_ratio(spec.problem(), spec.scheme())
         x = history.x
         exact = (spec.exact_at_end(x),) if with_exact else ()
@@ -649,8 +647,7 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         header = "stable explicit profiles vs analytical solution (bdf1, lambda=1)"
     else:  # one run: its parameters and the probe verdict at them
         report = _probe(spec, s)
-        if report.empirical_verdict == "unstable":
-            status = "unstable"
+        unstable |= report.empirical_verdict == "unstable"
         header = (
             f"{fig_id}: gamma={spec.gamma!r} lambda={spec.lam!r} S={s!r} dx={spec.dx!r} "
             f"steps={spec.steps} probe_verdict={report.empirical_verdict} "
@@ -658,4 +655,5 @@ def reproduce_figure(fig_id: str, out_dir, t_end: float | None = None) -> Figure
         )
     columns = lead + ("x", "u_numeric") + ("u_exact",) * with_exact
     table = (*zip(*rows), np.concatenate(profiles))
-    return FigureResult([_write_csv(out_dir / f"{fig_id}.csv", header, columns, table)], status)
+    path = _write_csv(out_dir / f"{fig_id}.csv", header, columns, table)
+    return FigureResult([path], "unstable" if unstable else "completed")

@@ -54,6 +54,7 @@ _NODES = _MU * (1.0 + np.sin(1j * _U - _ALPHA))
 # (h / 2 pi i) e^s ds/du with ds/du = i mu cos(i u - alpha)
 _WEIGHTS = _H / (2.0 * math.pi) * np.exp(_NODES) * _MU * np.cos(1j * _U - _ALPHA)
 _WEIGHTS[1:] *= 2.0
+_U.flags.writeable = _NODES.flags.writeable = _WEIGHTS.flags.writeable = False  # shared by every call
 _BLOCK = 256  # entries of x per block in ml_eval_neg
 
 

@@ -91,6 +91,8 @@ def _pow10_words() -> tuple[np.ndarray, np.ndarray]:
 # Built at import, low in the heap: made in a first call, they would keep the heap from shrinking.
 _EXPONENT, _LAYOUT, _HEAD_MASKS, _CHARS = _layout_tables()
 _POW10_LOW, _POW10_HIGH = _pow10_words()
+for _table in (_P10, _PAD, _ROUND_UP, _EXPONENT, _LAYOUT, _HEAD_MASKS, _CHARS, _POW10_LOW, _POW10_HIGH):
+    _table.flags.writeable = False  # shared by every call
 
 
 def _shifted(gl, gh, t):

@@ -1,6 +1,8 @@
 """Tests of the fractional discretization weight generator."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -112,6 +114,48 @@ class TestOtherFamilies:
 
     def test_family_orders(self):
         assert [f.order for f in ALL_FAMILIES] == [1, 2, 3, 2]
+
+
+class TestFamilyMembers:
+    """The members carry their order and polynomial, and stay plain str-valued enum members."""
+
+    def test_values_names_and_lookups(self):
+        assert [f.value for f in FormulaFamily] == ["bdf1", "bdf2", "bdf3", "ng2"]
+        assert list(FormulaFamily.__members__) == ["BDF1", "BDF2", "BDF3", "NG2"]
+        for family in FormulaFamily:
+            assert FormulaFamily(family.value) is family
+            assert FormulaFamily(family) is family
+            assert FormulaFamily.parse(f" {family.value.upper()} ") is family
+            assert family == family.value and family.value == family
+            assert family != family.value.upper()
+            assert isinstance(family, str) and str.__str__(family) == family.value
+            assert repr(family) == f"<FormulaFamily.{family.name}: {family.value!r}>"
+        with pytest.raises(ValueError, match="is not a valid FormulaFamily"):
+            FormulaFamily("bdf4")
+        with pytest.raises(ValueError, match="expected one of bdf1, bdf2, bdf3, ng2"):
+            FormulaFamily.parse("bdf4")
+
+    def test_hash_pickle_and_copy(self):
+        for family in FormulaFamily:
+            assert hash(family) == hash(family.value)
+            assert {family.value: 1}[family] == 1 and {family: 1}[family.value] == 1
+            assert pickle.loads(pickle.dumps(family)) is family
+            assert copy.copy(family) is family and copy.deepcopy(family) is family
+
+    def test_polynomials(self):
+        assert [f.base_poly for f in FormulaFamily] == [
+            (1.0, -1.0), (1.5, -2.0, 0.5), (11.0 / 6.0, -3.0, 1.5, -1.0 / 3.0), (1.0, -1.0)
+        ]
+        # Horner's rule rounds BDF3's 20/3 a unit low; phase_diagram's bounds carry these bits
+        assert [f.base_value(-1.0) for f in FormulaFamily] == [2.0, 4.0, 6.666666666666666, 2.0]
+
+    def test_equal_polynomials_do_not_alias_members(self):
+        # members whose values are equal become aliases of the first; BDF1 and
+        # NG2 share a polynomial, but not a value
+        assert FormulaFamily.BDF1.base_poly == FormulaFamily.NG2.base_poly
+        assert FormulaFamily.NG2 is not FormulaFamily.BDF1
+        assert FormulaFamily("ng2").name == "NG2" and len(FormulaFamily) == 4
+        assert FormulaFamily.NG2.order == 2 and FormulaFamily.BDF1.order == 1
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_operator_converges_at_the_family_order(self, family):

@@ -214,6 +214,27 @@ class TestProfile:
             tracemalloc.stop()
         assert peak < 2000 * 2001 * 8 / 2
 
+    @pytest.mark.parametrize("spacing, times", [(2, [0.1]), (2, [1e-4, 0.3]), (64, [0.0] * 8)])
+    def test_peak_per_point_is_the_stated_figure(self, spacing, times):
+        # MAX_PROFILE_POINTS's comment: within 4 _MODE_BLOCK + 2 _SPLIT + len(t) + 4 float64 a
+        # point plus len(t) + 8 a mode, 7.3 KB a point on the parabola's series (spacing 2);
+        # modes 64 apart need a q row each
+        modes = [(1 + spacing * k, 1.0 / (1 + spacing * k) ** 3) for k in range(2000)]
+        ic, points = (parabola_ic() if spacing == 2 else SineSeriesIC(tuple(modes))), 4096
+        xs = np.linspace(0.0, 1.0, points)
+        tracemalloc.start()
+        try:
+            exact_profile(ic, 0.5, 1.0, xs, times, tol=1e-300)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = 4 * exact_solution._MODE_BLOCK + 2 * exact_solution._SPLIT + len(times) + 4
+        assert peak <= 8 * (rows * points + (len(times) + 8) * len(modes))
+        if spacing == 2:
+            assert peak <= 7.3e3 * points
+        else:  # the bound is met, not loose, on a sparse series
+            assert peak > 8 * (rows - 8) * points
+
 
 class TestValidation:
     def test_domain_checks(self):

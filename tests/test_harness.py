@@ -2,11 +2,12 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fracstep import harness
+from fracstep import harness, solver
 from fracstep.coeffs import FormulaFamily
 from fracstep.exact_solution import exact_profile
 from fracstep.harness import (
@@ -321,6 +322,17 @@ class TestConvergence:
         with pytest.raises(ValueError, match="level"):
             convergence_study(spec, refinements=2, mode="refine_dx")
 
+    def test_a_level_that_overflows_is_named_with_its_step(self, monkeypatch):
+        # the stability check passes every level (lam = 0); a limit between level 0's
+        # largest computed value and level 1's first level makes only level 1 overflow
+        spec = make_spec(output_times=(), outputs=("profile_csv",))
+        levels = [spec, replace(spec, dt=spec.dt / 2.0, steps=2 * spec.steps)]
+        tops = [np.abs(solver.run(s.problem(), s.scheme()).values[1:]).max(axis=1) for s in levels]
+        assert tops[0].max() < tops[1][0]
+        monkeypatch.setattr(solver, "OVERFLOW_LIMIT", 0.5 * (tops[0].max() + tops[1][0]))
+        with pytest.raises(ValueError, match=r"^refinement level 1 went unstable at step 1$"):
+            convergence_study(spec, refinements=2, mode="refine_dt")
+
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             convergence_study(make_spec(), refinements=1, mode="refine_everything")
@@ -380,6 +392,14 @@ class TestStartupComparison:
             gamma=gamma, lam=0.5, dx=dx, dt=dt, steps=30, output_times=(), outputs=("profile_csv",)
         )
         with pytest.raises(ValueError, match="explicit bound"):
+            startup_comparison(spec, [0, 2])
+
+    def test_a_run_that_overflows_is_refused(self, monkeypatch):
+        # the nodes decay from 0.25: level 1 is the first past a limit below its largest
+        spec = self._cn_spec()
+        level_1 = solver.run(spec.problem(), spec.scheme()).level(1)
+        monkeypatch.setattr(solver, "OVERFLOW_LIMIT", 0.5 * np.abs(level_1).max())
+        with pytest.raises(ValueError, match=r"^the run with 0 startup steps went unstable at step 1$"):
             startup_comparison(spec, [0, 2])
 
     def test_classical_limit_insensitive_to_startup(self):
