@@ -115,6 +115,41 @@ class TestOtherFamilies:
     def test_family_orders(self):
         assert [f.order for f in ALL_FAMILIES] == [1, 2, 3, 2]
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_operator_converges_at_the_family_order(self, family):
+        # h^(-alpha) sum_k w_k f(1 - k h) for f = t^3, whose derivative of
+        # order alpha at t = 1 is 6 / Gamma(4 - alpha); measured rates are
+        # 1.00 / 2.00 / 3.00 / 2.00
+        alpha = 0.5
+        exact = 6.0 / math.gamma(4.0 - alpha)
+        errors = []
+        for n in (32, 64, 128, 256, 512):
+            weights = build_table(family, alpha, n)[: n + 1]
+            value = n**alpha * np.dot(weights, (1.0 - np.arange(n + 1) / n) ** 3)
+            errors.append(abs(value - exact))
+        rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+        assert all(abs(r - family.order) < 0.1 for r in rates), rates
+
+    @pytest.mark.parametrize("alpha", ALPHA_GRID)
+    def test_ng2_is_cauchy_product_of_bdf1_and_bracket(self, alpha):
+        k_max = 60
+        ng = build_table(FormulaFamily.NG2, alpha, k_max)
+        b = build_table(FormulaFamily.BDF1, alpha, k_max)
+        w0, w1 = newton_gregory_omegas(alpha, 2)
+        # bracket W0 + W1 (1 - z) = (W0 + W1) - W1 z
+        expected = (w0 + w1) * b
+        expected[1:] -= w1 * b[:-1]
+        assert ng == pytest.approx(expected, rel=1e-12)
+
+    def test_classical_alpha_one_polynomial_truncation(self):
+        # alpha = 1 reproduces the base polynomial itself: weights vanish
+        # beyond the polynomial degree
+        w = build_table(FormulaFamily.BDF2, 1.0, 8)
+        assert w[:3] == pytest.approx([1.5, -2.0, 0.5], abs=1e-15)
+        assert np.max(np.abs(w[3:])) < 1e-14
+        w = build_table(FormulaFamily.BDF1, 1.0, 8)
+        assert np.max(np.abs(w[2:])) < 1e-14
+
 
 class TestFamilyMembers:
     """The members carry their order and polynomial, and stay plain str-valued enum members."""
@@ -156,41 +191,6 @@ class TestFamilyMembers:
         assert FormulaFamily.NG2 is not FormulaFamily.BDF1
         assert FormulaFamily("ng2").name == "NG2" and len(FormulaFamily) == 4
         assert FormulaFamily.NG2.order == 2 and FormulaFamily.BDF1.order == 1
-
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_operator_converges_at_the_family_order(self, family):
-        # h^(-alpha) sum_k w_k f(1 - k h) for f = t^3, whose derivative of
-        # order alpha at t = 1 is 6 / Gamma(4 - alpha); measured rates are
-        # 1.00 / 2.00 / 3.00 / 2.00
-        alpha = 0.5
-        exact = 6.0 / math.gamma(4.0 - alpha)
-        errors = []
-        for n in (32, 64, 128, 256, 512):
-            weights = build_table(family, alpha, n)[: n + 1]
-            value = n**alpha * np.dot(weights, (1.0 - np.arange(n + 1) / n) ** 3)
-            errors.append(abs(value - exact))
-        rates = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-        assert all(abs(r - family.order) < 0.1 for r in rates), rates
-
-    @pytest.mark.parametrize("alpha", ALPHA_GRID)
-    def test_ng2_is_cauchy_product_of_bdf1_and_bracket(self, alpha):
-        k_max = 60
-        ng = build_table(FormulaFamily.NG2, alpha, k_max)
-        b = build_table(FormulaFamily.BDF1, alpha, k_max)
-        w0, w1 = newton_gregory_omegas(alpha, 2)
-        # bracket W0 + W1 (1 - z) = (W0 + W1) - W1 z
-        expected = (w0 + w1) * b
-        expected[1:] -= w1 * b[:-1]
-        assert ng == pytest.approx(expected, rel=1e-12)
-
-    def test_classical_alpha_one_polynomial_truncation(self):
-        # alpha = 1 reproduces the base polynomial itself: weights vanish
-        # beyond the polynomial degree
-        w = build_table(FormulaFamily.BDF2, 1.0, 8)
-        assert w[:3] == pytest.approx([1.5, -2.0, 0.5], abs=1e-15)
-        assert np.max(np.abs(w[3:])) < 1e-14
-        w = build_table(FormulaFamily.BDF1, 1.0, 8)
-        assert np.max(np.abs(w[2:])) < 1e-14
 
 
 class TestGeneratingFunction:
