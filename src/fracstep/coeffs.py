@@ -14,7 +14,7 @@ for all four, as u - u_0 ~ t^gamma from a parabola start (tests/test_convergence
 BDF1 weights follow w_k = (1 - (alpha + 1)/k) w_{k-1}, w_0 = 1, taken as
 one running product (the same multiplications in the same order).  BDF2/BDF3
 are the Taylor coefficients of a polynomial raised to a real power (J.C.P.
-Miller recurrence); NG2 composes the BDF1 stream with the linear
+Miller recurrence, unrolled); NG2 composes the BDF1 stream with the linear
 Newton-Gregory correction W_0 + W_1 (1 - z) in one elementwise expression.
 A table is a read-only float64 array w_0 .. w_K, built once at its capacity K.
 """
@@ -23,16 +23,16 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
 
 import numpy as np
 
 _ALPHA_MIN = 0.0  # alpha = 0 is the classical limit (identity weights)
 _ALPHA_MAX = 2.0
 
-#: Most weights a table holds: 128 MiB.  ``run`` needs steps + 1, which
-#: ``MAX_HISTORY_CELLS`` keeps below a third of this.
+#: Most weights a table holds: 128 MiB (``run`` needs steps + 1; ``MAX_HISTORY_CELLS`` keeps that below a third).
+#: A BDF3 table this long took 3.4-4.2 s and a 158 MB maxrss to build (child process, 2-core x86-64 VM).
 MAX_WEIGHTS = 1 << 24
+_CHUNK = 4096  # weights per chunk of _poly_pow's coefficients
 
 
 class FormulaFamily(str, enum.Enum):
@@ -41,7 +41,7 @@ class FormulaFamily(str, enum.Enum):
     Each member carries ``order``, the order p in h of the discrete operator on
     smooth functions (tested on t^3; not the scheme's order in dt, which the
     t^gamma start lowers), and ``base_poly``, the coefficients (constant term
-    first) of the polynomial under the power.
+    first) of the polynomial under the power; both are read-only.
     """
 
     BDF1 = "bdf1", 1, (1.0, -1.0)
@@ -51,8 +51,10 @@ class FormulaFamily(str, enum.Enum):
 
     def __new__(cls, value: str, order: int, base_poly: tuple[float, ...]):
         member = str.__new__(cls, value)
-        member._value_, member.order, member.base_poly = value, order, base_poly
+        member._value_, member._order, member._base_poly = value, order, base_poly
         return member
+
+    order, base_poly = property(lambda m: m._order), property(lambda m: m._base_poly)  # read-only
 
     def base_value(self, z: float) -> float:
         """The polynomial under the power at z, by Horner's rule."""
@@ -77,29 +79,30 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _series_pow(f: Sequence[float], alpha: float, count: int) -> np.ndarray:
-    """First ``count`` Taylor coefficients of f(z)^alpha from those of f.
+def _poly_pow(f: tuple[float, ...], alpha: float, count: int) -> np.ndarray:
+    """First ``count`` Taylor coefficients of f(z)^alpha, f a polynomial of degree 2 or 3, f_0 > 0.
 
-    Uses the J.C.P. Miller recurrence for g = f^alpha with f_0 != 0:
-
-        g_0 = f_0^alpha,
-        g_k = (1 / (k f_0)) * sum_{j=1..k} (j alpha - (k - j)) f_j g_{k-j}.
-
-    Exact to rounding; O(count * deg f) for a polynomial f, on Python floats.
+    J.C.P. Miller's recurrence g_0 = f_0^alpha, g_k = sum_{j=1..k} (j alpha - (k - j)) f_j g_{k-j}
+    / (k f_0), unrolled: numpy forms a chunk's c_j = (j alpha - (k - j)) f_j and k f_0, then
+    g_k = ((0.0 + c_1 g_{k-1}) + c_2 g_{k-2} [+ c_3 g_{k-3}]) / (k f_0) runs on Python floats.
+    These are the term-by-term sum's operations in its order (g_{k-j} = 0.0 for k < j adds only
+    a zero), so they give its bits; memory is the result and one chunk.
     """
-    if count <= 0:
-        return np.empty(0)
-    f0 = f[0]
-    if f0 <= 0.0:
-        raise ValueError("series power requires a positive constant term")
-    g = [f0**alpha]
-    terms = [(j, j * alpha, f[j]) for j in range(1, len(f))]
-    for k in range(1, count):
-        acc = 0.0
-        for j, j_alpha, f_j in terms[:k]:
-            acc += (j_alpha - (k - j)) * f_j * g[-j]  # g[-j] is g_{k-j}
-        g.append(acc / (k * f0))
-    return np.array(g)
+    g, g2, g3 = np.empty(count), 0.0, 0.0
+    g[0] = g1 = f[0] ** alpha
+    for start in range(1, count, _CHUNK):
+        k = np.arange(start, min(start + _CHUNK, count), dtype=float)
+        c, out = [((j * alpha - (k - j)) * f[j]).tolist() for j in range(1, len(f))], []
+        if len(f) == 3:
+            for c1, c2, kf0 in zip(*c, (k * f[0]).tolist()):
+                g1, g2 = (0.0 + c1 * g1 + c2 * g2) / kf0, g1
+                out.append(g1)
+        else:
+            for c1, c2, c3, kf0 in zip(*c, (k * f[0]).tolist()):
+                g1, g2, g3 = (0.0 + c1 * g1 + c2 * g2 + c3 * g3) / kf0, g1, g2
+                out.append(g1)
+        g[start : start + k.size] = out
+    return g
 
 
 def newton_gregory_omegas(alpha: float, count: int) -> np.ndarray:
@@ -108,17 +111,24 @@ def newton_gregory_omegas(alpha: float, count: int) -> np.ndarray:
     These are the coefficients of the expansion of (ln(xi)/(xi - 1))^alpha
     in powers of u = 1 - xi.  The base series is
 
-        ln(1 - u) / (-u) = 1 + u/2 + u^2/3 + u^3/4 + ...
+        f(u) = ln(1 - u) / (-u) = 1 + u/2 + u^2/3 + u^3/4 + ...
 
-    raised to the power alpha with the Miller recurrence.  W_0 = 1 and
-    W_1 = alpha/2 for every alpha.
+    raised to the power alpha with Miller's recurrence (``_poly_pow``), its
+    sum taken term by term on Python floats.  W_0 = 1 and W_1 = alpha/2 for
+    every alpha.
     """
     alpha = float(alpha)
     count = int(count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    base = [1.0 / (j + 1) for j in range(count)]
-    return _series_pow(base, alpha, count)
+    f = [1.0 / (j + 1) for j in range(count)]
+    g, terms = [f[0] ** alpha], [(j, j * alpha, f[j]) for j in range(1, count)]
+    for k in range(1, count):
+        acc = 0.0
+        for j, j_alpha, f_j in terms[:k]:
+            acc += (j_alpha - (k - j)) * f_j * g[-j]  # g[-j] is g_{k-j}
+        g.append(acc / (k * f[0]))
+    return np.array(g)
 
 
 def _bdf1_product(a: float, count: int) -> np.ndarray:
@@ -150,7 +160,7 @@ def build_table(family: FormulaFamily, alpha: float, capacity: int) -> np.ndarra
         b = _bdf1_product(a, count)
         w = np.concatenate(([(w0 + w1) * b[0]], (w0 + w1) * b[1:] - w1 * b[:-1]))
     else:
-        w = _series_pow(family.base_poly, a, count)
+        w = _poly_pow(family.base_poly, a, count)
     w.flags.writeable = False
     return w
 

@@ -45,7 +45,7 @@ _MAX_MODE = 1 << 53  # float64 holds every integer up to 2**53 exactly
 
 #: Most grid points ``exact_profile`` takes.  A call's traced peak stays within 4 _MODE_BLOCK + 2 _SPLIT
 #: + len(t) + 4 float64 a point, plus len(t) + 8 a mode: 9.3 KB a point, 580 MiB at this limit.  On the
-#: parabola's series, whose blocks need few q rows, it is 7.3 KB a point, 453 MiB at the limit.
+#: parabola's series, whose blocks need few q rows, it is 5.3 KB a point, 331 MiB at the limit.
 MAX_PROFILE_POINTS = 1 << 16
 
 
@@ -178,10 +178,13 @@ def exact_profile(
         terms, rest = buffers[:, : rb.size]
         q_table = np.outer(q_args[q_index[start] :][: iq[-1] + 1], xi)
         # sin(n pi x) by the split; mode="clip" makes take skip its buffer
-        np.take(np.sin(q_table), iq, axis=0, out=terms, mode="clip")
-        terms *= cos_r[rb]
-        np.take(np.cos(q_table), iq, axis=0, out=rest, mode="clip")
-        rest *= sin_r[rb]
+        np.take(cos_r, rb, axis=0, out=terms, mode="clip")
+        terms *= np.take(np.sin(q_table), iq, axis=0, out=rest, mode="clip")
+        np.take(sin_r, rb, axis=0, out=rest, mode="clip")
+        ends = np.searchsorted(iq, np.arange(iq[-1] + 2)).tolist()
+        for lo, hi, cos_q in zip(ends, ends[1:], np.cos(q_table, out=q_table)):
+            rest[lo:hi] *= cos_q  # a q's rows as one slice, with no gathered copy
+        del cos_q  # a view of this block's q table, which would outlive it
         terms += rest
         for f, a in zip(factors, acc):
             # an explicit product and row sum, not a BLAS call, so the

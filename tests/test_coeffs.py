@@ -3,10 +3,12 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fracstep import coeffs
 from fracstep.coeffs import (
     FormulaFamily,
     build_table,
@@ -184,6 +186,16 @@ class TestFamilyMembers:
         # Horner's rule rounds BDF3's 20/3 a unit low; phase_diagram's bounds carry these bits
         assert [f.base_value(-1.0) for f in FormulaFamily] == [2.0, 4.0, 6.666666666666666, 2.0]
 
+    def test_order_and_polynomial_are_read_only(self):
+        for family in FormulaFamily:
+            for name, value in (("order", 7), ("base_poly", (1.0, 1.0))):
+                with pytest.raises(AttributeError):
+                    setattr(family, name, value)
+                with pytest.raises(AttributeError):
+                    delattr(family, name)
+        assert [f.order for f in FormulaFamily] == [1, 2, 3, 2]
+        assert FormulaFamily.BDF2.base_poly == (1.5, -2.0, 0.5)
+
     def test_equal_polynomials_do_not_alias_members(self):
         # members whose values are equal become aliases of the first; BDF1 and
         # NG2 share a polynomial, but not a value
@@ -262,8 +274,27 @@ def scalar_bdf1(alpha: float, count: int) -> list[float]:
     return w
 
 
+def scalar_series_pow(f, alpha: float, count: int) -> np.ndarray:
+    """Miller's recurrence with its sum taken term by term on Python floats, as BDF2/BDF3 tables
+    were built before the unrolled loop."""
+    f0 = f[0]
+    g = [f0**alpha]
+    terms = [(j, j * alpha, f[j]) for j in range(1, len(f))]
+    for k in range(1, count):
+        acc = 0.0
+        for j, j_alpha, f_j in terms[:k]:
+            acc += (j_alpha - (k - j)) * f_j * g[-j]  # g[-j] is g_{k-j}
+        g.append(acc / (k * f0))
+    return np.array(g)
+
+
+EDGE_ALPHAS = [0.0, 5e-324, 1.0, math.nextafter(2.0, 0.0)]
+SPREAD_ALPHAS = np.random.default_rng(20261021).uniform(0.0, 2.0, 12).tolist()
+
+
 class TestVectorisedRecurrences:
     COUNT = 100_000
+    MILLER_COUNTS = [1, 2, 3, 4, 5, 402, 1502, 2 * coeffs._CHUNK + 3]
 
     @pytest.mark.parametrize("alpha", [1e-3, 0.25, 0.5, 0.99])
     def test_bdf1_and_ng2_equal_the_scalar_recurrence_bit_for_bit(self, alpha):
@@ -272,3 +303,21 @@ class TestVectorisedRecurrences:
         w0, w1 = newton_gregory_omegas(alpha, 2)
         ng2 = [(w0 + w1) * b[0]] + [(w0 + w1) * b[k] - w1 * b[k - 1] for k in range(1, self.COUNT)]
         assert build_table(FormulaFamily.NG2, alpha, self.COUNT - 1).tolist() == ng2
+
+    @pytest.mark.parametrize("family", [FormulaFamily.BDF2, FormulaFamily.BDF3])
+    @pytest.mark.parametrize("alpha", EDGE_ALPHAS + SPREAD_ALPHAS)
+    def test_bdf2_and_bdf3_equal_the_scalar_recurrence_bit_for_bit(self, family, alpha):
+        # tobytes, not ==: -0.0 == +0.0, and BDF2's w_1 at alpha = 0 is +0.0
+        reference = scalar_series_pow(family.base_poly, alpha, max(self.MILLER_COUNTS))
+        for count in self.MILLER_COUNTS:
+            assert build_table(family, alpha, count - 1).tobytes() == reference[:count].tobytes()
+
+    def test_bdf3_peak_memory_is_the_table_and_one_chunk(self):
+        count = 1 << 17
+        tracemalloc.start()
+        try:
+            build_table(FormulaFamily.BDF3, 0.5, count - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * count + (1 << 20)

@@ -27,7 +27,10 @@ per tree, each in its own subprocess (``PYTHONPATH=<tree>/src``,
   (``--count 200`` at alpha 0.5) for each family.  The standard output of
   each is written as a CSV file, ``exact_g<gamma>_t<t>.csv``,
   ``converge.csv`` and ``coeffs_<family>.csv``, with the estimated orders
-  as ``#`` lines.
+  as ``#`` lines;
+* ``coeffs`` of BDF2 and BDF3 at alpha 0 and 1.999, ``--count 9000``, past
+  two chunks of the unrolled recurrence, as ``coeffs_<family>_a<alpha>.csv``:
+  the sign of zero and the alpha edge, byte for byte.
 
 For each file it prints ``identical``, or the largest absolute difference
 between the float cells of the two versions and the largest difference
@@ -141,6 +144,10 @@ def commands(configs: Path, out: Path) -> list[list[str]]:
     ]
     argvs.append(["converge", "--config", str(configs / "conv.cfg"), "--mode", "refine_dt", "--levels", "2"])
     argvs += [["coeffs", "--family", family, "--alpha", "0.5", "--count", "200"] for family in FAMILIES]
+    argvs += [
+        ["coeffs", "--family", family, "--alpha", alpha, "--count", "9000"]
+        for family in ("bdf2", "bdf3") for alpha in ("0", "1.999")
+    ]
     return argvs + probes()
 
 
@@ -149,7 +156,7 @@ def stdout_csv(argv: list[str]) -> str | None:
     if argv[0] == "exact":
         return f"exact_g{argv[2]}_t{argv[6]}.csv"
     if argv[0] == "coeffs":
-        return f"coeffs_{argv[2]}.csv"
+        return f"coeffs_{argv[2]}.csv" if argv[4] == "0.5" else f"coeffs_{argv[2]}_a{argv[4]}.csv"
     return "converge.csv" if argv[0] == "converge" else None
 
 
