@@ -220,7 +220,7 @@ def _dispatch_stability(args) -> int:
     if args.stability_command == "bound":
         s_cross = stability_bound(args.family, args.gamma, args.lam)
         print(f"s_cross={s_cross!r}")
-        print(f"inv_s_cross={(1.0 / s_cross if s_cross != 0 else float('inf'))!r}")
+        print(f"inv_s_cross={1.0 / s_cross!r}")
         return EXIT_OK
     if args.stability_command == "probe":
         report = probe_stability(

@@ -39,8 +39,8 @@ double, as an unstable run amplifies the rounding of its fastest-growing mode.
 
 One driver steps a stack of problems and keeps only their modes: ``run``
 is a stack of one in at most two ranges (the explicit startup, then the
-rest), ``step`` advances its history's stack by one level, and
-``run_stacked`` steps stability probes in lockstep.  A range begins only
+rest), ``step`` advances its history's stack by one level, and the private
+``_run_stacked`` steps ``stability.probe_batch``'s probes.  A range begins only
 where lam or S changes.  Only the live modes are stepped, those nonzero at
 level 0 in some problem: the update is diagonal in the sine basis, so a
 mode that starts at exactly 0 stays exactly 0 (the checkerboard probe's
@@ -76,15 +76,14 @@ __all__ = [
     "memory_term",
     "step",
     "run",
-    "run_stacked",
 ]
 
 OVERFLOW_LIMIT = 1e150
 _CONSISTENCY_TOL = 1e-12
 
-#: Largest history (levels x problems x nodes) that ``run``, ``run_stacked``
-#: and ``step`` accept: 128 MiB in the modes, the far sums and a history's
-#: ``values``.  Paper-scale fig3 needs 45,915 x 11, a 1,500-step CN solve 1,501 x 101.
+#: Largest history (levels x problems x nodes) that ``run``, ``step`` and
+#: ``stability.probe_batch`` accept: 128 MiB in the modes, the far sums and a
+#: history's ``values``.  Paper-scale fig3 needs 45,915 x 11, a 1,500-step CN solve 1,501 x 101.
 MAX_HISTORY_CELLS = 1 << 24
 
 
@@ -306,7 +305,8 @@ class _HistorySums:
     """A stack of B problems: their modes and the far parts of their Q(r) and P(r).
 
     Problem b starts from the node row ``rows[b]`` with the Dirichlet data
-    ``ends[b]``; each has its own table of weights w_0 .. w_K, one K for all.
+    ``ends[b]``, whose line ``line[b]`` (interior nodes) is fixed with the
+    stack; each has its own table of weights w_0 .. w_K, one K for all.
     ``modes[r]`` and ``far[r]`` are (B, len(live)), the live modes only.
     ``overflow[b]`` is problem b's first level past the limit, 0 while it
     runs.  The far part of P(m+1) is that of R(m) = w_0 zeta(m) + P(m+1).
@@ -328,8 +328,10 @@ class _HistorySums:
         # near[b, i, t] = w_{i+t}, a view: level m0 - t in Q(m0 + i) and R(m0 + i - 1)
         shape = (len(tables), _BLOCK + 1, self.w.shape[1] - _BLOCK)
         self.near = np.ndarray(shape, buffer=self.w, strides=self.w.strides + (8,))
+        # the line through the ends on the interior nodes, which D maps to 0
+        self.line = ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n_nodes)[1:-1]
         # level 0 in long double: an unstable run amplifies the rounding of its fastest mode
-        zeta0 = _modes(rows[:, 1:-1].astype(np.longdouble) - _line(ends, n_nodes)[:, 1:-1])
+        zeta0 = _modes(rows[:, 1:-1].astype(np.longdouble) - self.line)
         self.live = np.flatnonzero(zeta0.any(axis=0))
         # zero pages are mapped on first write, so rows never reached cost nothing
         self.modes = np.zeros((self.capacity + 1, len(tables), len(self.live)))
@@ -349,12 +351,12 @@ class _HistorySums:
         full[..., self.live] = zeta
         return full
 
-    def nodes(self, zeta: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    def nodes(self, zeta: np.ndarray) -> np.ndarray:
         """The nodes (..., B, N) of levels (..., B, len(live)): the line through the ends + v."""
         n = self.n_modes + 2
         rows = np.empty(zeta.shape[:-1] + (n,))
-        rows[..., 1:-1] = _line(ends, n)[:, 1:-1] + _unmodes(self.full(zeta))
-        rows[..., :: n - 1] = ends
+        rows[..., 1:-1] = self.line + _unmodes(self.full(zeta))
+        rows[..., :: n - 1] = self.ends
         return rows
 
     def begin(self, origin: int, lam, s) -> None:
@@ -433,11 +435,6 @@ def _solve_block(memory, m0):
     return (memory.inverse @ b.transpose(1, 2, 0)[..., None])[..., 0].transpose(2, 0, 1)
 
 
-def _line(ends: np.ndarray, n: int) -> np.ndarray:
-    """The lines (B, n) through the Dirichlet data (B, 2) on n nodes."""
-    return ends[:, :1] + (ends[:, 1:] - ends[:, :1]) * np.linspace(0.0, 1.0, n)
-
-
 def _advance(lo, hi, memory):
     """Step the modes of the stack from level lo to level hi in the range begun.
 
@@ -447,10 +444,8 @@ def _advance(lo, hi, memory):
     problem's first level past the limit or 0).
     """
     modes = memory.modes
-    # a masked problem is checked with zero ends, as its modes are zero
-    ends = np.where(memory.overflow[:, None] > 0, 0.0, memory.ends)
     # max|U(r)| <= max|ends| + max_k |zeta_k(r)|, as |sin| <= 1 in the inverse DST-I
-    bound = min(OVERFLOW_LIMIT, _BOUND_CAP) * _BOUND_SHARE - np.abs(ends).max()
+    bound = min(OVERFLOW_LIMIT, _BOUND_CAP) * _BOUND_SHARE - np.abs(memory.ends).max()
     m0 = max(memory.origin, lo - lo % _BLOCK)
     # levels past an overflow run on to the check, their inf and NaN are discarded
     with np.errstate(over="ignore", invalid="ignore"):
@@ -463,7 +458,7 @@ def _advance(lo, hi, memory):
             # the exact check, on the nodes, before a flush takes the levels in; a NaN
             # fails the comparisons too; the modes not stepped are 0
             if not (block.max(initial=0.0) <= bound and block.min(initial=0.0) >= -bound):
-                rows = memory.nodes(block, ends)
+                rows = memory.nodes(block)
                 if not (rows.max() <= OVERFLOW_LIMIT and rows.min() >= -OVERFLOW_LIMIT):
                     bad = ~(np.abs(rows).max(axis=2) <= OVERFLOW_LIMIT)
                     return end, np.where(bad.any(axis=0), bad.argmax(axis=0) + first + 1, 0)
@@ -476,8 +471,9 @@ def _drive(memory, lo, hi, lam, s) -> None:
 
     A range begins only where lam or S changes.  A problem that leaves the
     representable range is masked: its modes are zero from its first level
-    past the limit, which ``memory.overflow`` records, and its checks see
-    zero ends.  Once all are masked the stack stops.
+    past the limit, which ``memory.overflow`` records; its checks still see
+    its line, so only a stack of one may have data past the limit.  Once
+    all are masked the stack stops.
     """
     if lo >= hi or memory.overflow.all():
         return
@@ -595,42 +591,21 @@ def run(problem: ProblemSpec, config: SchemeConfig) -> SolutionHistory:
     return history
 
 
-def run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Step B problems that share the node count in lockstep, as one stack.
+def _run_stacked(first_rows, tables, s, lam, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Step the B probes of ``stability.probe_batch`` in lockstep, as one stack.
 
-    Problem b starts from first_rows[b], whose ends are its Dirichlet
-    data, with its own weights tables[b] (w_0 .. w_K from ``build_table``,
-    one K >= steps for all), S = s[b] and lam[b].  A problem that leaves
-    the representable range is masked instead of ending the run, and once
-    all are masked the run stops.
-    Nodes are formed only for a block that fails the mode bound and for
-    the last level, which is returned (B, N, masked interiors zero) with
-    each problem's overflow level (0 if none).  A stack of more than
-    ``MAX_HISTORY_CELLS`` cells is refused.
+    Problem b starts from the row first_rows[b] of the (B, N) array, whose
+    ends are its Dirichlet data, with its own weights tables[b] (w_0 .. w_K
+    from ``build_table``, one K >= steps for all), S = s[b] and lam[b], all
+    as ``probe_batch`` has checked them.  A problem that leaves the
+    representable range is masked instead of ending the run, and once all
+    are masked the run stops.  Nodes are formed only for a block that fails
+    the mode bound and for the last level, which is returned (B, N, masked
+    interiors zero) with each problem's overflow level (0 if none).
     """
-    first_rows = np.asarray(first_rows, dtype=float)
     s, lam = (np.array(x, dtype=float).reshape(-1, 1) for x in (s, lam))
-    if first_rows.ndim != 2 or first_rows.shape[1] < 3:
-        raise ValueError(f"a history row needs at least 3 nodes, got shape {first_rows.shape}")
-    sizes = (len(first_rows), len(tables), len(s), len(lam))
-    if min(sizes) != max(sizes) or not sizes[0]:
-        raise ValueError(f"first_rows, tables, s and lam need one entry per problem, got {sizes}")
-    if not np.isfinite(first_rows).all():
-        raise ValueError("initial condition contains non-finite values")
-    bad_lam, bad_s = lam[~((0.0 <= lam) & (lam <= 1.0))], s[~((0.0 < s) & (s < np.inf))]
-    if bad_lam.size:
-        raise ValueError(f"lam must lie in [0, 1], got {bad_lam[0]}")
-    if bad_s.size:
-        raise ValueError(f"s must be finite and > 0, got {bad_s[0]}")
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    n_problems, n = first_rows.shape
-    check_history_size(steps + 1, n, n_problems)
-    if {len(t) for t in tables} != {len(tables[0])} or len(tables[0]) <= steps:
-        raise ValueError(f"tables need one capacity >= steps = {steps}")
-    ends = first_rows[:, :: n - 1]
-    memory = _HistorySums(tables, first_rows, ends)
+    memory = _HistorySums(tables, first_rows, first_rows[:, :: first_rows.shape[1] - 1])
     _drive(memory, 0, steps, lam, s)
-    last = memory.nodes(memory.modes[steps], ends)
+    last = memory.nodes(memory.modes[steps])
     last[memory.overflow > 0, 1:-1] = 0.0
     return last, memory.overflow

@@ -16,7 +16,8 @@ worst-case checkerboard mode (q dx = pi) through the actual stepper, a
 bisection estimator of the empirical threshold, and grid sweeps for
 phase diagrams.  Probes sharing the family, node count
 and step count run as one stack that keeps only their sine modes and
-last level (``probe_batch``); a single probe is the batch of one.
+last level (``probe_batch``, which alone checks the inputs of the solver's
+private stacked stepper); a single probe is the batch of one.
 Bisections run in lockstep, one stack per round (``find_empirical_thresholds``).
 """
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fracstep.coeffs import FormulaFamily, build_table, eval_generating_function
-from fracstep.solver import check_history_size, run_stacked
+from fracstep.solver import _run_stacked, check_history_size
 
 __all__ = [
     "StabilityReport",
@@ -128,8 +129,9 @@ def probe_batch(family: FormulaFamily, cases, nodes=32, steps=400) -> list[Stabi
     """Run the probe of :func:`probe_stability` for (gamma, lam, S) cases in lockstep.
 
     The probes share the family, node count and step count and run as one
-    stack (``solver.run_stacked``), each with its own weights, S and lam;
-    one that overflows is masked and leaves the others as they are.
+    stack, each with its own weights, S and lam; one that overflows is
+    masked and leaves the others as they are.  This is the only check of
+    the stack's inputs.  No cases give no reports.
     """
     if nodes < 8 or nodes % 2 != 0:
         raise ValueError(f"nodes must be even and >= 8, got {nodes}")
@@ -140,13 +142,15 @@ def probe_batch(family: FormulaFamily, cases, nodes=32, steps=400) -> list[Stabi
         if not (0.0 < s < math.inf):
             raise ValueError(f"s must be finite and > 0, got {s}")
     check_history_size(steps + 1, nodes + 1, len(cases))
+    if not cases:
+        return []
 
     eps = PROBE_AMPLITUDE
     row = eps * (-1.0) ** np.arange(nodes + 1)
     row[0] = row[-1] = 0.0
     gammas, lams, ss = zip(*cases)
     tables = [build_table(family, 1.0 - g, steps + 1) for g in gammas]
-    last, overflow = run_stacked(np.tile(row, (len(cases), 1)), tables, ss, lams, steps)
+    last, overflow = _run_stacked(np.tile(row, (len(cases), 1)), tables, ss, lams, steps)
     growth = np.where(overflow > 0, math.inf, np.abs(last).max(axis=1) / eps)
 
     reports = []

@@ -5,7 +5,7 @@ multiple of 32, and takes the nodes and checks overflow once per block.
 Each test puts a range start, a run's end or an overflow at or next to
 a block edge or the edge of a 256-level leaf: level-by-level ``step``
 must equal ``run`` bit for bit, ``run`` must match direct summation, and
-``run_stacked`` must report the first level past a lowered overflow
+``solver._run_stacked`` must report the first level past a lowered overflow
 limit.  A table past ``MAX_HISTORY_CELLS`` is refused by ``step`` too.
 """
 

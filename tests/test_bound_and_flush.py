@@ -8,7 +8,10 @@ and the chunk size must not change a bit either, nor must flushing a
 stack in more or fewer groups of problems.  A stack keeps no nodes; its
 levels are read from the modes its stepper holds.  The flushes of 256,
 512, ... levels are FFT products; they must agree with the sums they
-stand for, taken in long double.
+stand for, taken in long double.  The nodes a check forms, the line
+through the ends plus the inverse transform of a level's modes, must stay
+within rounding of a history's node rows, far inside the share of the
+limit that the bound leaves for their drift.
 """
 
 import numpy as np
@@ -16,10 +19,11 @@ import pytest
 
 from fracstep import solver
 from fracstep.coeffs import FormulaFamily, build_table
+from fracstep.harness import figure_specs
 from fracstep.solver import _HistorySums, _modes, run
 
 from test_overflow_checks import STEPS, held_run_stacked, stacked_run, unstable_case
-from test_solver import make_config
+from test_solver import make_config, make_problem
 
 
 def mode_bound(levels):
@@ -52,6 +56,31 @@ def test_a_stack_failing_only_the_bound_runs_on_bit_for_bit(monkeypatch):
     assert not stack.overflow.any()
     assert np.array_equal(stack.modes, reference.modes)
     assert np.array_equal(stack.last, reference.last)
+
+
+def fig_run(fig_id, t_end=None):
+    spec = figure_specs(fig_id, t_end)[0]
+    return spec.problem(), spec.scheme()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: fig_run("fig3", 0.05),  # triangles, 4,591 levels
+        lambda: (make_problem(0.5), make_config(0.5, 1.0, 0.7, 0.05, 200)),  # to 1.9e68
+        lambda: fig_run("fig5"),
+    ],
+    ids=["fig3-triangles", "explicit-blowup", "fig5"],
+)
+def test_checked_nodes_drift_from_the_node_rows_far_below_the_bound_share(case):
+    # _BOUND_SHARE leaves 1e-6 of the limit for this drift; it measures about 1e-15
+    problem, config = case()
+    history = run(problem, config)
+    memory = history._memory
+    values = history.values
+    nodes = memory.nodes(memory.modes[: history.top_level + 1])[:, 0]
+    drift = np.abs(values - nodes).max(axis=1) / np.abs(values).max(axis=1)
+    assert drift.max() < 1e-3 * (1.0 - solver._BOUND_SHARE)
 
 
 @pytest.mark.parametrize("values", [1, 200, 1 << 40])

@@ -9,7 +9,7 @@ at a run's last level.  The level reported must be the one a check after
 every level finds, the levels before it must be the unlimited run's bit
 for bit, and in a stack the other problems must not change at all.  A
 stack keeps no nodes, so its levels are read from the modes its stepper
-holds.  ``run_stacked`` also validates its inputs up front.
+holds.
 """
 
 from typing import NamedTuple
@@ -26,7 +26,6 @@ from fracstep.solver import (
     SolutionHistory,
     dt_for_mesh_ratio,
     run,
-    run_stacked,
     step,
 )
 from fracstep.stability import PROBE_AMPLITUDE, stability_bound
@@ -129,9 +128,9 @@ def test_nan_is_found_where_a_check_after_every_level_finds_it(monkeypatch):
 
 
 class Stack(NamedTuple):
-    """A ``run_stacked`` call with every level of its stack.
+    """A ``solver._run_stacked`` call with every level of its stack.
 
-    last, overflow: what ``run_stacked`` returned.
+    last, overflow: what ``_run_stacked`` returned.
     modes: the sine modes (steps + 1, B, N - 2) that its stepper held, with
         the modes it did not step (zero) put back.
     levels: the nodes (steps + 1, B, N) formed from them.
@@ -161,7 +160,7 @@ def nodes_from_modes(modes, ends):
 
 
 def held_run_stacked(first_rows, tables, s, lam, steps):
-    """``run_stacked``, with its levels read from the modes its stepper holds.
+    """``solver._run_stacked``, with its levels read from the modes its stepper holds.
 
     The stepper holds only the live modes; the others, zero at every level,
     are put back, so ``modes`` has every mode.  A masked problem's modes are
@@ -177,7 +176,7 @@ def held_run_stacked(first_rows, tables, s, lam, steps):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "_HistorySums", Held)
-        last, overflow = run_stacked(first_rows, tables, s, lam, steps)
+        last, overflow = solver._run_stacked(first_rows, tables, s, lam, steps)
     (memory,) = held
     modes = np.zeros(memory.modes[: steps + 1].shape[:2] + (memory.n_modes,))
     modes[..., memory.live] = memory.modes[: steps + 1]
@@ -221,68 +220,3 @@ def test_run_stacked_masks_at_the_first_level_past_the_limit(monkeypatch, level)
             assert not np.any(stack.modes[first:, b])
             assert not np.any(stack.last[b, 1:-1])
             assert np.all(stack.last[b, [0, -1]] == [0.25, -0.5])
-
-
-def test_run_stacked_keeps_the_first_level_of_data_past_the_limit():
-    """Dirichlet data past the limit mask a problem at level 1, and its line
-    stays out of every later check; the problem stacked with it runs as alone."""
-    row = PROBE_AMPLITUDE * (-1.0) ** np.arange(9)
-    row[0], row[-1] = 0.25, -0.5
-    rows = np.array([np.linspace(1e200, -3.0, 9), row])
-    tables = [build_table(FormulaFamily.BDF1, 0.5, 101)] * 2
-    last, overflow = run_stacked(rows, tables, [0.3, 0.3], [1.0, 1.0], 100)
-    alone, alone_overflow = run_stacked(rows[1:], tables[1:], [0.3], [1.0], 100)
-    assert overflow.tolist() == [1, 0] and alone_overflow.tolist() == [0]
-    assert np.array_equal(last[1], alone[0])
-    assert not np.any(last[0, 1:-1]) and last[0, 0] == 1e200 and last[0, -1] == -3.0
-
-
-class TestRunStackedValidation:
-    def inputs(self, **change):
-        args = dict(
-            first_rows=np.tile(np.linspace(0.0, 1.0, 9), (2, 1)),
-            tables=[build_table(FormulaFamily.BDF1, 0.5, 10)] * 2,
-            s=[0.3, 0.3],
-            lam=[1.0, 0.5],
-            steps=10,
-        )
-        args.update(change)
-        return args
-
-    def test_valid_inputs_run(self):
-        last, overflow = run_stacked(**self.inputs())
-        assert last.shape == (2, 9) and not overflow.any()
-
-    def test_lam_outside_the_unit_interval(self):
-        with pytest.raises(ValueError, match=r"lam must lie in \[0, 1\], got 1.5"):
-            run_stacked(**self.inputs(lam=[1.0, 1.5]))
-
-    def test_negative_s(self):
-        with pytest.raises(ValueError, match="s must be finite and > 0, got -1.0"):
-            run_stacked(**self.inputs(s=[0.3, -1.0]))
-
-    def test_nan_s(self):
-        with pytest.raises(ValueError, match="s must be finite and > 0, got nan"):
-            run_stacked(**self.inputs(s=[np.nan, 0.3]))
-
-    def test_nan_in_a_first_row(self):
-        rows = np.tile(np.linspace(0.0, 1.0, 9), (2, 1))
-        rows[1, 4] = np.nan
-        with pytest.raises(ValueError, match="initial condition contains non-finite values"):
-            run_stacked(**self.inputs(first_rows=rows))
-
-    def test_two_nodes(self):
-        with pytest.raises(ValueError, match="a history row needs at least 3 nodes"):
-            run_stacked(**self.inputs(first_rows=np.zeros((2, 2))))
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError, match=r"one entry per problem, got \(2, 2, 3, 2\)"):
-            run_stacked(**self.inputs(s=[0.3, 0.3, 0.3]))
-        with pytest.raises(ValueError, match=r"one entry per problem, got \(2, 1, 2, 2\)"):
-            run_stacked(**self.inputs(tables=[build_table(FormulaFamily.BDF1, 0.5, 10)]))
-        with pytest.raises(ValueError, match=r"one entry per problem, got \(0, 0, 0, 0\)"):
-            run_stacked(**self.inputs(first_rows=np.zeros((0, 9)), tables=[], s=[], lam=[]))
-
-    def test_negative_steps(self):
-        with pytest.raises(ValueError, match="steps must be >= 0, got -1"):
-            run_stacked(**self.inputs(steps=-1))

@@ -1,7 +1,7 @@
 """Stability probes run as one stacked history against one-by-one runs.
 
 ``probe_batch`` steps B checkerboard probes in lockstep through
-``solver.run_stacked``; ``probe_stability`` is its batch of one.  Every
+``solver._run_stacked``; ``probe_stability`` is its batch of one.  Every
 problem of a batch must give the verdict, step count and growth of its
 own probe, and levels that match the direct-summation stepper of
 ``test_history_sums``; a problem that overflows is masked without ending
@@ -16,10 +16,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fracstep import solver
+from fracstep import solver, stability
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.harness import reproduce_figure
-from fracstep.solver import mesh_ratio, run, run_stacked
+from fracstep.solver import MAX_HISTORY_CELLS, mesh_ratio, run
 from fracstep.stability import (
     PROBE_AMPLITUDE,
     find_empirical_threshold,
@@ -176,8 +176,8 @@ def test_last_level_equals_the_last_level_of_run(family):
     tables = [build_table(family, 1.0 - g, STEPS + 1) for g in gammas]
     alone = [run(p, c).values for p, c in zip(problems, configs)]
     ratios = [mesh_ratio(p, c) for p, c in zip(problems, configs)]
-    first_rows = [values[0] for values in alone]
-    last, overflow = run_stacked(first_rows, tables, ratios, lams, STEPS)
+    first_rows = np.array([values[0] for values in alone])
+    last, overflow = solver._run_stacked(first_rows, tables, ratios, lams, STEPS)
     assert not overflow.any()
     for b, values in enumerate(alone):
         assert np.abs(last[b] - values[-1]).max() <= 1e-13 * np.abs(values[-1]).max()
@@ -217,6 +217,24 @@ def test_all_overflowing_batch_stops_at_the_last_overflow(monkeypatch):
     m0 = starts[-1]
     assert m0 < stack.overflow.max() <= m0 + solver._BLOCK
     assert not np.any(stack.last)
+
+
+def test_no_cases_give_no_reports():
+    assert probe_batch(FormulaFamily.BDF1, []) == []
+
+
+def test_no_cases_give_no_thresholds():
+    assert find_empirical_thresholds(FormulaFamily.BDF1, []) == []
+
+
+def test_a_stack_past_the_budget_is_refused_before_any_table(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("a weight table was built")
+
+    monkeypatch.setattr(stability, "build_table", no_table)
+    cases = [(0.5, 1.0, 0.3)] * 3
+    with pytest.raises(ValueError, match="x 3 problems x 33 nodes .* MAX_HISTORY_CELLS"):
+        probe_batch(FormulaFamily.BDF1, cases, nodes=32, steps=MAX_HISTORY_CELLS // 33 + 1)
 
 
 def test_criterion_4_bisections_in_lockstep_equal_one_by_one():

@@ -17,7 +17,6 @@ from fracstep.solver import (
     memory_term,
     mesh_ratio,
     run,
-    run_stacked,
     step,
 )
 
@@ -384,12 +383,6 @@ class TestHistoryBudget:
         config = make_config(0.5, 1.0, 0.3, 0.1, 10**9)
         with pytest.raises(ValueError, match=f"{10**9 + 1} levels .* exceeds MAX_HISTORY_CELLS"):
             run(make_problem(0.5), config)
-
-    def test_run_stacked(self):
-        rows = np.zeros((3, 11))
-        table = build_table(FormulaFamily.BDF1, 0.5, 10)
-        with pytest.raises(ValueError, match="x 3 problems x 11 nodes .* MAX_HISTORY_CELLS"):
-            run_stacked(rows, [table] * 3, [0.3] * 3, [1.0] * 3, MAX_HISTORY_CELLS // 33 + 1)
 
     def test_the_paper_scale_runs_fit_with_room(self):
         from fracstep.harness import figure_specs
