@@ -9,7 +9,8 @@ at a run's last level.  The level reported must be the one a check after
 every level finds, the levels before it must be the unlimited run's bit
 for bit, and in a stack the other problems must not change at all.  A
 stack keeps no nodes, so its levels are read from the modes its stepper
-holds.
+holds.  ``probe_batch`` checks the stack's inputs before the stepper sees
+them, and hands it only finite rows and one entry per problem.
 """
 
 from typing import NamedTuple
@@ -17,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from fracstep import solver
+from fracstep import solver, stability
 from fracstep.coeffs import FormulaFamily, build_table
 from fracstep.solver import (
     OverflowDetected,
@@ -28,7 +29,7 @@ from fracstep.solver import (
     run,
     step,
 )
-from fracstep.stability import PROBE_AMPLITUDE, stability_bound
+from fracstep.stability import PROBE_AMPLITUDE, probe_batch, stability_bound
 
 STEPS = 520
 # 63, 0 and 1 (mod 64), and 255, 0 and 1 (mod 256): the leaf and the first two flushes
@@ -220,3 +221,73 @@ def test_run_stacked_masks_at_the_first_level_past_the_limit(monkeypatch, level)
             assert not np.any(stack.modes[first:, b])
             assert not np.any(stack.last[b, 1:-1])
             assert np.all(stack.last[b, [0, -1]] == [0.25, -0.5])
+
+
+class TestRunStackedValidation:
+    """``probe_batch`` is the one gate in front of ``solver._run_stacked``."""
+
+    def inputs(self, **change):
+        args = dict(cases=[(0.5, 1.0, 0.3), (0.25, 0.5, 0.3)], nodes=8, steps=50)
+        args.update(change)
+        return args
+
+    def handed(self, monkeypatch, **change):
+        """The reports of a probe batch and the arguments its stepper got."""
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return solver._run_stacked(*args)
+
+        monkeypatch.setattr(stability, "_run_stacked", spy)
+        return probe_batch(FormulaFamily.BDF1, **self.inputs(**change)), calls
+
+    def refused(self, monkeypatch, match, **change):
+        def unreached(*args):
+            raise AssertionError("the stacked stepper was reached")
+
+        monkeypatch.setattr(stability, "_run_stacked", unreached)
+        with pytest.raises(ValueError, match=match):
+            probe_batch(FormulaFamily.BDF1, **self.inputs(**change))
+
+    def test_valid_inputs_run(self, monkeypatch):
+        rows = np.tile(np.linspace(0.0, 1.0, 9), (2, 1))
+        tables = [build_table(FormulaFamily.BDF1, 0.5, 10)] * 2
+        last, overflow = solver._run_stacked(rows, tables, [0.3, 0.3], [1.0, 0.5], 10)
+        assert last.shape == (2, 9) and not overflow.any()
+        reports, calls = self.handed(monkeypatch)
+        assert len(reports) == 2 and len(calls) == 1
+
+    def test_lam_outside_the_unit_interval(self, monkeypatch):
+        match = r"lam must lie in \[0, 1\], got 1.5"
+        self.refused(monkeypatch, match, cases=[(0.5, 1.0, 0.3), (0.5, 1.5, 0.3)])
+
+    def test_negative_s(self, monkeypatch):
+        match = "s must be finite and > 0, got -1.0"
+        self.refused(monkeypatch, match, cases=[(0.5, 1.0, 0.3), (0.5, 1.0, -1.0)])
+
+    def test_nan_s(self, monkeypatch):
+        match = "s must be finite and > 0, got nan"
+        self.refused(monkeypatch, match, cases=[(0.5, 1.0, np.nan), (0.5, 1.0, 0.3)])
+
+    def test_nan_in_a_first_row(self, monkeypatch):
+        # a nan gamma would put nan weights into the first level; the rows are the probe's own
+        match = r"gamma must lie in \(0, 1\], got nan"
+        self.refused(monkeypatch, match, cases=[(0.5, 1.0, 0.3), (np.nan, 1.0, 0.3)])
+        _, [(rows, *_)] = self.handed(monkeypatch)
+        assert np.all(np.isfinite(rows)) and not np.any(rows[:, [0, -1]])
+        assert np.all(np.abs(rows[:, 1:-1]) == PROBE_AMPLITUDE)
+
+    def test_two_nodes(self, monkeypatch):
+        self.refused(monkeypatch, "nodes must be even and >= 8, got 2", nodes=2)
+        self.refused(monkeypatch, "nodes must be even and >= 8, got 9", nodes=9)
+
+    def test_mismatched_lengths(self, monkeypatch):
+        _, [(rows, tables, s, lam, steps)] = self.handed(monkeypatch)
+        assert rows.shape == (2, 9) and len(tables) == len(s) == len(lam) == 2
+        assert all(len(table) >= steps + 1 for table in tables)
+        reports, calls = self.handed(monkeypatch, cases=[])
+        assert reports == [] and calls == []
+
+    def test_negative_steps(self, monkeypatch):
+        self.refused(monkeypatch, "steps must be >= 50, got -1", steps=-1)
